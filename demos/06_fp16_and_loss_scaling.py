@@ -39,6 +39,6 @@ if __name__ == "__main__":
     state.momentum["w"] = tiny.copy()
     fp16_update_path(params, {"w": np.zeros(8)}, state, lr=0.0,
                      upcast=True, momentum_rescale=True, weight_decay=0.0)
-    s = state._fp16_scales[(0, "w")]
+    s = state.fp16_scales[(0, "w")]
     print(f"  stored rescaled by {s:.3e}: {state.momentum['w'][0]!r} "
           f"(recovers {state.momentum['w'][0] * s:.3e})")

@@ -19,7 +19,7 @@ import os
 import sys
 
 from .archfile import load_arch
-from .errors import TrainmemError
+from .errors import ConfigurationError, TrainmemError
 from .numerics import NumericFormat
 from .pareto import SweepSpec, sweep
 from .plan import CheckpointStrategy
@@ -43,18 +43,24 @@ def read_kv_file(path: str) -> dict[str, str]:
     return out
 
 
+def _number(key: str, text, kind=int):
+    """`kind(text)`, or a ConfigurationError naming the config key."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{key} must be {noun}, got {text!r}") from None
+
+
 def _parse_density(text: str) -> dict[str, float]:
     density = {}
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
-        if "=" in part:
-            group, frac = part.split("=", 1)
-            density[group.strip()] = float(frac)
-        else:
-            density["*"] = float(part)
-    return {k: v for k, v in density.items() if v < 1.0}
+        group, frac = part.split("=", 1) if "=" in part else ("*", part)
+        density[group.strip()] = _number("density", frac, float)
+    return {k: v for k, v in density.items() if v != 1.0}  # exactly 1.0 means dense
 
 
 def config_from_kv(kv: dict[str, str], graph) -> TrainingConfig:
@@ -64,12 +70,12 @@ def config_from_kv(kv: dict[str, str], graph) -> TrainingConfig:
         if not groups:
             raise TrainmemError("density given but the graph has no sparsifiable group")
         density[groups[0]] = density.pop("*")
-    minibatch = int(kv.get("minibatch", 100))
+    minibatch = _number("minibatch", kv.get("minibatch", 100))
     return TrainingConfig(
         density=density,
         precision=NumericFormat.parse(kv.get("precision", "fp32")),
         minibatch=minibatch,
-        microbatch=int(kv.get("microbatch", minibatch)),
+        microbatch=_number("microbatch", kv.get("microbatch", minibatch)),
         strategy=CheckpointStrategy.parse(kv.get("strategy", "none")),
         optimizer_kind=kv.get("optimizer", "sgd_nesterov"),
         batch_unit=kv.get("batch_unit", graph.batch_unit),
@@ -102,7 +108,7 @@ def cmd_pareto(args) -> int:
     graph = load_arch(kv.get("arch", args.arch or "wrn-28-2"))
 
     def split(key, default, conv):
-        return [conv(x.strip()) for x in kv.get(key, default).split(",") if x.strip()]
+        return [_number(key, x.strip(), conv) for x in kv.get(key, default).split(",") if x.strip()]
 
     spec = SweepSpec(
         densities=split("densities", "1.0", float),
@@ -110,7 +116,7 @@ def cmd_pareto(args) -> int:
         microbatches=split("microbatches", kv.get("minibatch", "100"), int),
         strategies=split("strategies", "none", CheckpointStrategy.parse),
         optimizers=split("optimizers", "sgd_nesterov", str),
-        minibatch=int(kv.get("minibatch", 100)),
+        minibatch=_number("minibatch", kv.get("minibatch", 100)),
         batch_unit=kv.get("batch_unit", graph.batch_unit),
     )
     warnings: list[str] = []
@@ -134,20 +140,21 @@ def cmd_pareto(args) -> int:
 def cmd_train(args) -> int:
     graph = load_arch(args.arch)
     kv = read_kv_file(args.config) if args.config else {}
+    minibatch = _number("minibatch", kv.get("minibatch", 32))
     settings = TrainSettings(
-        steps=int(kv.get("steps", 200)),
-        minibatch=int(kv.get("minibatch", 32)),
-        microbatch=int(kv.get("microbatch", kv.get("minibatch", 32))),
-        lr=float(kv.get("lr", 0.05)),
-        density=float(kv.get("density", 1.0)),
+        steps=_number("steps", kv.get("steps", 200)),
+        minibatch=minibatch,
+        microbatch=_number("microbatch", kv.get("microbatch", minibatch)),
+        lr=_number("lr", kv.get("lr", 0.05), float),
+        density=_number("density", kv.get("density", 1.0), float),
         precision=NumericFormat.parse(kv.get("precision", "fp32")),
         strategy=CheckpointStrategy.parse(kv.get("strategy", "none")),
         optimizer=kv.get("optimizer", "sgd_nesterov"),
         exec_mode=kv.get("exec_mode", "sequential"),
-        accumulator_width=int(kv.get("accumulator_width", 32)),
+        accumulator_width=_number("accumulator_width", kv.get("accumulator_width", 32)),
         seed=args.seed,
-        rewire_every=int(kv.get("rewire_every", 0)),
-        log_every=int(kv.get("log_every", 20)),
+        rewire_every=_number("rewire_every", kv.get("rewire_every", 0)),
+        log_every=_number("log_every", kv.get("log_every", 20)),
     )
     try:
         result = train_desk(graph, settings)

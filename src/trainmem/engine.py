@@ -26,7 +26,6 @@ from .graph import ComputationGraph
 from .kernels import QuantCtx, backward_op, forward_op
 from .numerics import NumericFormat, half_round
 from .plan import NONE, CheckpointStrategy, Plan, Sizing, graph_tables, replay
-from .profiler import plan_for
 
 
 @dataclass
@@ -35,7 +34,6 @@ class EngineConfig:
     accumulator_width: int = 32  # cross-example reductions; 16 models true FP16 microbatching
     exec_mode: str = "sequential"  # sequential | joint
     strategy: CheckpointStrategy = NONE
-    rng_seed: int = 0
     loss_scale: float = 1.0
 
     def __post_init__(self):
@@ -60,41 +58,6 @@ class StepResult:
     recompute_events: int
     recompute_flops: int
     batch_stats: dict[str, tuple] = field(default_factory=dict)
-
-
-def eval_node(graph: ComputationGraph, node_id: str, inputs, params, mode: str = "train",
-              config: EngineConfig | None = None):
-    """Evaluate a single node on explicit inputs (train or eval mode)."""
-    config = config or EngineConfig()
-    node = graph.node(node_id)
-    ctx = config.ctx()
-    arrays = [np.asarray(x) if graph.out_dtype[i] == "int" else ctx.asarray(x)
-              for i, x in zip(node.inputs, inputs)]
-    stats = None
-    if mode == "eval" and node.op in ("batchnorm", "layernorm"):
-        rm = params.get(f"{node_id}.running_mean")
-        rv = params.get(f"{node_id}.running_var")
-        if rm is not None and rv is not None:
-            stats = (rm, 1.0 / np.sqrt(rv + 1e-5))
-    out, _ = forward_op(node, arrays, params, ctx, stats=stats)
-    return out
-
-
-def grad_node(graph: ComputationGraph, node_id: str, payload: dict, g_out, params,
-              config: EngineConfig | None = None, loss_scale: float = 1.0):
-    """Reverse-mode gradients of one node given its stored payload."""
-    config = config or EngineConfig()
-    node = graph.node(node_id)
-    if node.op == "add":
-        return [g_out, g_out], {}
-    if node.op == "reshape":
-        src = node.inputs[0]
-        shape = (g_out.shape[0],) + graph.out_shape[src]
-        return [g_out.reshape(shape)], {}
-    if node.op == "transpose":
-        perm = (0,) + tuple(p + 1 for p in node.p("perm"))
-        return [g_out.transpose(np.argsort(perm))], {}
-    return backward_op(node, g_out, payload, params, config.ctx(), loss_scale)
 
 
 class _Executor:
@@ -240,8 +203,7 @@ class _Executor:
         elif upstream is None:
             raise ContractError(f"no upstream gradient for '{node.node_id}'")
 
-        op = node.op
-        if op in ("add", "reshape", "transpose", "avgpool", "pad_channels"):
+        if not t.storing[i]:  # storage class NOTHING: no forward values needed
             contributions = self._pass_like_backward(i, node, upstream)
             param_grads = {}
         else:
@@ -284,7 +246,6 @@ class _Executor:
         if node.op == "transpose":
             perm = (0,) + tuple(p + 1 for p in node.p("perm"))
             return [upstream.transpose(np.argsort(perm))]
-        ins = [None]
         grads, _ = backward_op(node, upstream, {}, self.params, self.ctx)
         return grads
 
@@ -317,6 +278,16 @@ def _infer_batch(graph: ComputationGraph, batch: dict) -> int:
     raise ConfigurationError("batch supplies no graph inputs")
 
 
+def require_executable(graph: ComputationGraph):
+    """Reject graphs with cost-model-only nodes (dynamic_conv_cost and the
+    fused-projection softmax_xent)."""
+    for node in graph.nodes:
+        if node.op == "dynamic_conv_cost" or (node.op == "softmax_xent" and node.p("d_in")):
+            raise UnsupportedOperationError(
+                f"graph '{graph.name}' contains cost-model-only nodes"
+            )
+
+
 def run_step(
     graph: ComputationGraph,
     params: dict[str, np.ndarray],
@@ -325,11 +296,7 @@ def run_step(
     masks: dict[str, np.ndarray] | None = None,
 ) -> StepResult:
     """One forward/backward pass; gradients plus observed peak stored bytes."""
-    for node in graph.nodes:
-        if node.op == "dynamic_conv_cost" or (node.op == "softmax_xent" and node.p("d_in")):
-            raise UnsupportedOperationError(
-                f"graph '{graph.name}' contains cost-model-only nodes"
-            )
+    require_executable(graph)
     ctx = config.ctx()
     prepared = {}
     for node in graph.nodes:
@@ -349,8 +316,7 @@ def run_step(
         nnz = {name: int(m.sum()) for name, m in masks.items()}
     sizing = Sizing(graph, b, config.precision, nnz)
     executor = _Executor(graph, params, masks, prepared, config)
-    result = replay(graph, config.strategy, sizing, executor=executor,
-                    plan=plan_for(graph, config.strategy))
+    result = replay(graph, config.strategy, sizing, executor=executor)
     grads = executor.param_grads
     for name in params:
         if name not in grads and not name.endswith(("running_mean", "running_var")):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .errors import ArchSemanticError, ConfigurationError, ContractError
 
@@ -38,24 +39,6 @@ STORAGE_CLASS = {
     "layernorm": CACHED_STATS,
 }
 
-# Kinds the engine can execute; dynamic_conv_cost is cost-model-only, and so
-# is the fused-projection softmax_xent variant (d_in set).
-EXECUTABLE_OPS = {
-    "input",
-    "conv2d",
-    "linear",
-    "embedding",
-    "softmax_xent",
-    "relu",
-    "glu",
-    "add",
-    "reshape",
-    "transpose",
-    "avgpool",
-    "pad_channels",
-    "batchnorm",
-    "layernorm",
-}
 
 @dataclass
 class ParamSpec:
@@ -118,6 +101,7 @@ class ComputationGraph:
             for src in n.inputs:
                 self.consumers[src].append(n.node_id)
         self._validate_blocks()
+        self._tables = None  # derived tables and plans; filled by plan.graph_tables
 
     # -- structure ---------------------------------------------------------
 
@@ -195,18 +179,10 @@ class ComputationGraph:
             return [
                 ParamSpec(f"{nid}.weight", (node.p("vocab"), node.p("d")), "weight", sparse, group)
             ]
-        if node.op == "batchnorm":
-            c = node.p("channels")
-            return [
-                ParamSpec(f"{nid}.gamma", (c,), "norm"),
-                ParamSpec(f"{nid}.beta", (c,), "norm"),
-            ]
-        if node.op == "layernorm":
-            d = node.p("dim")
-            return [
-                ParamSpec(f"{nid}.gamma", (d,), "norm"),
-                ParamSpec(f"{nid}.beta", (d,), "norm"),
-            ]
+        if node.op in ("batchnorm", "layernorm"):
+            c = node.p("channels" if node.op == "batchnorm" else "dim")
+            return [ParamSpec(f"{nid}.gamma", (c,), "norm"),
+                    ParamSpec(f"{nid}.beta", (c,), "norm")]
         return []
 
     def all_params(self) -> list[ParamSpec]:
@@ -288,50 +264,58 @@ class ComputationGraph:
     def storage_class(self, node: Node) -> str:
         return STORAGE_CLASS[node.op]
 
-    def is_storing(self, node: Node) -> bool:
-        return self.storage_class(node) != NOTHING
-
-
-def _as_tuple(v) -> tuple:
-    if isinstance(v, int):
-        return (v,)
-    return tuple(v)
-
 
 def _infer_node_shape(node: Node, shapes, dtypes):
     op = node.op
     nid = node.node_id
 
-    def need(k: int):
+    def need(k: int, rank: int | None = None):
         if len(shapes) != k:
             raise ArchSemanticError(f"expects {k} inputs, got {len(shapes)}", nid)
+        if rank is not None and len(shapes[0]) != rank:
+            raise ArchSemanticError(f"expects a rank-{rank} input, got shape {shapes[0]}", nid)
+
+    def int_param(key: str, lo: int = 1, default=None) -> int:
+        """An integer parameter, at least `lo`."""
+        v = node.p(key, default)
+        if not isinstance(v, Integral) or v < lo:
+            raise ArchSemanticError(f"parameter '{key}' must be an integer >= {lo}, got {v!r}", nid)
+        return v
+
+    def ints_param(key: str, lo: int, default=None) -> tuple:
+        """A tuple parameter of integers, each at least `lo` (an int is a 1-tuple)."""
+        v = node.p(key, default)
+        t = (v,) if isinstance(v, Integral) else v
+        if not isinstance(t, tuple) or not all(isinstance(x, Integral) and x >= lo for x in t):
+            raise ArchSemanticError(f"parameter '{key}' must be integers >= {lo}, got {v!r}", nid)
+        return t
 
     if op == "input":
-        return _as_tuple(node.p("shape", ())), node.p("dtype", "float")
+        return ints_param("shape", 1, ()), node.p("dtype", "float")
     if op == "conv2d":
-        need(1)
+        need(1, 3)
         c, h, w = shapes[0]
-        if c != node.p("c_in"):
+        if c != int_param("c_in"):
             raise ArchSemanticError(f"c_in {node.p('c_in')} != input channels {c}", nid)
-        s, p = node.p("stride", 1), node.p("pad", 0)
-        h2 = (h + 2 * p - node.p("k1")) // s + 1
-        w2 = (w + 2 * p - node.p("k2")) // s + 1
+        s, p = int_param("stride", 1, 1), int_param("pad", 0, 0)
+        h2 = (h + 2 * p - int_param("k1")) // s + 1
+        w2 = (w + 2 * p - int_param("k2")) // s + 1
         if h2 <= 0 or w2 <= 0:
             raise ArchSemanticError("non-positive spatial output", nid)
-        return (node.p("c_out"), h2, w2), "float"
+        return (int_param("c_out"), h2, w2), "float"
     if op == "linear":
         need(1)
-        if not shapes[0] or shapes[0][-1] != node.p("d_in"):
+        if not shapes[0] or shapes[0][-1] != int_param("d_in"):
             raise ArchSemanticError(f"d_in {node.p('d_in')} != input dim {shapes[0]}", nid)
-        return shapes[0][:-1] + (node.p("d_out"),), "float"
+        return shapes[0][:-1] + (int_param("d_out"),), "float"
     if op == "batchnorm":
-        need(1)
-        if shapes[0][0] != node.p("channels"):
+        need(1, 3)
+        if shapes[0][0] != int_param("channels"):
             raise ArchSemanticError("channel mismatch", nid)
         return shapes[0], "float"
     if op == "layernorm":
         need(1)
-        if shapes[0][-1] != node.p("dim"):
+        if not shapes[0] or shapes[0][-1] != int_param("dim"):
             raise ArchSemanticError("dim mismatch", nid)
         return shapes[0], "float"
     if op == "relu":
@@ -339,7 +323,7 @@ def _infer_node_shape(node: Node, shapes, dtypes):
         return shapes[0], "float"
     if op == "glu":
         need(1)
-        if shapes[0][-1] % 2:
+        if not shapes[0] or shapes[0][-1] % 2:
             raise ArchSemanticError("glu input dim must be even", nid)
         return shapes[0][:-1] + (shapes[0][-1] // 2,), "float"
     if op == "add":
@@ -349,46 +333,47 @@ def _infer_node_shape(node: Node, shapes, dtypes):
         return shapes[0], "float"
     if op == "reshape":
         need(1)
-        target = _as_tuple(node.p("shape"))
+        target = ints_param("shape", 1)
         if math.prod(target) != math.prod(shapes[0]):
             raise ArchSemanticError("reshape changes element count", nid)
         return target, "float"
     if op == "transpose":
         need(1)
-        perm = _as_tuple(node.p("perm"))
+        perm = ints_param("perm", 0)
         if sorted(perm) != list(range(len(shapes[0]))):
             raise ArchSemanticError("invalid permutation", nid)
         return tuple(shapes[0][i] for i in perm), "float"
     if op == "avgpool":
-        need(1)
+        need(1, 3)
         c, h, w = shapes[0]
-        win = node.p("window")
+        win = int_param("window")
         if h % win or w % win:
             raise ArchSemanticError("window must divide spatial extents", nid)
         return (c, h // win, w // win), "float"
     if op == "pad_channels":
-        need(1)
+        need(1, 3)
         c, h, w = shapes[0]
-        return (c + node.p("extra"), h, w), "float"
+        return (c + int_param("extra", 0), h, w), "float"
     if op == "embedding":
         need(1)
+        int_param("vocab")
         if dtypes[0] != "int":
             raise ArchSemanticError("embedding input must be integer indices", nid)
-        return shapes[0] + (node.p("d"),), "float"
+        return shapes[0] + (int_param("d"),), "float"
     if op == "softmax_xent":
         need(2)
         if dtypes[1] != "int":
             raise ArchSemanticError("second input (targets) must be integer", nid)
-        d_in = node.p("d_in")
-        expected = (d_in,) if d_in else (node.p("classes"),)
+        d_in, classes = int_param("d_in", 0, 0), int_param("classes")
+        expected = (d_in,) if d_in else (classes,)
         if shapes[0] != expected:
             raise ArchSemanticError(f"logit shape {shapes[0]} != expected {expected}", nid)
         return (), "float"
     if op == "dynamic_conv_cost":
-        if node.p("mix", "conv") == "conv":
-            need(2)
-            return shapes[0], "float"
-        need(3)
+        conv = node.p("mix", "conv") == "conv"
+        need(2 if conv else 3)
+        for key in ("heads", "span", "kernel") if conv else ("heads", "span"):
+            int_param(key)
         return shapes[0], "float"
     raise ArchSemanticError(f"unknown kind '{op}'", nid)
 

@@ -1,9 +1,10 @@
-"""Optimizers, learning-rate schedules, dynamic loss scaling, gradient
-accumulation, and the FP16 update path with per-tensor momentum rescaling.
+"""Optimizers, dynamic loss scaling, and the FP16 update path with
+per-tensor momentum rescaling.
 
 There is never a persistent FP32 master copy of FP16 weights; the optional
 upcast path widens tensors transiently inside the update and rounds the
-results straight back to the binary16 grid.
+results straight back to the binary16 grid.  Microbatch gradients are
+accumulated by `engine.run_microbatched`, not here.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ class SGDState:
     momentum: dict[str, np.ndarray]
     mu: float = WRN_MOMENTUM
     weight_decay: float = WRN_WEIGHT_DECAY
+    # (buffer index, name) -> power-of-two scale the FP16 path stored it under
+    fp16_scales: dict[tuple[int, str], float] = field(default_factory=dict)
 
     @staticmethod
     def init(params: dict[str, np.ndarray], mu=WRN_MOMENTUM, weight_decay=WRN_WEIGHT_DECAY):
@@ -41,9 +44,7 @@ class SGDState:
     def reset_momentum(self):
         for buf in self.momentum.values():
             buf[...] = 0.0
-
-    def value_arrays_per_param(self) -> int:
-        return 1  # plus the gradient buffer held by the training loop
+        self.fp16_scales = {}
 
 
 @dataclass
@@ -54,6 +55,7 @@ class AdamState:
     beta2: float = 0.98
     eps: float = 1e-8
     t: int = 0
+    fp16_scales: dict[tuple[int, str], float] = field(default_factory=dict)  # as in SGDState
 
     @staticmethod
     def init(params, beta1=0.9, beta2=0.98, eps=1e-8):
@@ -67,9 +69,7 @@ class AdamState:
         for d in (self.m, self.v):
             for buf in d.values():
                 buf[...] = 0.0
-
-    def value_arrays_per_param(self) -> int:
-        return 2
+        self.fp16_scales = {}
 
 
 def sgd_nesterov_step(params, grads, state: SGDState, lr: float,
@@ -157,49 +157,6 @@ def grads_nonfinite(grads: dict[str, np.ndarray]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Learning-rate schedules
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Piecewise-constant rates; boundaries are exclusive upper epoch bounds."""
-
-    boundaries: tuple[int, ...]
-    rates: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.rates) != len(self.boundaries) + 1:
-            raise ConfigurationError("need one more rate than boundary")
-
-
-@dataclass(frozen=True)
-class InverseSqrtWarmup:
-    warmup_updates: int = 4000
-    peak: float = 5e-4
-    floor: float = 1e-7
-
-
-# Base image-model schedule (epochs 1-60 / 61-120 / 121-160 / 161-200).
-WRN_SCHEDULE = StepSchedule(boundaries=(60, 120, 160), rates=(0.100, 0.020, 0.040, 0.008))
-TRANSFORMER_SCHEDULE = InverseSqrtWarmup()
-
-
-def lr_at(schedule, position: int) -> float:
-    """Rate at an epoch (StepSchedule, 1-based) or update (warmup, 1-based)."""
-    if position < 0:
-        raise ContractError("position must be nonnegative")
-    if isinstance(schedule, StepSchedule):
-        for bound, rate in zip(schedule.boundaries, schedule.rates):
-            if position <= bound:
-                return rate
-        return schedule.rates[-1]
-    n = position
-    if n <= schedule.warmup_updates:
-        return schedule.floor + (schedule.peak - schedule.floor) * n / schedule.warmup_updates
-    return schedule.peak * math.sqrt(schedule.warmup_updates / n)
-
-
-# ---------------------------------------------------------------------------
 # FP16 update path
 
 
@@ -222,7 +179,7 @@ def fp16_update_path(params, grads, state, lr: float, upcast: bool = True,
     its magnitude fits comfortably in the FP16 range; the scale is undone
     on the way in and reapplied on the way out.
     """
-    scales = getattr(state, "_fp16_scales", None) or {}
+    scales = state.fp16_scales
     buffers = [state.momentum] if isinstance(state, SGDState) else [state.m, state.v]
     # undo storage scaling to recover true momentum values (exact: powers of two)
     for bi, d in enumerate(buffers):
@@ -289,7 +246,7 @@ def fp16_update_path(params, grads, state, lr: float, upcast: bool = True,
                 d[name] = half_round(np.asarray(buf, dtype=np.float64) / s)
             else:
                 d[name] = half_round(np.asarray(buf, dtype=np.float64))
-    state._fp16_scales = new_scales
+    state.fp16_scales = new_scales
     if masks:
         for name, mask in masks.items():
             if name in params:
@@ -297,66 +254,3 @@ def fp16_update_path(params, grads, state, lr: float, upcast: bool = True,
             for d in buffers:
                 if name in d:
                     d[name] = d[name] * mask
-
-
-# ---------------------------------------------------------------------------
-# Gradient accumulation
-
-
-@dataclass
-class GradAccumulator:
-    """Weighted microbatch-gradient buffer flushed into an optimizer step."""
-
-    buffers: dict[str, np.ndarray] = field(default_factory=dict)
-    count: int = 0
-    fp16: bool = False
-    accumulator_width: int = 32
-
-    def add(self, grads: dict[str, np.ndarray], weight: float = 1.0):
-        for name, g in grads.items():
-            update = g * weight if weight != 1.0 else g
-            if self.fp16:
-                update = half_round(update)
-            if name not in self.buffers:
-                self.buffers[name] = np.array(update, copy=True)
-            elif self.fp16 and self.accumulator_width == 16:
-                self.buffers[name] = half_round(self.buffers[name] + update)
-            elif self.fp16:
-                self.buffers[name] = half_round(
-                    self.buffers[name].astype(np.float32) + update.astype(np.float32)
-                )
-            else:
-                self.buffers[name] += update
-        self.count += 1
-
-
-def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.square(g, dtype=np.float64)))
-    return math.sqrt(total)
-
-
-def accumulate_and_flush(acc: GradAccumulator, params, state, lr: float,
-                         step_fn=None, clip_norm: float | None = None,
-                         masks=None) -> bool:
-    """Apply the optimizer step from the accumulated gradients and zero the
-    buffer.  Flushing an empty accumulator warns by returning False."""
-    if acc.count == 0:
-        return False
-    grads = acc.buffers
-    if clip_norm is not None:
-        norm = global_grad_norm(grads)
-        if norm > clip_norm:
-            factor = clip_norm / norm
-            for g in grads.values():
-                g *= factor
-    if step_fn is not None:
-        step_fn(params, grads, state, lr)
-    elif isinstance(state, SGDState):
-        sgd_nesterov_step(params, grads, state, lr, masks=masks)
-    else:
-        adam_step(params, grads, state, lr, masks=masks)
-    acc.buffers = {}
-    acc.count = 0
-    return True

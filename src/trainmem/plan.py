@@ -35,6 +35,7 @@ from .graph import (
     CACHED_STATS,
     FULL_INPUT,
     NOTHING,
+    STORAGE_CLASS,
     ComputationGraph,
     Node,
 )
@@ -59,7 +60,10 @@ class CheckpointStrategy:
         text = text.strip()
         if ":" in text:
             kind, m = text.split(":", 1)
-            return CheckpointStrategy(kind.strip(), int(m))
+            try:
+                return CheckpointStrategy(kind.strip(), int(m))
+            except ValueError:
+                raise ConfigurationError(f"strategy '{text}': period must be an integer") from None
         return CheckpointStrategy(text)
 
     def __str__(self):
@@ -129,17 +133,14 @@ def checkpoint_nodes(graph: ComputationGraph, strategy: CheckpointStrategy) -> s
         in_block = set()
         for lo, hi in spans:
             in_block.update(range(lo, hi + 1))
-        exits = {graph.nodes[hi].node_id for k, (lo, hi) in enumerate(spans, start=1)
-                 if k % strategy.m == 0}
+        exits = set(checkpointed_exits(graph, strategy))
         kept = set()
         for n in storing:
             idx = graph.index[n.node_id]
             if idx not in in_block:
                 if not keeps_nothing(n):
                     kept.add(n.node_id)
-            elif graph.storage_class(n) in (FULL_INPUT, CACHED_STATS) and any(
-                i in exits for i in n.inputs
-            ):
+            elif t.full_or_stats[idx] and any(i in exits for i in n.inputs):
                 kept.add(n.node_id)
         return kept
     raise ConfigurationError(f"unhandled strategy {strategy}")
@@ -157,11 +158,11 @@ def checkpointed_exits(graph: ComputationGraph, strategy: CheckpointStrategy) ->
 
 
 class _GraphTables:
-    """Strategy-independent integer tables derived from one graph."""
+    """Strategy-independent integer tables derived from one graph, plus the
+    graph's `Plan`s keyed by strategy."""
 
     def __init__(self, g: ComputationGraph):
-        from .graph import STORAGE_CLASS
-
+        self.plans: dict[CheckpointStrategy, Plan] = {}
         n = len(g.nodes)
         index = g.index
         ops = [nd.op for nd in g.nodes]
@@ -182,7 +183,7 @@ class _GraphTables:
         self.needs_without_payload = []
         self.needs_trim_extra = []
         for i, nd in enumerate(g.nodes):
-            if ops[i] in ("add", "reshape", "transpose", "avgpool", "pad_channels", "input"):
+            if not self.storing[i]:
                 wo = ()
             elif ops[i] == "relu":
                 wo = self.in_idx[i]
@@ -213,11 +214,20 @@ class _GraphTables:
 
 
 def graph_tables(g: ComputationGraph) -> _GraphTables:
-    t = getattr(g, "_replay_tables", None)
-    if t is None:
-        t = _GraphTables(g)
-        g._replay_tables = t
-    return t
+    """The graph's derived tables, built on first use and kept in its one
+    cache slot."""
+    if g._tables is None:
+        g._tables = _GraphTables(g)
+    return g._tables
+
+
+def plan_for(graph: ComputationGraph, strategy: CheckpointStrategy) -> Plan:
+    """The graph's cached `Plan` for a strategy."""
+    plans = graph_tables(graph).plans
+    plan = plans.get(strategy)
+    if plan is None:
+        plan = plans[strategy] = Plan(graph, strategy)
+    return plan
 
 
 class Sizing:
@@ -318,19 +328,6 @@ class Sizing:
             if node.op == "input" and self.graph.consumers[node.node_id]:
                 total += self.out_bytes[self.graph.index[node.node_id]]
         return total
-
-
-# ---------------------------------------------------------------------------
-# Backward needs per op (tensor values the backward kernel reads)
-
-
-def backward_needs(graph: ComputationGraph, node: Node, payload_stored: bool) -> tuple[str, ...]:
-    op = node.op
-    if op in ("add", "reshape", "transpose", "avgpool", "pad_channels", "input"):
-        return ()
-    if op == "relu":
-        return () if payload_stored else (node.inputs[0],)
-    return tuple(i for i in node.inputs if graph.node(i).op != "input")
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +461,11 @@ class Plan:
     def _captured(self, idx: int, extra: set[int]) -> bool:
         """True if a kept (or to-be-materialized) full/stats payload stores
         this node's output tensor."""
-        g = self.graph
-        nid = g.nodes[idx].node_id
-        if self.trimmed and nid in self.excluded:
+        t = graph_tables(self.graph)
+        if self.trimmed and t.excluded_idx[idx]:
             return False
-        for cid in g.consumers[nid]:
-            c = g.index[cid]
-            if (self.keep[c] or c in extra) and g.storage_class(g.nodes[c]) in (
-                FULL_INPUT,
-                CACHED_STATS,
-            ):
-                return True
-        return False
+        return any((self.keep[c] or c in extra) and t.full_or_stats[c]
+                   for c in t.consumer_idx[idx])
 
 
 def replay(
@@ -483,7 +473,6 @@ def replay(
     strategy: CheckpointStrategy,
     sizing: Sizing,
     executor=None,
-    plan: Plan | None = None,
 ) -> ReplayResult:
     """Run one forward/backward step under a checkpoint strategy.
 
@@ -491,8 +480,7 @@ def replay(
     executor it performs the actual computation on the same schedule.
     """
     g = graph
-    if plan is None:
-        plan = Plan(g, strategy)
+    plan = plan_for(g, strategy)
     t = graph_tables(g)
     n = len(g.nodes)
     in_idx = t.in_idx

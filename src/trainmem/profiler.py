@@ -3,13 +3,13 @@ forward/backward/recompute FLOPs for a (graph, TrainingConfig) pair."""
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 from .graph import ComputationGraph
 from .numerics import NumericFormat, tensor_bytes
-from .plan import NONE, CheckpointStrategy, Plan, Sizing, replay
+from .plan import NONE, CheckpointStrategy, Sizing, replay
+from .plan import plan_for  # noqa: F401  (re-exported; the plan cache lives in plan)
 from .sparse import csr_storage_bytes_from_counts
 
 TOKEN_MICROBATCH_FLOOR = 250
@@ -36,6 +36,8 @@ class TrainingConfig:
             self.microbatch = self.minibatch
         if self.batchnorm_params_fp32 is None:
             self.batchnorm_params_fp32 = self.precision is NumericFormat.FP16
+        if self.minibatch < 1:
+            raise ConfigurationError("minibatch must be >= 1")
         if self.optimizer_kind not in OPTIMIZER_VALUE_ARRAYS:
             raise ConfigurationError(f"unknown optimizer kind '{self.optimizer_kind}'")
         for group, frac in self.density.items():
@@ -170,19 +172,9 @@ def optimizer_memory(graph: ComputationGraph, config: TrainingConfig) -> int:
     return total
 
 
-_plan_cache: "weakref.WeakKeyDictionary[ComputationGraph, dict]" = weakref.WeakKeyDictionary()
-
-
-def plan_for(graph: ComputationGraph, strategy: CheckpointStrategy) -> Plan:
-    per_graph = _plan_cache.setdefault(graph, {})
-    if strategy not in per_graph:
-        per_graph[strategy] = Plan(graph, strategy)
-    return per_graph[strategy]
-
-
 def _replay(graph, config: TrainingConfig, strategy: CheckpointStrategy, batch: int):
     sizing = Sizing(graph, batch, config.precision, param_nnz(graph, config.density))
-    return replay(graph, strategy, sizing, plan=plan_for(graph, strategy))
+    return replay(graph, strategy, sizing)
 
 
 def activation_memory(

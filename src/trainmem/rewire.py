@@ -61,7 +61,6 @@ class DSRState:
     threshold: float
     masks: dict[str, np.ndarray]  # boolean, weight-shaped
     budget: int
-    updates_since_rewire: int = 0
 
     def nnz(self) -> int:
         return sum(int(m.sum()) for m in self.masks.values())
@@ -220,13 +219,10 @@ def rewire(weights: dict[str, np.ndarray], optimizer_state, dsr_state: DSRState,
     # new weights start at exactly zero; pattern bookkeeping already updated
     if optimizer_state is not None:
         optimizer_state.reset_momentum()
-        if hasattr(optimizer_state, "_fp16_scales"):
-            optimizer_state._fp16_scales = {}
     if dsr_state.nnz() != dsr_state.budget:
         raise ContractError(
             f"nonzero budget violated after rewire: {dsr_state.nnz()} != {dsr_state.budget}"
         )
-    dsr_state.updates_since_rewire = 0
     return RewireEvent(
         update=update_index,
         pruned=count,

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import EngineConfig, init_params, run_microbatched, run_step
-from .errors import ConfigurationError, TrainmemError
+from .engine import EngineConfig, init_params, require_executable, run_microbatched, run_step
+from .errors import ConfigurationError, TrainmemError, UnsupportedOperationError
 from .graph import ComputationGraph
 from .kernels import forward_op
 from .numerics import NumericFormat, half_round
@@ -29,6 +29,7 @@ from .optim import (
     sgd_nesterov_step,
 )
 from .plan import NONE, CheckpointStrategy
+from .profiler import OPTIMIZER_VALUE_ARRAYS
 from .rewire import DSRConfig, DSRState, init_sparse_pattern, rewire, rewire_due
 
 
@@ -106,8 +107,17 @@ class TrainSettings:
     def __post_init__(self):
         if self.microbatch is None:
             self.microbatch = self.minibatch
+        for key in ("minibatch", "microbatch", "log_every"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1")
+        if self.minibatch > self.task_size:
+            raise ConfigurationError(f"minibatch {self.minibatch} exceeds task_size {self.task_size}")
         if self.minibatch % self.microbatch:
             raise ConfigurationError("microbatch must divide minibatch")
+        if not 0.0 < self.density <= 1.0:
+            raise ConfigurationError("density must be in (0, 1]")
+        if self.optimizer not in OPTIMIZER_VALUE_ARRAYS:
+            raise ConfigurationError(f"unknown optimizer '{self.optimizer}'")
         if self.loss_scaling is None:
             self.loss_scaling = self.precision is NumericFormat.FP16
 
@@ -135,6 +145,9 @@ def train_desk(
     on_after_backward=None,
 ) -> TrainResult:
     """Train on the synthetic task; deterministic given the seed."""
+    require_executable(graph)
+    if "img" not in graph.index:
+        raise UnsupportedOperationError(f"graph '{graph.name}' has no 'img' input to train on")
     input_shape = graph.out_shape["img"]
     images, labels = make_synthetic_task(
         settings.task_size, settings.classes, input_shape, seed=1234 + settings.seed
@@ -164,7 +177,6 @@ def train_desk(
         accumulator_width=settings.accumulator_width,
         exec_mode=settings.exec_mode,
         strategy=settings.strategy,
-        rng_seed=settings.seed,
     )
     eval_cfg = EngineConfig(precision=settings.precision)
 

@@ -18,7 +18,7 @@ from .engine import EngineConfig, init_params, run_microbatched, run_step
 from .graph import GraphBuilder
 from .numerics import NumericFormat, half_round
 from .optim import LossScaler, SGDState, loss_scale_update, sgd_nesterov_step
-from .plan import CheckpointStrategy, Sizing, replay
+from .plan import CheckpointStrategy, Sizing, plan_for, replay
 from .profiler import TrainingConfig, activation_memory, flops, model_memory, \
     optimizer_memory, stored_forward_bytes, total_report
 from .rewire import DSRConfig, init_sparse_pattern, rewire
@@ -151,8 +151,6 @@ def _unit_chain(length: int):
 def check_05_chain_formula() -> str:
     # Setup: construct chains, sizings, and checkpoint plans (all cached
     # library artifacts); the timed portion is the peak evaluation itself.
-    from .profiler import plan_for
-
     graphs = {}
     cases = []
     for m in range(1, 33):
@@ -165,11 +163,12 @@ def check_05_chain_formula() -> str:
                 graphs[mn] = (gg, sz)
             gg, sz = graphs[mn]
             strat = CheckpointStrategy("every", m)
-            cases.append((m, n, gg, sz, strat, plan_for(gg, strat)))
+            plan_for(gg, strat)
+            cases.append((m, n, gg, sz, strat))
     start = time.perf_counter()
     label_pin = 4  # int label, one example
-    for m, n, gg, sz, strat, plan in cases:
-        r = replay(gg, strat, sz, plan=plan)
+    for m, n, gg, sz, strat in cases:
+        r = replay(gg, strat, sz)
         units = (r.peak_forward_bytes - label_pin) / 4
         assert units == n + m, f"m={m} n={n}: {units} units != n+m={n + m}"
     elapsed = time.perf_counter() - start

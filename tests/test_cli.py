@@ -130,3 +130,30 @@ def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
     monkeypatch.setattr(profiler, "csr_storage_bytes_from_counts", corrupted)
     with pytest.raises(AssertionError):
         verification.check_01_wrn_golden_totals()
+
+
+@pytest.mark.parametrize("command,arch,config,expect", [
+    ("profile", "wrn-28-2", "strategy = every:x\n", "strategy"),
+    ("profile", "wrn-28-2", "density = abc\n", "density"),
+    ("profile", "wrn-28-2", "density = 2\n", "density"),
+    ("profile", "wrn-28-2", "density = conv=1.5\n", "density"),
+    ("profile", "wrn-28-2", "minibatch = 1.5\n", "minibatch"),
+    ("profile", "wrn-28-2", "minibatch = 0\n", "minibatch must be >= 1"),
+    ("profile", "wrn-28-2", "microbatch = ten\n", "microbatch"),
+    ("train", "desk-cnn", "steps = ten\n", "steps"),
+    ("train", "desk-cnn", "log_every = 2.5\n", "log_every"),
+    ("train", "desk-cnn", "minibatch = 300\n", "task_size"),
+    ("train", "desk-cnn", "minibatch = 0\n", "minibatch"),
+    ("train", "desk-cnn", "log_every = 0\n", "log_every"),
+    ("train", "desk-cnn", "density = 1.5\n", "density"),
+    ("train", "desk-cnn", "optimizer = rmsprop\n", "optimizer"),
+    ("train", "dc-transformer-iwslt", "steps = 1\n", "cost-model-only"),
+])
+def test_bad_input_is_typed_error(tmp_path, capsys, command, arch, config, expect):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    code, out, err = run_cli([command, "--arch", arch, "--config", str(cfg),
+                              "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and expect in err, err
+    assert not list(tmp_path.glob("o*"))  # rejected before any output is written

@@ -1,20 +1,14 @@
-"""Engine semantics: node evaluation, gradients, checkpointed execution,
+"""Engine semantics: node kernels, gradients, checkpointed execution,
 microbatching, and FP16 emulation."""
 
 import numpy as np
 import pytest
 
 from trainmem.builders import build_desk_cnn, random_desk_graph
-from trainmem.engine import (
-    EngineConfig,
-    eval_node,
-    grad_node,
-    init_params,
-    run_microbatched,
-    run_step,
-)
+from trainmem.engine import EngineConfig, init_params, run_microbatched, run_step
 from trainmem.errors import ContractError, UnsupportedOperationError
 from trainmem.graph import GraphBuilder
+from trainmem.kernels import QuantCtx, backward_op, forward_op
 from trainmem.numerics import NumericFormat, half_round
 from trainmem.plan import CheckpointStrategy
 
@@ -39,15 +33,17 @@ def tiny_graph():
 
 def test_eval_relu():
     g = tiny_graph()
-    out = eval_node(g, "r", [np.array([[-1.0, 0.0, 2.0]])], {})
+    ctx = QuantCtx(FP32)
+    out, _ = forward_op(g.node("r"), [ctx.asarray([[-1.0, 0.0, 2.0]])], {}, ctx)
     assert np.array_equal(out, [[0.0, 0.0, 2.0]])
 
 
 def test_eval_batchnorm_constant_batch_returns_beta():
     g = tiny_graph()
-    x = np.full((5, 4, 4, 4), 3.25)
+    ctx = QuantCtx(FP32)
+    x = ctx.asarray(np.full((5, 4, 4, 4), 3.25))
     params = {"bn.gamma": np.ones(4), "bn.beta": np.full(4, 0.5)}
-    out = eval_node(g, "bn", [x], params)
+    out, _ = forward_op(g.node("bn"), [x], params, ctx)
     assert np.allclose(out, 0.5, atol=1e-8)
 
 
@@ -58,8 +54,7 @@ def test_eval_linear_matches_triple_loop():
     x = rng.normal(size=(5, 4))
     w = rng.normal(size=(3, 4))
     bias = rng.normal(size=3)
-    out = eval_node(g, "l", [x], {"l.weight": w, "l.bias": bias},
-                    config=EngineConfig(precision=FP64))
+    out, _ = forward_op(g.node("l"), [x], {"l.weight": w, "l.bias": bias}, QuantCtx(FP64))
     expect = np.zeros((5, 3))
     for i in range(5):
         for j in range(3):
@@ -75,7 +70,7 @@ def test_grad_relu_bitmask_equals_full_input():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 4, 4, 4))
     up = rng.normal(size=(2, 4, 4, 4))
-    via_mask, _ = grad_node(g, "r", {"mask": x > 0}, up, {})
+    via_mask, _ = backward_op(g.node("r"), up, {"mask": x > 0}, {}, QuantCtx(FP32))
     expect = up * (x > 0)
     assert np.array_equal(via_mask[0], expect)
 
@@ -83,7 +78,8 @@ def test_grad_relu_bitmask_equals_full_input():
 def test_grad_missing_payload_is_contract_error():
     g = tiny_graph()
     with pytest.raises(ContractError, match="missing payload"):
-        grad_node(g, "l", {}, np.zeros((1, 3)), {"l.weight": np.zeros((3, 4))})
+        backward_op(g.node("l"), np.zeros((1, 3)), {}, {"l.weight": np.zeros((3, 4))},
+                    QuantCtx(FP32))
 
 
 def test_cost_only_graph_rejected():
@@ -149,7 +145,6 @@ def test_payload_tampering_detected():
                 payload["inputs"] = []
 
     from trainmem.plan import Sizing, replay
-    from trainmem.profiler import plan_for
 
     cfg = EngineConfig(strategy=S("none"))
     ex = Tampering(g, params, None, {
@@ -158,7 +153,7 @@ def test_payload_tampering_detected():
     }, cfg)
     sizing = Sizing(g, 2, cfg.precision)
     with pytest.raises(ContractError, match="required but not stored"):
-        replay(g, cfg.strategy, sizing, executor=ex, plan=plan_for(g, cfg.strategy))
+        replay(g, cfg.strategy, sizing, executor=ex)
 
 
 def test_microbatch_trivial_split_is_identical():
@@ -203,17 +198,6 @@ def test_fp16_outputs_on_grid():
     res = run_step(g, params, batch, EngineConfig(precision=FP16))
     for k, v in res.grads.items():
         assert np.array_equal(v, half_round(v)), k
-
-
-def test_add_backward_is_identity():
-    g = build_desk_cnn([4, 4], 3, with_batchnorm=False)
-    params = {k: v.astype(np.float64) for k, v in init_params(g, seed=8).items()}
-    rng = np.random.default_rng(8)
-    up = rng.normal(size=(2, 4, 8, 8))
-    grads, pgrads = grad_node(g, "b1_add", {}, up, params,
-                              config=EngineConfig(precision=FP64))
-    assert grads[0] is up and grads[1] is up
-    assert pgrads == {}
 
 
 def test_microbatch_requires_divisibility():

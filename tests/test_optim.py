@@ -1,4 +1,4 @@
-"""Optimizer updates, schedules, loss scaling, and the FP16 path."""
+"""Optimizer updates, loss scaling, and the FP16 path."""
 
 import math
 
@@ -7,20 +7,14 @@ import numpy as np
 from trainmem.numerics import half_round
 from trainmem.optim import (
     AdamState,
-    GradAccumulator,
-    InverseSqrtWarmup,
     LossScaler,
     SGDState,
-    StepSchedule,
-    TRANSFORMER_SCHEDULE,
-    WRN_SCHEDULE,
-    accumulate_and_flush,
     adam_step,
     fp16_update_path,
     loss_scale_update,
-    lr_at,
     sgd_nesterov_step,
 )
+from trainmem.profiler import OPTIMIZER_VALUE_ARRAYS
 
 
 def test_sgd_zero_grad_no_change():
@@ -44,7 +38,8 @@ def test_sgd_one_value_array_per_param():
     params = {"a": np.zeros(3), "b": np.zeros((2, 2))}
     state = SGDState.init(params)
     assert set(state.momentum) == set(params)
-    assert state.value_arrays_per_param() == 1
+    # the cost model charges the gradient plus this one momentum buffer
+    assert OPTIMIZER_VALUE_ARRAYS["sgd_nesterov"] == 1 + 1
 
 
 def test_adam_hand_values():
@@ -56,8 +51,9 @@ def test_adam_hand_values():
     assert np.allclose(state.m["w"], [0.1])
     assert np.allclose(state.v["w"], [0.02])
     assert abs(params["w"][0] + 1e-3 / (1.0 + 1e-8)) < 1e-12
-    assert state.value_arrays_per_param() == 2
     assert set(state.m) == set(state.v) == set(params)
+    # the cost model charges the gradient plus the two moment buffers
+    assert OPTIMIZER_VALUE_ARRAYS["adam"] == 1 + 2
 
 
 def test_adam_zero_grad_from_zero_state():
@@ -106,25 +102,6 @@ def test_loss_scaler_power_of_two_invariant():
         assert s.clean_streak < s.growth_interval
 
 
-def test_lr_step_schedule():
-    assert lr_at(WRN_SCHEDULE, 1) == 0.100
-    assert lr_at(WRN_SCHEDULE, 60) == 0.100
-    assert lr_at(WRN_SCHEDULE, 61) == 0.020
-    assert lr_at(WRN_SCHEDULE, 200) == 0.008
-    custom = StepSchedule(boundaries=(2,), rates=(1.0, 0.5))
-    assert lr_at(custom, 3) == 0.5
-
-
-def test_lr_inverse_sqrt_warmup():
-    assert abs(lr_at(TRANSFORMER_SCHEDULE, 4000) - 5e-4) < 1e-12
-    assert abs(lr_at(TRANSFORMER_SCHEDULE, 16000) - 2.5e-4) < 1e-12
-    # continuity at the warmup boundary
-    left = lr_at(TRANSFORMER_SCHEDULE, 4000)
-    right = 5e-4 * math.sqrt(4000 / 4000.0000001)
-    assert abs(left - right) < 1e-9
-    assert abs(lr_at(InverseSqrtWarmup(), 0) - 1e-7) < 1e-18
-
-
 def test_fp16_no_upcast_is_plain_fp16():
     # oracle: hand-written plain-FP16 update with rounding at every step
     rng = np.random.default_rng(5)
@@ -153,7 +130,7 @@ def test_fp16_momentum_rescale_roundtrip():
     state.momentum["w"] = tiny.copy()
     fp16_update_path(params, {"w": np.zeros(16)}, state, lr=0.0,
                      upcast=True, momentum_rescale=True, weight_decay=0.0)
-    scale = state._fp16_scales[(0, "w")]
+    scale = state.fp16_scales[(0, "w")]
     recovered = state.momentum["w"] * scale
     expected = np.asarray(0.9 * tiny.astype(np.float32), dtype=np.float64)
     rel = np.max(np.abs(recovered - expected) / expected)
@@ -172,7 +149,7 @@ def test_fp16_rescale_identity_window():
     state.momentum["w"] = np.array([2.0 ** 10, 1.0, 0.0, -3.0])
     fp16_update_path(params, {"w": np.zeros(4)}, state, lr=0.0,
                      upcast=True, momentum_rescale=True, weight_decay=0.0)
-    assert state._fp16_scales[(0, "w")] == 1.0  # max already sits at 2^10
+    assert state.fp16_scales[(0, "w")] == 1.0  # max already sits at 2^10
     assert np.array_equal(state.momentum["w"], [2.0 ** 10, 1.0, 0.0, -3.0])
 
 
@@ -181,7 +158,19 @@ def test_fp16_all_zero_momentum_scale_one():
     state = SGDState.init(params, mu=0.9, weight_decay=0.0)
     fp16_update_path(params, {"w": np.zeros(4)}, state, lr=0.1,
                      upcast=True, momentum_rescale=True, weight_decay=0.0)
-    assert state._fp16_scales[(0, "w")] == 1.0
+    assert state.fp16_scales[(0, "w")] == 1.0
+
+
+def test_reset_momentum_clears_fp16_scales():
+    # rewire zeroes the momenta; a stale storage scale must not survive it
+    params = {"w": half_round(np.ones(4))}
+    state = SGDState.init(params, mu=0.9, weight_decay=0.0)
+    state.momentum["w"] = np.full(4, 3e-6)
+    fp16_update_path(params, {"w": np.zeros(4)}, state, lr=0.0, weight_decay=0.0)
+    assert state.fp16_scales[(0, "w")] != 1.0
+    state.reset_momentum()
+    assert state.fp16_scales == {}
+    assert not np.any(state.momentum["w"])
 
 
 def test_fp16_path_stays_finite():
@@ -194,40 +183,3 @@ def test_fp16_path_stays_finite():
                          upcast=True, momentum_rescale=True, weight_decay=0.0)
         assert np.all(np.isfinite(params["w"]))
         assert np.all(np.isfinite(state.momentum["w"]))
-
-
-def test_accumulate_and_flush():
-    rng = np.random.default_rng(2)
-    params = {"w": rng.normal(size=4)}
-    g = rng.normal(size=4)
-    # k equal microbatches of identical data equal the single-batch gradient
-    acc = GradAccumulator()
-    for _ in range(4):
-        acc.add({"w": g.copy()}, weight=0.25)
-    direct = params["w"] - 0.0
-    state = SGDState.init(params, weight_decay=0.0)
-    assert np.allclose(acc.buffers["w"], g, atol=1e-15)
-    assert accumulate_and_flush(acc, params, state, lr=0.1)
-    assert acc.count == 0 and not acc.buffers
-    # flushing an empty accumulator is a warned no-op
-    assert not accumulate_and_flush(acc, params, state, lr=0.1)
-
-
-def test_clip_above_norm_is_identity():
-    g = {"w": np.array([3.0, 4.0])}  # norm 5
-    acc = GradAccumulator()
-    acc.add(g)
-    params = {"w": np.zeros(2)}
-    state = SGDState.init(params, mu=0.0, weight_decay=0.0)
-    accumulate_and_flush(acc, params, state, lr=1.0, clip_norm=10.0)
-    assert np.allclose(params["w"], [-3.0, -4.0])
-
-
-def test_clip_below_norm_scales():
-    g = {"w": np.array([3.0, 4.0])}
-    acc = GradAccumulator()
-    acc.add(g)
-    params = {"w": np.zeros(2)}
-    state = SGDState.init(params, mu=0.0, weight_decay=0.0)
-    accumulate_and_flush(acc, params, state, lr=1.0, clip_norm=1.0)
-    assert np.allclose(np.linalg.norm(params["w"]), 1.0)

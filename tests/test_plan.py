@@ -4,7 +4,7 @@ import pytest
 
 from trainmem.builders import build_desk_cnn, build_wrn, random_desk_graph
 from trainmem.errors import ConfigurationError
-from trainmem.graph import GraphBuilder
+from trainmem.graph import NOTHING, GraphBuilder
 from trainmem.numerics import NumericFormat
 from trainmem.plan import (
     CheckpointStrategy,
@@ -43,7 +43,7 @@ def test_every_m_checkpoint_positions():
 def test_none_keeps_all_storing_nodes():
     g = build_desk_cnn([4, 4], 3)
     ck = checkpoint_nodes(g, S("none"))
-    storing = {n.node_id for n in g.nodes if g.is_storing(n)}
+    storing = {n.node_id for n in g.nodes if g.storage_class(n) != NOTHING}
     assert ck == storing
 
 

@@ -1,8 +1,11 @@
 """Static memory model: model, optimizer, and activation components."""
 
+import gc
+import weakref
+
 import pytest
 
-from trainmem.builders import build_dc_transformer_cost, build_wrn
+from trainmem.builders import build_dc_transformer_cost, build_desk_cnn, build_wrn
 from trainmem.errors import ConfigurationError
 from trainmem.graph import GraphBuilder
 from trainmem.numerics import NumericFormat
@@ -166,3 +169,14 @@ def test_dct_report_runs():
                          optimizer_kind="adam", strategy=S("residual:1"))
     mem, fl = total_report(g, cfg)
     assert mem.total_bytes > 0 and fl.ratio_to_baseline > 1.0
+
+
+def test_profiled_graph_is_freed():
+    # the per-graph cache of tables and plans must not keep a graph alive
+    g = build_desk_cnn([4, 4], 3)
+    for st in ("none", "residual_star:1", "every:2"):
+        total_report(g, TrainingConfig(minibatch=4, microbatch=2, strategy=S(st)))
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
