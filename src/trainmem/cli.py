@@ -37,7 +37,7 @@ def read_kv_file(path: str) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise TrainmemError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise ConfigurationError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, val = line.split("=", 1)
             out[key.strip()] = val.strip()
     return out
@@ -112,7 +112,7 @@ def cmd_pareto(args) -> int:
 
     spec = SweepSpec(
         densities=split("densities", "1.0", float),
-        precisions=split("precisions", "fp32", NumericFormat.parse),
+        precisions=split("precisions", "fp32", lambda x: NumericFormat.parse(x, "precisions")),
         microbatches=split("microbatches", kv.get("minibatch", "100"), int),
         strategies=split("strategies", "none", CheckpointStrategy.parse),
         optimizers=split("optimizers", "sgd_nesterov", str),

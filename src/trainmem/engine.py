@@ -1,4 +1,4 @@
-"""Desk-scale reverse-mode engine executing the shared replay schedule.
+"""Desk-scale reverse-mode engine executing the compiled schedule.
 
 `run_step` performs one forward/backward pass under a checkpoint strategy,
 storing only what the strategy mandates and recomputing the rest during
@@ -61,7 +61,7 @@ class StepResult:
 
 
 class _Executor:
-    """Replay callbacks doing the real tensor math."""
+    """The methods the schedule's events call, doing the real tensor math."""
 
     def __init__(self, graph, params, masks, batch, config: EngineConfig):
         self.g = graph
@@ -124,7 +124,7 @@ class _Executor:
             self._fresh_stats = (i, stats)
         return out
 
-    # -- replay callbacks ----------------------------------------------------
+    # -- event methods -------------------------------------------------------
     def forward(self, i: int):
         self._fresh_stats = None
         out = self._compute(i)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 
 from .errors import ArchSemanticError, ConfigurationError, ContractError
@@ -50,7 +51,7 @@ class ParamSpec:
     sparse: bool = False
     group: str | None = None
 
-    @property
+    @cached_property
     def numel(self) -> int:
         return math.prod(self.shape)
 
@@ -101,6 +102,10 @@ class ComputationGraph:
             for src in n.inputs:
                 self.consumers[src].append(n.node_id)
         self._validate_blocks()
+        # A graph is not mutated after construction, so its parameter specs
+        # are built once here.
+        self._params = [_build_params(n) for n in self.nodes]
+        self._all_params = [spec for specs in self._params for spec in specs]
         self._tables = None  # derived tables and plans; filled by plan.graph_tables
 
     # -- structure ---------------------------------------------------------
@@ -160,36 +165,10 @@ class ComputationGraph:
     # -- parameters --------------------------------------------------------
 
     def params_of(self, node: Node) -> list[ParamSpec]:
-        nid = node.node_id
-        if node.p("tied"):
-            return []  # parameters shared with (owned by) another node
-        sparse = bool(node.p("sparse", 0))
-        group = node.p("group")
-        if node.op == "conv2d":
-            shape = (node.p("c_out"), node.p("c_in"), node.p("k1"), node.p("k2"))
-            return [ParamSpec(f"{nid}.weight", shape, "weight", sparse, group)]
-        if node.op == "linear":
-            specs = [
-                ParamSpec(f"{nid}.weight", (node.p("d_out"), node.p("d_in")), "weight", sparse, group)
-            ]
-            if node.p("bias", 1):
-                specs.append(ParamSpec(f"{nid}.bias", (node.p("d_out"),), "bias"))
-            return specs
-        if node.op == "embedding":
-            return [
-                ParamSpec(f"{nid}.weight", (node.p("vocab"), node.p("d")), "weight", sparse, group)
-            ]
-        if node.op in ("batchnorm", "layernorm"):
-            c = node.p("channels" if node.op == "batchnorm" else "dim")
-            return [ParamSpec(f"{nid}.gamma", (c,), "norm"),
-                    ParamSpec(f"{nid}.beta", (c,), "norm")]
-        return []
+        return self._params[self.index[node.node_id]]
 
     def all_params(self) -> list[ParamSpec]:
-        out = []
-        for n in self.nodes:
-            out.extend(self.params_of(n))
-        return out
+        return self._all_params
 
     def total_param_count(self) -> int:
         return sum(p.numel for p in self.all_params())
@@ -263,6 +242,34 @@ class ComputationGraph:
 
     def storage_class(self, node: Node) -> str:
         return STORAGE_CLASS[node.op]
+
+
+def _build_params(node: Node) -> list[ParamSpec]:
+    """The parameter tensors a node owns."""
+    nid = node.node_id
+    if node.p("tied"):
+        return []  # parameters shared with (owned by) another node
+    sparse = bool(node.p("sparse", 0))
+    group = node.p("group")
+    if node.op == "conv2d":
+        shape = (node.p("c_out"), node.p("c_in"), node.p("k1"), node.p("k2"))
+        return [ParamSpec(f"{nid}.weight", shape, "weight", sparse, group)]
+    if node.op == "linear":
+        specs = [
+            ParamSpec(f"{nid}.weight", (node.p("d_out"), node.p("d_in")), "weight", sparse, group)
+        ]
+        if node.p("bias", 1):
+            specs.append(ParamSpec(f"{nid}.bias", (node.p("d_out"),), "bias"))
+        return specs
+    if node.op == "embedding":
+        return [
+            ParamSpec(f"{nid}.weight", (node.p("vocab"), node.p("d")), "weight", sparse, group)
+        ]
+    if node.op in ("batchnorm", "layernorm"):
+        c = node.p("channels" if node.op == "batchnorm" else "dim")
+        return [ParamSpec(f"{nid}.gamma", (c,), "norm"),
+                ParamSpec(f"{nid}.beta", (c,), "norm")]
+    return []
 
 
 def _infer_node_shape(node: Node, shapes, dtypes):

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigurationError, ContractError
 
 
 class NumericFormat(Enum):
@@ -27,11 +27,13 @@ class NumericFormat(Enum):
         return self.value
 
     @staticmethod
-    def parse(text: str) -> "NumericFormat":
+    def parse(text: str, key: str = "precision") -> "NumericFormat":
+        """A format from its name; `key` is the config key named on error."""
         try:
             return NumericFormat[text.strip().upper()]
         except KeyError:
-            raise ContractError(f"unknown numeric format {text!r}") from None
+            names = ", ".join(f.name.lower() for f in NumericFormat)
+            raise ConfigurationError(f"{key} must be one of {names}, got {text!r}") from None
 
 
 def half_round(x):

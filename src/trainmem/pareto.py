@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .errors import ConfigurationError
 from .graph import ComputationGraph
@@ -26,6 +28,9 @@ class SweepSpec:
         for name in ("densities", "precisions", "microbatches", "strategies", "optimizers"):
             if not getattr(self, name):
                 raise ConfigurationError(f"sweep list '{name}' is empty")
+        for d in self.densities:
+            if not 0.0 < d <= 1.0:
+                raise ConfigurationError(f"densities must be in (0, 1], got {d:g}")
 
     def configs(self, graph: ComputationGraph):
         group = self.density_group or (graph.sparsifiable_groups() or [None])[0]
@@ -34,7 +39,7 @@ class SweepSpec:
                 for mb in self.microbatches:
                     for st in self.strategies:
                         for opt in self.optimizers:
-                            density = {} if d >= 1.0 else {group: d}
+                            density = {} if d == 1.0 else {group: d}
                             yield TrainingConfig(
                                 density=density,
                                 precision=p,
@@ -62,15 +67,21 @@ class ParetoPoint:
         return self.flops.ratio_to_baseline
 
 
-def _dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
-    le = a.total_bytes <= b.total_bytes and a.flops_ratio <= b.flops_ratio
-    lt = a.total_bytes < b.total_bytes or a.flops_ratio < b.flops_ratio
-    return le and lt
-
-
 def mark_frontier(points: list[ParetoPoint]) -> list[ParetoPoint]:
-    for p in points:
-        p.on_frontier = not any(_dominates(q, p) for q in points if q is not p)
+    """Flag the points no other point dominates (no more bytes, no higher
+    FLOPs ratio, and less of one); identical points are all on the frontier.
+
+    One scan in byte order: a point is dominated by an earlier group (fewer
+    bytes) with a ratio no higher, or by its own group with a lower ratio.
+    """
+    best = math.inf  # the lowest ratio among points with fewer bytes
+    for _, group in groupby(sorted(points, key=lambda p: p.total_bytes),
+                            key=lambda p: p.total_bytes):
+        group = [(p, p.flops_ratio) for p in group]
+        low = min(r for _, r in group)
+        for p, r in group:
+            p.on_frontier = best > r and low == r
+        best = min(best, low)
     return points
 
 

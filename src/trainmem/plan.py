@@ -1,12 +1,19 @@
-"""Checkpoint strategies and the shared forward/backward schedule.
+"""Checkpoint strategies and the one compiled forward/backward schedule.
 
-One traversal drives both the static cost model and the execution engine:
-`replay` walks the graph under a checkpoint strategy, tracking stored
-payload bytes and live gradient bytes, counting forward, backward, and
-recompute FLOPs, and invoking an executor callback for each step.  The
-profiler runs it with no executor; the engine runs it with one that does
-the real tensor math.  Both therefore report byte-identical peaks and
-identical recompute counts by construction.
+`Plan` compiles the schedule once per (graph, strategy): a symbolic run of
+one training step records a flat event list (forward, store statistics or
+payload, hold, recompute, backprop, drop).  What is stored, recomputed or
+dropped never depends on tensor sizes, and every byte and FLOP count is
+linear in the batch, so one list serves every configuration.  `replay`
+reads it in one of two ways:
+  - the cost model (no executor) evaluates it as vectors: a `Sizing`
+    holds a configuration's sizes, the plan's byte deltas gather them, a
+    cumulative sum gives the stored and gradient bytes at each sample
+    point, and the first maximum is the peak; FLOPs are dot products;
+  - the engine (with an executor) walks the events and calls the
+    executor's method for each, doing the real tensor math.
+Both therefore report byte-identical peaks and identical recompute counts
+by construction.
 
 Accounting conventions (matching the node storage classes):
   - Each storing node owns a payload entry holding its input tensors plus
@@ -28,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .graph import (
@@ -154,12 +163,12 @@ def checkpointed_exits(graph: ComputationGraph, strategy: CheckpointStrategy) ->
 
 
 # ---------------------------------------------------------------------------
-# Sizing
+# Derived tables
 
 
 class _GraphTables:
-    """Strategy-independent integer tables derived from one graph, plus the
-    graph's `Plan`s keyed by strategy."""
+    """Strategy-independent tables derived from one graph (per-example sizes
+    and FLOPs as int64 vectors), plus the graph's `Plan`s keyed by strategy."""
 
     def __init__(self, g: ComputationGraph):
         self.plans: dict[CheckpointStrategy, Plan] = {}
@@ -174,6 +183,7 @@ class _GraphTables:
         ]
         self.full_or_stats = [c in (FULL_INPUT, CACHED_STATS) for c in classes]
         self.storing = [c != NOTHING for c in classes]
+        self.bitmask = [c == BITMASK_INPUT for c in classes]
         self.pass_through = [op in PASS_THROUGH_OPS for op in ops]
         self.excluded = _trim_excluded(g)
         self.excluded_idx = [nd.node_id in self.excluded for nd in g.nodes]
@@ -212,6 +222,70 @@ class _GraphTables:
                 if self.in_backward[j] and not self.is_input[j]:
                     self.contribs[j] += 1
 
+        # per-example sizes and FLOPs; `Sizing` scales them by the batch
+        self.elems = _vec([g.out_elements(nd.node_id) for nd in g.nodes])
+        self.out_int = np.array([g.out_dtype[nd.node_id] == "int" for nd in g.nodes])
+        self.loss_idx = index[g.loss_id]
+        self.pinned = _vec([i for i, nd in enumerate(g.nodes)
+                           if self.is_input[i] and g.consumers[nd.node_id]])
+        self.is_norm = np.array([op in ("batchnorm", "layernorm") for op in ops])
+        self.stats_fixed = _vec([2 * nd.p("channels") * 4 if nd.op == "batchnorm" else 0
+                                for nd in g.nodes])
+        self.stats_per_example = _vec([2 * 4 if op == "layernorm" else 0 for op in ops])
+        self.dense_fwd = _vec([g.forward_flops(nd) for nd in g.nodes])
+        self.norm_cached = _vec([g.cached_recompute_flops(nd) if self.is_norm[i] else 0
+                                for i, nd in enumerate(g.nodes)])
+        self.bwd_factor = _vec([g.backward_factor(nd) for nd in g.nodes])
+        # weight tensor name -> (node, forward FLOPs per example per nonzero);
+        # the FLOP model is linear in the nonzero count
+        self.weight_of: dict[str, tuple[int, int]] = {}
+        for i, nd in enumerate(g.nodes):
+            if nd.op in ("conv2d", "linear"):
+                name = g.params_of(nd)[0].name
+                self.weight_of[name] = (i, g.forward_flops(nd, {name: 1}))
+        # payload aux quantities per example: elements at the activation
+        # width, and bytes independent of it
+        self.aux_per_elem = _vec([_aux_elements(g, nd) for nd in g.nodes])
+        self.aux_fixed = _vec([2 * 4 if nd.op == "softmax_xent" and nd.p("d_in") else 0
+                              for nd in g.nodes])  # log-normalizer + target log-prob
+        # A generous bound per example on any running byte sum of a
+        # schedule: each tensor at 8 bytes per element, counted twice as a
+        # hold, twice as a gradient and once in every consumer's payload,
+        # plus aux quantities and statistics.
+        self.byte_bound = sum(
+            8 * (int(e) * (4 + len(c)) + int(a)) + int(f) + int(s0) + int(s1)
+            for e, c, a, f, s0, s1 in zip(self.elems, self.consumer_idx, self.aux_per_elem,
+                                           self.aux_fixed, self.stats_fixed,
+                                           self.stats_per_example))
+        self._payload: dict[bool, _PayloadTable] = {}
+
+    def payload_table(self, trimmed: bool) -> _PayloadTable:
+        """The payload sources under one trim variant, built on first use."""
+        table = self._payload.get(trimmed)
+        if table is None:
+            table = self._payload[trimmed] = _PayloadTable(self, trimmed)
+        return table
+
+
+def _vec(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ConfigurationError("graph sizes exceed the 64-bit accounting range") from None
+
+
+def _aux_elements(g: ComputationGraph, node: Node) -> int:
+    """Per-example aux elements a dynamic convolution stores with its inputs."""
+    if node.op != "dynamic_conv_cost":
+        return 0
+    heads = node.p("heads")
+    span = node.p("span")
+    if node.p("mix", "conv") == "conv":
+        k = node.p("kernel")
+        d = math.prod(g.out_shape[node.node_id])
+        return heads * k + heads * span + k * (d // heads)
+    return 2 * heads * span
+
 
 def graph_tables(g: ComputationGraph) -> _GraphTables:
     """The graph's derived tables, built on first use and kept in its one
@@ -230,8 +304,40 @@ def plan_for(graph: ComputationGraph, strategy: CheckpointStrategy) -> Plan:
     return plan
 
 
+# ---------------------------------------------------------------------------
+# Sizing
+
+
+class _PayloadTable:
+    """Where the stored-payload bytes of every node come from under one trim
+    variant: input edges charged at their source's output bytes, and ReLU
+    bitmasks.  Network inputs are pinned once for the whole step and charged
+    zero here."""
+
+    def __init__(self, t: _GraphTables, trimmed: bool):
+        dst, src, masks, mask_elems = [], [], [], []
+        for i, storing in enumerate(t.storing):
+            if not storing:
+                continue
+            if t.bitmask[i]:
+                if not (trimmed and t.excluded_idx[i]):
+                    masks.append(i)
+                    mask_elems.append(t.elems[t.in_idx[i][0]])
+                continue
+            for j in t.in_idx[i]:
+                if not t.is_input[j] and not (trimmed and t.excluded_idx[j]):
+                    dst.append(i)
+                    src.append(j)
+        self.dst = np.array(dst, dtype=np.int64)
+        self.src = np.array(src, dtype=np.int64)
+        self.mask_idx = np.array(masks, dtype=np.int64)
+        self.mask_elems = np.array(mask_elems, dtype=np.int64)  # of the masked input
+
+
 class Sizing:
-    """Batch-bound byte and FLOP tables for one (graph, config) pair."""
+    """Byte and FLOP vectors (int64, one entry per node) for one (graph,
+    config) pair: bytes for the batch, FLOPs per example (the batch scales
+    the totals exactly, in Python integers)."""
 
     def __init__(
         self,
@@ -240,98 +346,56 @@ class Sizing:
         act_format: NumericFormat,
         nnz: dict[str, int] | None = None,
     ):
-        self.graph = graph
+        if batch < 1:
+            raise ConfigurationError(f"batch must be >= 1, got {batch}")
+        t = self._t = graph_tables(graph)
+        if batch * t.byte_bound >= 2**63:
+            raise ConfigurationError(f"batch {batch} puts byte counts beyond the 64-bit range")
         self.batch = batch
         self.act_format = act_format
-        g = graph
         eb = act_format.element_bytes
-        n = len(g.nodes)
-        self.out_bytes = [0] * n
-        self.fwd_flops = [0] * n
-        self.cached_flops = [0] * n
-        self.bwd_flops = [0] * n
-        self.stats_bytes = [0] * n
-        self._psize: dict[bool, list[int]] = {}
-        for i, node in enumerate(g.nodes):
-            elems = g.out_elements(node.node_id) * batch
-            if g.out_dtype[node.node_id] == "int":
-                self.out_bytes[i] = elems * 4
-            elif node.node_id == g.loss_id:
-                self.out_bytes[i] = eb
-            else:
-                self.out_bytes[i] = elems * eb
-            f = g.forward_flops(node, nnz) * batch
-            self.fwd_flops[i] = f
-            self.cached_flops[i] = (
-                g.cached_recompute_flops(node) * batch
-                if node.op in ("batchnorm", "layernorm")
-                else f
-            )
-            self.bwd_flops[i] = f * g.backward_factor(node)
-            if node.op == "batchnorm":
-                self.stats_bytes[i] = 2 * node.p("channels") * 4
-            elif node.op == "layernorm":
-                self.stats_bytes[i] = 2 * batch * 4
+        self.out_bytes = t.elems * np.where(t.out_int, 4 * batch, eb * batch)
+        if not t.out_int[t.loss_idx]:
+            self.out_bytes[t.loss_idx] = eb
+        fwd = t.dense_fwd
+        if nnz:
+            fwd = fwd.copy()
+            for name, count in nnz.items():
+                hit = t.weight_of.get(name)
+                if hit is not None:
+                    fwd[hit[0]] = hit[1] * count
+        self.fwd_flops = fwd
+        self.cached_flops = np.where(t.is_norm, t.norm_cached, fwd)
+        self.bwd_flops = fwd * t.bwd_factor
+        self.stats_bytes = t.stats_fixed + t.stats_per_example * batch
+        self.pin_bytes = int(self.out_bytes[t.pinned].sum())
+        self._sizes: dict[bool, np.ndarray] = {}
 
-    def payload_sizes(self, trimmed: bool) -> list[int]:
-        """Per-node stored-input bytes, cached per trim variant."""
-        arr = self._psize.get(trimmed)
-        if arr is None:
-            excluded = graph_tables(self.graph).excluded if trimmed else set()
-            arr = [
-                self.payload_bytes(node, trimmed, excluded)
-                for node in self.graph.nodes
-            ]
-            self._psize[trimmed] = arr
-        return arr
-
-    def payload_bytes(self, node: Node, trimmed: bool, excluded: set[str]) -> int:
-        """Bytes of the node's stored input part (norm stats are separate)."""
-        g = self.graph
-        cls = g.storage_class(node)
-        if cls == NOTHING:
-            return 0
-        if cls == BITMASK_INPUT:
-            if trimmed and node.node_id in excluded:
-                return 0
-            elems = g.out_elements(node.inputs[0]) * self.batch
-            return (elems + 7) // 8
-        total = 0
-        for src in node.inputs:
-            if g.node(src).op == "input":
-                continue  # pinned once for the whole step
-            if trimmed and src in excluded:
-                continue
-            total += self.out_bytes[g.index[src]]
-        total += self.aux_bytes(node)
-        return total
-
-    def aux_bytes(self, node: Node) -> int:
-        eb = self.act_format.element_bytes
-        if node.op == "dynamic_conv_cost":
-            heads = node.p("heads")
-            span = node.p("span")
-            if node.p("mix", "conv") == "conv":
-                k = node.p("kernel")
-                d = math.prod(self.graph.out_shape[node.node_id])
-                per_tok = heads * k + heads * span + k * (d // heads)
-            else:
-                per_tok = 2 * heads * span
-            return per_tok * self.batch * eb
-        if node.op == "softmax_xent" and node.p("d_in"):
-            return 2 * self.batch * 4  # cached log-normalizer + target log-prob
-        return 0
-
-    def pin_bytes(self) -> int:
-        total = 0
-        for node in self.graph.nodes:
-            if node.op == "input" and self.graph.consumers[node.node_id]:
-                total += self.out_bytes[self.graph.index[node.node_id]]
-        return total
+    def byte_sizes(self, trimmed: bool) -> np.ndarray:
+        """out bytes ‖ payload bytes ‖ stats bytes ‖ 0: the vector a compiled
+        schedule's byte deltas index, cached per trim variant."""
+        sizes = self._sizes.get(trimmed)
+        if sizes is None:
+            t = self._t
+            p = t.payload_table(trimmed)
+            eb = self.act_format.element_bytes
+            payload = (t.aux_per_elem * eb + t.aux_fixed) * self.batch
+            np.add.at(payload, p.dst, self.out_bytes[p.src])
+            payload[p.mask_idx] += (p.mask_elems * self.batch + 7) // 8
+            sizes = np.concatenate((self.out_bytes, payload, self.stats_bytes, [0]))
+            self._sizes[trimmed] = sizes
+        return sizes
 
 
 # ---------------------------------------------------------------------------
-# Replay
+# The compiled schedule
+
+# Event opcodes, and the executor method each one calls.
+(FORWARD, FORWARD_DONE, STORE_STATS, STORE_PAYLOAD, HOLD, RECOMPUTE, CLEAR,
+ BACKPROP, DROP_PAYLOAD, DROP_STATS, DROP_HOLD) = range(11)
+EXECUTOR_METHODS = ("forward", "forward_done", "store_stats", "store_payload", "add_hold",
+                    "recompute", "clear_transients", "backprop", "drop_payload",
+                    "drop_stats", "drop_hold")
 
 
 @dataclass
@@ -346,19 +410,20 @@ class ReplayResult:
     end_forward_bytes: int  # stored payload bytes when the forward pass ends
 
 
-class _Buffer:
-    __slots__ = ("bytes", "refs")
-
-    def __init__(self, nbytes: int):
-        self.bytes = nbytes
-        self.refs = 1
-
-
 class Plan:
-    """Precomputed structure shared across replays of one (graph, strategy)."""
+    """The schedule of one (graph, strategy), compiled once.
+
+    `events` holds the (opcode, node index) pairs an executor walks, one
+    row each.  The byte arrays describe the same run for the cost model: delta
+    k adds `sign * sizes[delta_idx[k]]` to the stored or the gradient bytes,
+    where `sizes` is `Sizing.byte_sizes`; `samples` are the delta counts at
+    which the peak is sampled (the first is the pin-only state before the
+    step), and `end_forward` the count when the forward pass ends.
+    """
 
     def __init__(self, graph: ComputationGraph, strategy: CheckpointStrategy):
-        self.graph = graph
+        # No reference to the graph: the graph owns its plans, and without
+        # a cycle it is freed as soon as its last user drops it.
         self.strategy = strategy
         g = graph
         t = graph_tables(g)
@@ -368,8 +433,6 @@ class Plan:
             self.keep[g.index[nid]] = True
         self.trimmed = strategy.kind in ("no_bn", "residual_star")
         self.excluded = t.excluded if self.trimmed else set()
-        self.in_backward = t.in_backward
-        self.contribs = t.contribs
 
         # segments to materialize during backward
         self.segments: list[list[int]] = []  # member node indices, topo order
@@ -420,7 +483,7 @@ class Plan:
                     for lo, hi in chunk:
                         if hi in exits or not t.in_backward[hi]:
                             continue
-                        if not self._captured(hi, member_set):
+                        if not self._captured(t, hi, member_set):
                             holds.append(hi)
                     seg = self._push_segment(members, holds)
                     self.trigger[chunk[-1][1]] = seg
@@ -440,32 +503,250 @@ class Plan:
                         if bi > 0:
                             prev_exit = chunk[bi - 1][1]
                             if t.in_backward[prev_exit] and not self._captured(
-                                prev_exit, member_set
+                                t, prev_exit, member_set
                             ):
                                 holds.append(prev_exit)
                         seg = self._push_segment(members, holds)
                         self.trigger[hi] = seg
             for e in sorted(exits):
-                if t.in_backward[e] and not self._captured(e, set()):
+                if t.in_backward[e] and not self._captured(t, e, set()):
                     self.fwd_exit_holds.append(e)
 
         if strategy.kind == "every":
             for seg, members in enumerate(self.segments):
                 self.trigger[members[-1]] = seg
 
+        s = _Compiler(self, t)
+        self.events = np.array(s.events, dtype=np.int32)
+        self.delta_idx = np.array(s.delta_idx, dtype=np.int64)
+        self.stored_sign = np.array(s.stored_sign, dtype=np.int64)
+        self.grad_sign = np.array(s.grad_sign, dtype=np.int64)
+        self.samples = np.array(s.samples, dtype=np.int64)
+        self.end_forward = s.end_forward
+        self.recompute_count = np.array(s.recompute, dtype=np.int64)
+        self.recompute_events = sum(s.recompute)
+        self.backprop = np.array(s.backprop, dtype=np.int64)
+
     def _push_segment(self, members: list[int], holds: list[int]) -> int:
         self.segments.append(members)
         self.seg_holds.append(holds)
         return len(self.segments) - 1
 
-    def _captured(self, idx: int, extra: set[int]) -> bool:
+    def _captured(self, t: _GraphTables, idx: int, extra: set[int]) -> bool:
         """True if a kept (or to-be-materialized) full/stats payload stores
         this node's output tensor."""
-        t = graph_tables(self.graph)
         if self.trimmed and t.excluded_idx[idx]:
             return False
         return any((self.keep[c] or c in extra) and t.full_or_stats[c]
                    for c in t.consumer_idx[idx])
+
+    # -- the two interpreters ------------------------------------------------
+
+    def evaluate(self, sizing: Sizing) -> ReplayResult:
+        """Bytes and FLOPs of the schedule for one sizing."""
+        sizes = sizing.byte_sizes(self.trimmed)[self.delta_idx]
+        stored = np.cumsum(sizes * self.stored_sign)
+        grads = np.cumsum(sizes * self.grad_sign)
+        totals = stored[self.samples] + grads[self.samples]
+        at = self.samples[totals.argmax()]  # the first maximum
+        pin = sizing.pin_bytes
+        return ReplayResult(
+            peak_bytes=pin + int(stored[at] + grads[at]),
+            peak_forward_bytes=pin + int(stored[at]),
+            peak_backward_bytes=int(grads[at]),
+            forward_flops=sizing.batch * int(sizing.fwd_flops.sum()),
+            backward_flops=sizing.batch * int(sizing.bwd_flops @ self.backprop),
+            recompute_flops=sizing.batch * int(sizing.cached_flops @ self.recompute_count),
+            recompute_events=self.recompute_events,
+            end_forward_bytes=pin + int(stored[self.end_forward]),
+        )
+
+    def execute(self, sizing: Sizing, executor):
+        """Walk the events, calling the executor's method for each."""
+        executor.begin(self, sizing)
+        calls = [getattr(executor, name) for name in EXECUTOR_METHODS]
+        for op, i in self.events.tolist():
+            if op == CLEAR:
+                calls[op]()
+            else:
+                calls[op](i)
+        executor.finish()
+
+
+class _Compiler:
+    """One symbolic forward/backward step under a plan's strategy.
+
+    Which values are live, stored, recomputed or dropped never depends on
+    tensor sizes, so one run records the whole schedule: the executor events
+    and, for the cost model, the byte deltas and sample points.
+    """
+
+    def __init__(self, plan: Plan, t: _GraphTables):
+        n = len(t.storing)
+        self.t = t
+        self.plan = plan
+        self.n = n
+        self.events: list[tuple[int, int]] = []
+        self.delta_idx = [3 * n]  # a leading zero delta: cumsum[k] follows k real deltas
+        self.stored_sign = [0]
+        self.grad_sign = [0]
+        self.samples = [0]  # the pin-only state before the step
+        self.recompute = [0] * n
+        self.backprop = [0] * n
+        self.payload_live = [False] * n
+        self.stats_live = [False] * n
+        self.hold_live: set[int] = set()
+        self.transient: set[int] = set()
+        self.grad_buffer: dict[int, list[int]] = {}  # tensor -> [owner node, refs]
+        self._forward()
+        self._backward()
+
+    # -- bookkeeping ---------------------------------------------------------
+
+    def _stored(self, idx: int, sign: int):
+        self.delta_idx.append(idx)
+        self.stored_sign.append(sign)
+        self.grad_sign.append(0)
+
+    def _grads(self, idx: int, sign: int):
+        self.delta_idx.append(idx)
+        self.stored_sign.append(0)
+        self.grad_sign.append(sign)
+
+    def _sample(self):
+        self.samples.append(len(self.delta_idx) - 1)
+
+    def _store_payload(self, i: int):
+        self.payload_live[i] = True
+        self._stored(self.n + i, 1)
+        self.events.append((STORE_PAYLOAD, i))
+
+    def _hold(self, i: int):
+        self.hold_live.add(i)
+        self._stored(i, 1)
+        self.events.append((HOLD, i))
+
+    def _end_step(self):
+        self.transient.clear()
+        self.events.append((CLEAR, -1))
+
+    def _value_live(self, i: int) -> bool:
+        t = self.t
+        if t.is_input[i] or i in self.transient or i in self.hold_live:
+            return True
+        if self.plan.trimmed and t.excluded_idx[i]:
+            return False
+        return any(self.payload_live[c] and t.full_or_stats[c] for c in t.consumer_idx[i])
+
+    def _ensure_value(self, i: int):
+        if self._value_live(i):
+            return
+        for j in self.t.in_idx[i]:
+            self._ensure_value(j)
+        self.recompute[i] += 1
+        self.events.append((RECOMPUTE, i))
+        self.transient.add(i)
+
+    def _materialize(self, seg: int):
+        t = self.t
+        for i in self.plan.segments[seg]:
+            for j in t.in_idx[i]:
+                if not t.is_input[j]:
+                    self._ensure_value(j)
+            self._store_payload(i)
+            self._sample()
+        for e in self.plan.seg_holds[seg]:
+            self._ensure_value(e)
+            if e not in self.hold_live:
+                self._hold(e)
+            self._sample()
+        self._end_step()
+
+    # -- the step ------------------------------------------------------------
+
+    def _forward(self):
+        t, plan, n = self.t, self.plan, self.n
+        fwd_holds = set(plan.fwd_exit_holds)
+        for i in range(n):
+            self.events.append((FORWARD, i))
+            if t.in_backward[i]:
+                if t.is_norm[i]:
+                    self.stats_live[i] = True
+                    self._stored(2 * n + i, 1)
+                    self.events.append((STORE_STATS, i))
+                if plan.keep[i]:
+                    self._store_payload(i)
+                if i in fwd_holds:
+                    self._hold(i)
+            self.events.append((FORWARD_DONE, i))
+        self._sample()  # stored bytes are monotone during forward; one sample suffices
+        self.end_forward = len(self.delta_idx) - 1
+
+    def _backward(self):
+        t, plan, n = self.t, self.plan, self.n
+        star = plan.strategy.kind == "residual_star"
+        seg_done = [False] * len(plan.segments)
+        for i in range(n - 1, -1, -1):
+            if not t.in_backward[i] or t.is_input[i]:
+                continue
+            seg = plan.trigger.get(i, -1)
+            if seg >= 0 and not seg_done[seg]:
+                seg_done[seg] = True
+                self._materialize(seg)
+            if star and i in plan.block_of_exit:
+                fc = plan.first_conv.get(plan.block_of_exit[i])
+                if fc is not None and not self._value_live(fc):
+                    self._ensure_value(fc)
+                    self._hold(fc)
+                    self._end_step()
+                    self._sample()
+            # A stored payload that is empty (no untrimmed non-input inputs)
+            # needs exactly what a missing one needs, so sizes never decide.
+            if self.payload_live[i]:
+                needs = t.needs_trim_extra[i] if plan.trimmed else ()
+            else:
+                needs = t.needs_without_payload[i]
+            for j in needs:
+                self._ensure_value(j)
+            self._sample()  # upstream gradient plus stored state
+            self.events.append((BACKPROP, i))
+            self.backprop[i] = 1
+            self._release_grads(i)
+            if self.payload_live[i]:
+                self.payload_live[i] = False
+                self._stored(n + i, -1)
+                self.events.append((DROP_PAYLOAD, i))
+            if self.stats_live[i]:
+                self.stats_live[i] = False
+                self._stored(2 * n + i, -1)
+                self.events.append((DROP_STATS, i))
+            if i in self.hold_live:
+                self.hold_live.discard(i)
+                self._stored(i, -1)
+                self.events.append((DROP_HOLD, i))
+            self._end_step()
+            self._sample()
+
+    def _release_grads(self, i: int):
+        """Open the gradient buffers of node i's inputs and release its own.
+        Pass-through nodes alias their upstream buffer when the target
+        tensor has a single consumer."""
+        t = self.t
+        upstream = self.grad_buffer.pop(i, None)
+        alias = t.pass_through[i] and upstream is not None
+        for j in t.in_idx[i]:
+            if t.is_input[j] or not t.in_backward[j] or j in self.grad_buffer:
+                continue
+            if alias and t.contribs[j] == 1:
+                upstream[1] += 1
+                self.grad_buffer[j] = upstream
+            else:
+                self._grads(j, 1)
+                self.grad_buffer[j] = [j, 1]
+        if upstream is not None:
+            upstream[1] -= 1
+            if upstream[1] == 0:
+                self._grads(upstream[0], -1)
 
 
 def replay(
@@ -477,217 +758,9 @@ def replay(
     """Run one forward/backward step under a checkpoint strategy.
 
     With `executor=None` this is the static cost model; with an engine
-    executor it performs the actual computation on the same schedule.
+    executor it also performs the actual computation on the same schedule.
     """
-    g = graph
-    plan = plan_for(g, strategy)
-    t = graph_tables(g)
-    n = len(g.nodes)
-    in_idx = t.in_idx
-    consumer_idx = t.consumer_idx
-    full_or_stats = t.full_or_stats
-    is_input = t.is_input
-    is_excluded = t.excluded_idx if plan.trimmed else [False] * n
-    psize = sizing.payload_sizes(plan.trimmed)
-    out_bytes = sizing.out_bytes
-    stats_bytes = sizing.stats_bytes
-    cached_flops = sizing.cached_flops
-    in_backward = plan.in_backward
-    keep = plan.keep
-    contribs = plan.contribs
-
-    payload_live = [False] * n
-    stats_live = [False] * n
-    hold_live: dict[int, int] = {}
-    seg_done = [False] * len(plan.segments)
-    grad_entry: dict[int, _Buffer] = {}
-
-    stored = sizing.pin_bytes()
-    grads = 0
-    peak = stored
-    peak_split = (stored, 0)
-    fwd_flops = 0
-    bwd_flops = 0
-    rec_flops = 0
-    rec_events = 0
-    transient: set[int] = set()
-    live_exec = executor is not None
-
-    if live_exec:
-        executor.begin(plan, sizing)
-
-    def sample():
-        nonlocal peak, peak_split
-        total = stored + grads
-        if total > peak:
-            peak = total
-            peak_split = (stored, grads)
-
-    def value_live(i: int) -> bool:
-        if is_input[i] or i in transient or i in hold_live:
-            return True
-        if is_excluded[i]:
-            return False
-        for c in consumer_idx[i]:
-            if payload_live[c] and full_or_stats[c]:
-                return True
-        return False
-
-    def ensure_value(i: int):
-        nonlocal rec_flops, rec_events
-        if value_live(i):
-            return
-        for j in in_idx[i]:
-            ensure_value(j)
-        rec_flops += cached_flops[i]
-        rec_events += 1
-        if live_exec:
-            executor.recompute(i)
-        transient.add(i)
-
-    def end_step():
-        if transient:
-            transient.clear()
-        if live_exec:
-            executor.clear_transients()
-
-    def materialize_segment(seg: int):
-        nonlocal stored
-        seg_done[seg] = True
-        for i in plan.segments[seg]:
-            for j in in_idx[i]:
-                if not is_input[j]:
-                    ensure_value(j)
-            payload_live[i] = True
-            stored += psize[i]
-            if live_exec:
-                executor.store_payload(i)
-            sample()
-        for e in plan.seg_holds[seg]:
-            ensure_value(e)
-            if e not in hold_live:
-                hold_live[e] = out_bytes[e]
-                stored += out_bytes[e]
-                if live_exec:
-                    executor.add_hold(e)
-            sample()
-        end_step()
-
-    # forward ----------------------------------------------------------------
-    fwd_hold_set = set(plan.fwd_exit_holds)
-    for i in range(n):
-        if live_exec:
-            executor.forward(i)
-        fwd_flops += sizing.fwd_flops[i]
-        if in_backward[i]:
-            if stats_bytes[i]:
-                stats_live[i] = True
-                stored += stats_bytes[i]
-                if live_exec:
-                    executor.store_stats(i)
-            if keep[i]:
-                payload_live[i] = True
-                stored += psize[i]
-                if live_exec:
-                    executor.store_payload(i)
-            if i in fwd_hold_set:
-                hold_live[i] = out_bytes[i]
-                stored += out_bytes[i]
-                if live_exec:
-                    executor.add_hold(i)
-        if live_exec:
-            executor.forward_done(i)
-    sample()  # stored bytes are monotone during forward; one sample suffices
-    end_forward = stored
-
-    # backward ---------------------------------------------------------------
-    star = strategy.kind == "residual_star"
-    trigger = [-1] * n
-    for k, v in plan.trigger.items():
-        trigger[k] = v
-    pass_through = t.pass_through
-    trimmed = plan.trimmed
-    nwo = t.needs_without_payload
-    ntx = t.needs_trim_extra
-    for i in range(n - 1, -1, -1):
-        if not in_backward[i] or is_input[i]:
-            continue
-        seg = trigger[i]
-        if seg >= 0 and not seg_done[seg]:
-            materialize_segment(seg)
-        if star and i in plan.block_of_exit:
-            fc = plan.first_conv.get(plan.block_of_exit[i])
-            if fc is not None and not value_live(fc):
-                ensure_value(fc)
-                hold_live[fc] = out_bytes[fc]
-                stored += out_bytes[fc]
-                if live_exec:
-                    executor.add_hold(fc)
-                end_step()
-                sample()
-        if payload_live[i] and psize[i] > 0:
-            needs = ntx[i] if trimmed else ()
-        else:
-            needs = nwo[i]
-        for j in needs:
-            ensure_value(j)
-        # pre-sample: upstream grad + stored state
-        total = stored + grads
-        if total > peak:
-            peak = total
-            peak_split = (stored, grads)
-        if live_exec:
-            executor.backprop(i)
-        bwd_flops += sizing.bwd_flops[i]
-        upstream = grad_entry.pop(i, None)
-        is_pass = pass_through[i]
-        for j in in_idx[i]:
-            if is_input[j] or not in_backward[j]:
-                continue
-            if j not in grad_entry:
-                if is_pass and contribs[j] == 1 and upstream is not None:
-                    upstream.refs += 1
-                    grad_entry[j] = upstream
-                else:
-                    nb = out_bytes[j]
-                    grads += nb
-                    grad_entry[j] = _Buffer(nb)
-        if upstream is not None:
-            upstream.refs -= 1
-            if upstream.refs == 0:
-                grads -= upstream.bytes
-        if payload_live[i]:
-            payload_live[i] = False
-            stored -= psize[i]
-            if live_exec:
-                executor.drop_payload(i)
-        if stats_live[i]:
-            stats_live[i] = False
-            stored -= stats_bytes[i]
-            if live_exec:
-                executor.drop_stats(i)
-        if i in hold_live:
-            stored -= hold_live.pop(i)
-            if live_exec:
-                executor.drop_hold(i)
-        if transient:
-            transient.clear()
-        if live_exec:
-            executor.clear_transients()
-        total = stored + grads
-        if total > peak:
-            peak = total
-            peak_split = (stored, grads)
-
-    if live_exec:
-        executor.finish()
-    return ReplayResult(
-        peak_bytes=peak,
-        peak_forward_bytes=peak_split[0],
-        peak_backward_bytes=peak_split[1],
-        forward_flops=fwd_flops,
-        backward_flops=bwd_flops,
-        recompute_flops=rec_flops,
-        recompute_events=rec_events,
-        end_forward_bytes=end_forward,
-    )
+    plan = plan_for(graph, strategy)
+    if executor is not None:
+        plan.execute(sizing, executor)
+    return plan.evaluate(sizing)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 from .graph import ComputationGraph
-from .numerics import NumericFormat, tensor_bytes
+from .numerics import NumericFormat
 from .plan import NONE, CheckpointStrategy, Sizing, replay
 from .plan import plan_for  # noqa: F401  (re-exported; the plan cache lives in plan)
 from .sparse import csr_storage_bytes_from_counts
@@ -122,21 +122,24 @@ class FlopReport:
 def param_nnz(graph: ComputationGraph, density: dict[str, float]) -> dict[str, int]:
     """Nonzeros per sparsified tensor: round(density * numel), half-to-even."""
     nnz = {}
-    for spec in graph.all_params():
-        if spec.sparse and spec.group in density and density[spec.group] < 1.0:
-            nnz[spec.name] = int(round(density[spec.group] * spec.numel))
+    if density:
+        for spec in graph.all_params():
+            if spec.sparse and spec.group in density and density[spec.group] < 1.0:
+                nnz[spec.name] = int(round(density[spec.group] * spec.numel))
     return nnz
 
 
-def _param_format(node_op: str, kind: str, config: TrainingConfig) -> NumericFormat:
-    if (
-        kind == "norm"
-        and node_op == "batchnorm"
-        and config.precision is NumericFormat.FP16
-        and config.batchnorm_params_fp32
-    ):
-        return NumericFormat.FP32
-    return config.precision
+def _param_widths(graph: ComputationGraph, config: TrainingConfig):
+    """(spec, element bytes) for every parameter: the config's precision,
+    except FP32 batchnorm parameters under FP16 with `batchnorm_params_fp32`."""
+    width = config.precision.element_bytes
+    norm_width = width
+    if config.precision is NumericFormat.FP16 and config.batchnorm_params_fp32:
+        norm_width = NumericFormat.FP32.element_bytes
+    for node in graph.nodes:
+        w = norm_width if node.op == "batchnorm" else width
+        for spec in graph.params_of(node):
+            yield spec, w
 
 
 def model_memory(graph: ComputationGraph, config: TrainingConfig) -> int:
@@ -144,16 +147,12 @@ def model_memory(graph: ComputationGraph, config: TrainingConfig) -> int:
     model owns the index arrays)."""
     nnz = param_nnz(graph, config.density)
     total = 0
-    for node in graph.nodes:
-        for spec in graph.params_of(node):
-            fmt = _param_format(node.op, spec.kind, config)
-            if spec.name in nnz:
-                rows, cols = spec.csr_dims
-                total += csr_storage_bytes_from_counts(
-                    rows, cols, nnz[spec.name], fmt.element_bytes
-                )
-            else:
-                total += tensor_bytes(spec.shape, fmt)
+    for spec, width in _param_widths(graph, config):
+        if spec.name in nnz:
+            rows, cols = spec.csr_dims
+            total += csr_storage_bytes_from_counts(rows, cols, nnz[spec.name], width)
+        else:
+            total += spec.numel * width
     return total
 
 
@@ -164,11 +163,8 @@ def optimizer_memory(graph: ComputationGraph, config: TrainingConfig) -> int:
     arrays = OPTIMIZER_VALUE_ARRAYS[config.optimizer_kind]
     nnz = param_nnz(graph, config.density)
     total = 0
-    for node in graph.nodes:
-        for spec in graph.params_of(node):
-            fmt = _param_format(node.op, spec.kind, config)
-            count = nnz.get(spec.name, spec.numel)
-            total += arrays * count * fmt.element_bytes
+    for spec, width in _param_widths(graph, config):
+        total += arrays * nnz.get(spec.name, spec.numel) * width
     return total
 
 

@@ -159,7 +159,7 @@ def check_05_chain_formula() -> str:
             if mn not in graphs:
                 gg = _unit_chain(mn)
                 sz = Sizing(gg, 1, FP32)
-                sz.payload_sizes(False)
+                sz.byte_sizes(False)
                 graphs[mn] = (gg, sz)
             gg, sz = graphs[mn]
             strat = CheckpointStrategy("every", m)

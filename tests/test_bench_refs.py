@@ -1,0 +1,62 @@
+"""The library against the benchmark's recorded outputs and bindings.
+
+The benchmark (`bench/`) checks its operations against `bench/refs/` and
+traces functions it binds by name; its own tests are not part of this
+suite, so these tests keep a refactor from silently breaking either.
+The reference files are only read.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from trainmem import builders, pareto, profiler
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        import tracer
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return workloads, tracer
+
+
+def test_cost_sweep_grid_matches_reference(bench):
+    workloads, _ = bench
+    ref = workloads.load_ref("cost_sweep.json")
+    reports = ref["reports"]
+    wrn = builders.build_wrn(28, 2, 10)
+    dct = builders.build_dc_transformer_cost()
+    points = pareto.sweep(wrn, workloads.wrn_spec())
+    keys = [workloads.config_key("wrn", p.config) for p in points]
+    assert len(points) == ref["sweep_points"]
+    assert sorted(k for k, p in zip(keys, points) if p.on_frontier) == ref["on_frontier"]
+    seen = 0
+    for key, p in zip(keys, points):
+        assert workloads.report_numbers(p.memory, p.flops) == reports[key], key
+        seen += 1
+    for cfg in workloads.dct_spec().configs(dct):
+        key = workloads.config_key("dct", cfg)
+        assert workloads.report_numbers(*profiler.total_report(dct, cfg)) == reports[key], key
+        seen += 1
+    assert seen == len(reports) == 1280
+
+
+def test_tracer_targets_resolve(bench):
+    """Each traced name exists where the tracer looks: a module function, or
+    a method defined on the class itself."""
+    _, tracer = bench
+    for target in tracer.TARGETS:
+        module = importlib.import_module(f"trainmem.{target.module}")
+        cls_name, _, attr = target.attr.rpartition(".")
+        owner = vars(getattr(module, cls_name)) if cls_name else vars(module)
+        assert callable(owner.get(attr)), target

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from trainmem import profiler
-from trainmem.cli import main
+from trainmem.cli import main, read_kv_file
+from trainmem.errors import ConfigurationError
+from trainmem.numerics import NumericFormat
 
 
 def run_cli(args, capsys):
@@ -148,12 +150,31 @@ def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
     ("train", "desk-cnn", "density = 1.5\n", "density"),
     ("train", "desk-cnn", "optimizer = rmsprop\n", "optimizer"),
     ("train", "dc-transformer-iwslt", "steps = 1\n", "cost-model-only"),
+    ("profile", "wrn-28-2", "precision = fp8\n", "precision"),
+    ("profile", "wrn-28-2", "minibatch 100\n", "expected key = value"),
+    ("train", "desk-cnn", "precision = fp8\n", "precision"),
+    ("pareto", "wrn-28-2", "densities = 2, 1.0\n", "densities"),
+    ("pareto", "wrn-28-2", "densities = 0.5, 0\n", "densities"),
+    ("pareto", "wrn-28-2", "precisions = fp32, fp8\n", "precisions"),
+    ("pareto", "wrn-28-2", "strategies\n", "expected key = value"),
 ])
 def test_bad_input_is_typed_error(tmp_path, capsys, command, arch, config, expect):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config)
-    code, out, err = run_cli([command, "--arch", arch, "--config", str(cfg),
+    flag = "--sweep" if command == "pareto" else "--config"
+    code, out, err = run_cli([command, "--arch", arch, flag, str(cfg),
                               "--out", str(tmp_path / "o")], capsys)
     assert code == 2
     assert err.startswith("error: ") and expect in err, err
     assert not list(tmp_path.glob("o*"))  # rejected before any output is written
+
+
+def test_bad_precision_and_config_line_are_configuration_errors(tmp_path):
+    with pytest.raises(ConfigurationError, match="precision"):
+        NumericFormat.parse("fp8")
+    with pytest.raises(ConfigurationError, match="precisions"):
+        NumericFormat.parse("fp8", "precisions")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("minibatch = 4\nmicrobatch\n")
+    with pytest.raises(ConfigurationError, match=":2: expected key = value"):
+        read_kv_file(str(cfg))

@@ -1,9 +1,15 @@
 """Sweeps and frontier flags, cross-checked against a quadratic-scan oracle."""
 
+import random
+
+import pytest
+
 from trainmem.builders import build_wrn
+from trainmem.errors import ConfigurationError
 from trainmem.numerics import NumericFormat
-from trainmem.pareto import SweepSpec, sweep
+from trainmem.pareto import ParetoPoint, SweepSpec, mark_frontier, sweep
 from trainmem.plan import CheckpointStrategy
+from trainmem.profiler import FlopReport, MemoryReport
 
 S = CheckpointStrategy.parse
 
@@ -72,3 +78,36 @@ def test_ordering_is_deterministic():
     key = lambda p: (p.total_bytes, p.flops_ratio)
     assert [key(p) for p in a] == [key(p) for p in b]
     assert [key(p) for p in a] == sorted(key(p) for p in a)
+
+
+def _point(total_bytes: int, recompute: int) -> ParetoPoint:
+    """A point with the given bytes and FLOPs ratio 1 + recompute."""
+    return ParetoPoint(None, MemoryReport(total_bytes, 0, 0, 0), FlopReport(1, 0, recompute))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_frontier_matches_oracle_on_random_points_with_ties(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    span = rng.choice([2, 5, 20])  # small spans make equal bytes and ratios common
+    pts = [_point(rng.randint(0, span), rng.randint(0, span)) for _ in range(n)]
+    pts += [_point(p.total_bytes, p.flops.recompute_flops) for p in rng.sample(pts, n // 4)]
+    rng.shuffle(pts)
+    assert [p.on_frontier for p in mark_frontier(pts)] == oracle_frontier(pts)
+
+
+def test_identical_points_are_all_on_frontier():
+    pts = mark_frontier([_point(5, 1), _point(5, 1), _point(6, 0), _point(6, 2)])
+    assert [p.on_frontier for p in pts] == [True, True, True, False]
+
+
+@pytest.mark.parametrize("densities", [[2.0, 1.0], [0.0], [-0.5], [1.5]])
+def test_densities_outside_unit_interval_rejected(densities):
+    with pytest.raises(ConfigurationError, match="densities"):
+        SweepSpec(densities=densities)
+
+
+def test_density_one_is_dense():
+    g = build_wrn(16, 1, 10)
+    (pt,) = sweep(g, SweepSpec(densities=[1.0], minibatch=20, microbatches=[20]))
+    assert pt.config.density == {}

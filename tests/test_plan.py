@@ -138,3 +138,21 @@ def test_activation_monotone_in_microbatch():
         cfg = TrainingConfig(minibatch=20, microbatch=mb, strategy=S("residual_star:2"))
         vals.append(sum(activation_memory(g, cfg)))
     assert vals == sorted(vals)
+
+
+def test_sizing_rejects_empty_batch():
+    # an empty batch is no training step
+    with pytest.raises(ConfigurationError, match="batch"):
+        Sizing(chain(3), 0, NumericFormat.FP32)
+
+
+def test_flops_exact_beyond_64_bits():
+    g = build_wrn(16, 1, 10)
+    one = flops(g, TrainingConfig(minibatch=1))
+    big = flops(g, TrainingConfig(minibatch=2**45, microbatch=1))
+    assert big.forward_flops == 2**45 * one.forward_flops > 2**63
+
+
+def test_byte_counts_beyond_64_bits_rejected():
+    with pytest.raises(ConfigurationError, match="64-bit"):
+        Sizing(build_wrn(16, 1, 10), 2**50, NumericFormat.FP32)
