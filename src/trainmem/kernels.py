@@ -4,9 +4,33 @@ Arrays are batch-first.  FP32 runs natively in float32, FP64 in float64;
 FP16 is emulated on a float64 carrier whose values sit on the binary16
 grid: every elementwise result is rounded back to the grid, and dot
 products honor the configured accumulator width (one rounding after the
-full reduction for a 32-bit accumulator, rounding after every addition for
-a 16-bit one).  Norm layers are treated as single fused elementwise ops
-with statistics kept at full precision.
+full reduction for a 32-bit accumulator, computed in float32; rounding
+after every addition for a 16-bit one).  Every GEMM goes through
+`QuantCtx.matmul`.  Norm layers are treated as single fused elementwise
+ops with statistics kept at full precision.
+
+Convolution is k1*k2 shifted GEMMs.  Each call pads its input once into a
+zero buffer laid out channels-first with the batch folded in,
+`(c, b*hp*wp + tail)`, where `hp` is the padded height rounded up to a
+multiple of the stride s and `wp` the padded width.  Output column t of
+tap (a, d) reads flat position `a*wp + d + s*t`, so each tap is one
+strided slice of n = b*(hp/s)*wp columns, a view with no copy.  The output
+grid holds hp/s rows of wp columns per example; its (h2, w2) corner is the
+valid output and the rest are junk columns, which are dropped when the
+result is copied back to batch-first.  With X_ad the tap slice, W_ad the
+(c_out, c) weights of tap (a, d) and G the upstream gradient placed in the
+output grid with zeros in the junk columns:
+
+- forward: the sum over taps of W_ad @ X_ad, one reduction over (channel,
+  tap).  FP16 rounds it once (32-bit accumulator) or after every addition,
+  channel-major (16-bit).
+- dw[:, :, a, d] = G @ X_ad.T, one reduction per tap, rounded once in FP16.
+- dx: W_ad.T @ G is added into tap (a, d)'s slice of a zero input-shaped
+  buffer, taps in (a, d) order.  FP16 rounds each tap's product to
+  binary16 before the taps are summed, and the sum once more.
+
+The workspace is the padded input and the gradient grid; no value outlives
+the call.
 """
 
 from __future__ import annotations
@@ -28,6 +52,8 @@ class QuantCtx:
         self.accumulator_width = accumulator_width
         self.dtype = np.float32 if precision is NumericFormat.FP32 else np.float64
         self.fp16 = precision is NumericFormat.FP16
+        # dtype of a GEMM's operands: float32 under FP16's 32-bit accumulator
+        self.gemm_dtype = np.float32 if self.fp16 and accumulator_width == 32 else self.dtype
 
     def asarray(self, x) -> np.ndarray:
         a = np.asarray(x, dtype=self.dtype)
@@ -38,18 +64,29 @@ class QuantCtx:
     def q(self, x: np.ndarray) -> np.ndarray:
         return half_round(x) if self.fp16 else x
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b under the accumulation rule (reduction over a's last axis)."""
-        if not self.fp16:
-            return a @ b
-        if self.accumulator_width == 32:
-            wide = a.astype(np.float32) @ b.astype(np.float32)
-            return half_round(wide.astype(np.float64))
-        acc = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.float64)
-        for k in range(a.shape[-1]):
-            prod = half_round(a[..., k, None] * b[k])
-            acc = half_round(acc + prod)
-        return acc
+    def matmul(self, a: np.ndarray, b: np.ndarray, sum_stacks: bool = False) -> np.ndarray:
+        """a @ b under the accumulation rule: the reduction runs over a's last
+        axis and b's second-to-last, stacks broadcast as in np.matmul.
+
+        With `sum_stacks` the stack axes (equal in a and b) are reduced too:
+        the result is the sum of a[t] @ b[t] over every stack index t, as one
+        reduction rounded once.  The 16-bit accumulator adds k-major: for
+        each k, the products of every t in order.
+        """
+        terms = [(a[t], b[t]) for t in np.ndindex(a.shape[:-2])] if sum_stacks else [(a, b)]
+        if self.fp16 and self.accumulator_width == 16:
+            acc = 0.0
+            for k in range(a.shape[-1]):
+                for x, y in terms:
+                    acc = half_round(acc + half_round(x[..., :, k, None] * y[..., None, k, :]))
+            return acc
+        if self.fp16:
+            wide = self.gemm_dtype
+            terms = [(x.astype(wide, copy=False), y.astype(wide, copy=False)) for x, y in terms]
+        acc = terms[0][0] @ terms[0][1]
+        for x, y in terms[1:]:
+            acc += x @ y
+        return half_round(acc) if self.fp16 else acc
 
     def accumulate(self, buf: np.ndarray, update: np.ndarray) -> np.ndarray:
         """buf + update under the accumulation rule (used across microbatches)."""
@@ -61,39 +98,76 @@ class QuantCtx:
 
 
 # ---------------------------------------------------------------------------
-# conv helpers
+# conv as shifted GEMMs
 
 
-def _pad(x, p):
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-
-
-def _im2col(x, k1, k2, stride, pad):
+def _place(x, rows, cols, p, tail, dtype):
+    """x (b, c, h, w) at (p, p) of each example's rows x cols block in a zero
+    (c, b*rows*cols + tail) buffer."""
     b, c, h, w = x.shape
-    xp = _pad(x, pad)
-    h2 = (h + 2 * pad - k1) // stride + 1
-    w2 = (w + 2 * pad - k2) // stride + 1
-    cols = np.empty((b, c, k1, k2, h2, w2), dtype=x.dtype)
-    for a in range(k1):
-        for d in range(k2):
-            cols[:, :, a, d] = xp[:, :, a : a + h2 * stride : stride, d : d + w2 * stride : stride]
-    return cols.reshape(b, c * k1 * k2, h2 * w2), (h2, w2)
+    buf = np.zeros((c, b * rows * cols + tail), dtype)
+    buf[:, : b * rows * cols].reshape(c, b, rows, cols)[:, :, p : p + h, p : p + w] = (
+        x.transpose(1, 0, 2, 3))
+    return buf
 
 
-def _col2im(cols, x_shape, k1, k2, stride, pad):
-    b, c, h, w = x_shape
-    h2 = (h + 2 * pad - k1) // stride + 1
-    w2 = (w + 2 * pad - k2) // stride + 1
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols = cols.reshape(b, c, k1, k2, h2, w2)
-    for a in range(k1):
-        for d in range(k2):
-            xp[:, :, a : a + h2 * stride : stride, d : d + w2 * stride : stride] += cols[:, :, a, d]
-    if pad == 0:
-        return xp
-    return xp[:, :, pad : pad + h, pad : pad + w]
+def _window(buf, b, rows, cols, p, h, w):
+    """The inverse of `_place`: a fresh C-contiguous (b, c, h, w) array, so
+    that no result pins the workspace."""
+    c = buf.shape[0]
+    win = buf[:, : b * rows * cols].reshape(c, b, rows, cols)[:, :, p : p + h, p : p + w]
+    return win.transpose(1, 0, 2, 3).copy()
+
+
+class _ConvGrid:
+    """The flat layout of one conv call (see the module docstring)."""
+
+    def __init__(self, node: Node, x_shape):
+        self.b, _, self.h, self.w = x_shape
+        self.k1, self.k2 = node.p("k1"), node.p("k2")
+        self.s, self.p = node.p("stride", 1), node.p("pad", 0)
+        self.h2 = (self.h + 2 * self.p - self.k1) // self.s + 1
+        self.w2 = (self.w + 2 * self.p - self.k2) // self.s + 1
+        self.hp = -(-(self.h + 2 * self.p) // self.s) * self.s  # a multiple of s
+        self.wp = self.w + 2 * self.p
+        self.rows = self.hp // self.s  # output-grid rows per example
+        self.n = self.b * self.rows * self.wp
+
+    def pad(self, x, dtype):
+        """The input buffer; its tail keeps the last taps' slices in bounds."""
+        return _place(x, self.hp, self.wp, self.p, (self.k1 - 1) * self.wp + self.k2 - 1, dtype)
+
+    def taps(self, buf):
+        """(k1, k2, c, n) view of an input-shaped buffer: [a, d] is tap (a, d)."""
+        e = buf.strides[1]
+        return np.lib.stride_tricks.as_strided(
+            buf, (self.k1, self.k2, buf.shape[0], self.n),
+            (self.wp * e, e, buf.strides[0], self.s * e))
+
+
+def _tap_weights(weight, ctx: QuantCtx):
+    return np.ascontiguousarray(weight.transpose(2, 3, 0, 1), ctx.gemm_dtype)  # (k1, k2, c_out, c)
+
+
+def _conv2d_forward(node: Node, x, weight, ctx: QuantCtx):
+    grid = _ConvGrid(node, x.shape)
+    out = ctx.matmul(_tap_weights(weight, ctx), grid.taps(grid.pad(x, ctx.gemm_dtype)),
+                     sum_stacks=True)
+    return _window(out, grid.b, grid.rows, grid.wp, 0, grid.h2, grid.w2)
+
+
+def _conv2d_backward(node: Node, g_out, x, weight, ctx: QuantCtx):
+    grid = _ConvGrid(node, x.shape)
+    xbuf = grid.pad(x, ctx.gemm_dtype)
+    g = _place(g_out, grid.rows, grid.wp, 0, 0, ctx.gemm_dtype)  # zero in the junk columns
+    dw = ctx.matmul(g, grid.taps(xbuf).swapaxes(2, 3)).transpose(2, 3, 0, 1).copy()
+    wt = _tap_weights(weight, ctx)
+    dbuf = np.zeros(xbuf.shape, ctx.dtype)
+    dtaps = grid.taps(dbuf)
+    for a in range(grid.k1):  # taps summed in (a, d) order: the FP32 dx bits depend on it
+        for d in range(grid.k2):
+            dtaps[a, d] += ctx.matmul(wt[a, d].T, g)
+    return ctx.q(_window(dbuf, grid.b, grid.hp, grid.wp, grid.p, grid.h, grid.w)), dw
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +182,7 @@ def forward_op(node: Node, inputs: list[np.ndarray], params: dict, ctx: QuantCtx
     """
     op = node.op
     if op == "conv2d":
-        x = inputs[0]
-        w = params[f"{node.node_id}.weight"]
-        cols, (h2, w2) = _im2col(x, node.p("k1"), node.p("k2"), node.p("stride", 1), node.p("pad", 0))
-        wmat = w.reshape(node.p("c_out"), -1)
-        out = ctx.matmul(cols.transpose(0, 2, 1), wmat.T)  # (b, h2*w2, c_out)
-        return out.transpose(0, 2, 1).reshape(x.shape[0], node.p("c_out"), h2, w2), None
+        return _conv2d_forward(node, inputs[0], params[f"{node.node_id}.weight"], ctx), None
     if op == "linear":
         x = inputs[0]
         w = params[f"{node.node_id}.weight"]
@@ -219,18 +288,7 @@ def backward_op(
         return values[key]
 
     if op == "conv2d":
-        x = need("x")
-        w = params[f"{nid}.weight"]
-        k1, k2, s, p = node.p("k1"), node.p("k2"), node.p("stride", 1), node.p("pad", 0)
-        cols, (h2, w2) = _im2col(x, k1, k2, s, p)
-        gmat = g_out.reshape(g_out.shape[0], g_out.shape[1], -1)  # (b, c_out, l)
-        dw = ctx.matmul(
-            gmat.transpose(1, 0, 2).reshape(g_out.shape[1], -1),
-            cols.transpose(0, 2, 1).reshape(-1, cols.shape[1]),
-        ).reshape(w.shape)
-        wmat = w.reshape(g_out.shape[1], -1)
-        dcols = ctx.matmul(gmat.transpose(0, 2, 1), wmat).transpose(0, 2, 1)
-        dx = ctx.q(_col2im(dcols, x.shape, k1, k2, s, p))
+        dx, dw = _conv2d_backward(node, g_out, need("x"), params[f"{nid}.weight"], ctx)
         return [dx], {f"{nid}.weight": dw}
     if op == "linear":
         x = need("x")

@@ -1,0 +1,168 @@
+"""Kernel math against independent oracles: the stacked and summed
+`QuantCtx.matmul`, and conv2d forward, dx and dw against a direct float64
+loop over output positions."""
+
+import numpy as np
+import pytest
+
+from trainmem.graph import Node
+from trainmem.kernels import QuantCtx, backward_op, forward_op
+from trainmem.numerics import NumericFormat, half_round
+
+FP16, FP32, FP64 = NumericFormat.FP16, NumericFormat.FP32, NumericFormat.FP64
+U16, U32 = 2.0 ** -11, 2.0 ** -24  # unit roundoff of binary16 and binary32
+HALF_SUBNORMAL = 2.0 ** -25  # absolute error of one rounding below binary16's normal range
+
+CTXS = [(FP32, 32), (FP64, 32), (FP16, 32), (FP16, 16)]
+
+
+@pytest.mark.parametrize("precision,width", CTXS)
+def test_matmul_stacked_equals_per_slice(precision, width):
+    ctx = QuantCtx(precision, width)
+    rng = np.random.default_rng(0)
+    a = ctx.asarray(rng.normal(size=(2, 3, 4)))
+    b = ctx.asarray(rng.normal(size=(2, 4, 5)))
+    out = ctx.matmul(a, b)
+    assert out.shape == (2, 3, 5)
+    for i in range(2):
+        assert np.array_equal(out[i], ctx.matmul(a[i], b[i]))
+        # a 2-D left operand broadcasts against the stack
+        assert np.array_equal(ctx.matmul(a[0], b)[i], ctx.matmul(a[0], b[i]))
+
+
+def test_matmul_16bit_rounds_after_every_addition():
+    ctx = QuantCtx(FP16, 16)
+    rng = np.random.default_rng(2)
+    a = ctx.asarray(rng.normal(size=(2, 6)) * 40)
+    b = ctx.asarray(rng.normal(size=(6, 3)))
+    expect = np.zeros((2, 3))
+    for i in range(2):
+        for j in range(3):
+            acc = 0.0
+            for k in range(6):
+                acc = float(np.float16(acc + float(np.float16(a[i, k] * b[k, j]))))
+            expect[i, j] = acc
+    assert np.array_equal(ctx.matmul(a, b), expect)
+
+
+def test_matmul_sum_stacks_is_one_k_major_reduction():
+    # 16-bit: the sum over stacks is one running sum that visits, for each
+    # k, every stack in order; the same as one matmul over that interleaving.
+    ctx = QuantCtx(FP16, 16)
+    rng = np.random.default_rng(1)
+    a = ctx.asarray(rng.normal(size=(3, 2, 4)))  # (t, m, k)
+    b = ctx.asarray(rng.normal(size=(3, 4, 5)))  # (t, k, n)
+    flat_a = a.transpose(1, 2, 0).reshape(2, 12)  # column k*3 + t
+    flat_b = b.transpose(1, 0, 2).reshape(12, 5)
+    assert np.array_equal(ctx.matmul(a, b, sum_stacks=True), ctx.matmul(flat_a, flat_b))
+    exact = np.einsum("tmk,tkn->mn", a, b)
+    wide = QuantCtx(FP16, 32).matmul(a, b, sum_stacks=True)
+    assert np.array_equal(wide, half_round(wide))
+    assert np.all(np.abs(wide - exact) <= (U16 + 12 * U32) * np.einsum(
+        "tmk,tkn->mn", np.abs(a), np.abs(b)) * 1.01)
+
+
+# ---------------------------------------------------------------------------
+# conv2d
+
+
+def conv_oracle(x, w, s, p, g):
+    """Forward, dx and dw of a conv by a direct loop over output positions."""
+    b, c, h, wd = x.shape
+    c_out, _, k1, k2 = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    h2, w2 = (h + 2 * p - k1) // s + 1, (wd + 2 * p - k2) // s + 1
+    out = np.zeros((b, c_out, h2, w2))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(h2):
+        for j in range(w2):
+            rows, cols = slice(i * s, i * s + k1), slice(j * s, j * s + k2)
+            patch = xp[:, :, rows, cols]
+            out[:, :, i, j] = np.einsum("bcad,ocad->bo", patch, w)
+            dw += np.einsum("bo,bcad->ocad", g[:, :, i, j], patch)
+            dxp[:, :, rows, cols] += np.einsum("bo,ocad->bcad", g[:, :, i, j], w)
+    return out, dxp[:, :, p : p + h, p : p + wd], dw
+
+
+# (batch, c_in, c_out, h, w, k1, k2, stride, pad)
+CONV_CASES = [
+    *[(2, 3, 4, 7, 9, 3, 2, s, p) for s in (1, 2, 3) for p in (0, 1, 2)],
+    (1, 1, 3, 5, 6, 1, 3, 3, 2),
+    (3, 1, 2, 6, 5, 2, 1, 2, 0),
+    (1, 2, 2, 8, 8, 3, 3, 1, 1),
+    (2, 4, 3, 4, 4, 4, 4, 1, 0),
+    (1, 2, 3, 4, 5, 1, 1, 1, 0),  # the output window is the whole grid
+]
+
+
+def run_conv(case, precision, width, seed=0):
+    b, c, c_out, h, w, k1, k2, s, p = case
+    node = Node("c", "conv2d", ("x",), dict(c_in=c, c_out=c_out, k1=k1, k2=k2,
+                                            stride=s, pad=p, sparse=0))
+    ctx = QuantCtx(precision, width)
+    rng = np.random.default_rng(seed)
+    x = ctx.asarray(rng.normal(size=(b, c, h, w)))
+    weight = ctx.asarray(rng.normal(size=(c_out, c, k1, k2)))
+    out, _ = forward_op(node, [x], {"c.weight": weight}, ctx)
+    g = ctx.asarray(rng.normal(size=out.shape))
+    (dx,), grads = backward_op(node, g, {"x": x}, {"c.weight": weight}, ctx)
+    return (x, weight, g), (out, dx, grads["c.weight"])
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv_fp64_matches_oracle(case):
+    (x, w, g), got = run_conv(case, FP64, 32)
+    for name, val, ref in zip(("out", "dx", "dw"), got, conv_oracle(x, w, case[7], case[8], g)):
+        assert val.shape == ref.shape, name
+        assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+def reduction_lengths(case):
+    """Terms per element of out, dx and dw."""
+    b, c, c_out, h, w, k1, k2, s, p = case
+    h2, w2 = (h + 2 * p - k1) // s + 1, (w + 2 * p - k2) // s + 1
+    return c * k1 * k2, c_out * k1 * k2, b * h2 * w2
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv_fp32_within_float32_bound(case):
+    # A float32 sum of K products of float32 values errs by at most
+    # K * 2^-24 times the sum of the products' magnitudes, in any order.
+    (x, w, g), got = run_conv(case, FP32, 32)
+    s, p = case[7], case[8]
+    refs = conv_oracle(x.astype(np.float64), w.astype(np.float64), s, p, g.astype(np.float64))
+    mags = conv_oracle(np.abs(x).astype(np.float64), np.abs(w).astype(np.float64), s, p,
+                       np.abs(g).astype(np.float64))
+    for name, val, ref, mag, k in zip(("out", "dx", "dw"), got, refs, mags,
+                                      reduction_lengths(case)):
+        assert val.dtype == np.float32, name
+        assert np.all(np.abs(val - ref) <= k * U32 * mag * 1.01), name
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv_fp16_on_grid_within_rounding_bound(case):
+    # 32-bit accumulator: out and dw round once after a float32 reduction;
+    # dx rounds each tap's product, then the sum of the taps.  Each
+    # rounding to binary16 errs by at most 2^-11 relative, or 2^-25
+    # absolute below the normal range.
+    (x, w, g), got = run_conv(case, FP16, 32)
+    s, p, k1, k2 = case[7], case[8], case[5], case[6]
+    refs = conv_oracle(x, w, s, p, g)
+    mags = conv_oracle(np.abs(x), np.abs(w), s, p, np.abs(g))
+    roundings = (1, 2, 1)
+    subnormal = (1, k1 * k2 + 1, 1)
+    for name, val, ref, mag, k, r, m in zip(("out", "dx", "dw"), got, refs, mags,
+                                            reduction_lengths(case), roundings, subnormal):
+        assert np.array_equal(val, half_round(val)), name
+        bound = (r * U16 + k * U32) * mag * 1.01 + m * HALF_SUBNORMAL
+        assert np.all(np.abs(val - ref) <= bound), name
+
+
+@pytest.mark.parametrize("precision,width", CTXS)
+@pytest.mark.parametrize("case", [CONV_CASES[4], CONV_CASES[9], CONV_CASES[13]])
+def test_conv_results_are_contiguous_and_own_their_data(case, precision, width):
+    # No result may be a view that pins the padded workspace.
+    _, got = run_conv(case, precision, width)
+    for name, val in zip(("out", "dx", "dw"), got):
+        assert val.flags.c_contiguous and val.flags.owndata and val.base is None, name
