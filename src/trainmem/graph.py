@@ -106,6 +106,8 @@ class ComputationGraph:
         # are built once here.
         self._params = [_build_params(n) for n in self.nodes]
         self._all_params = [spec for specs in self._params for spec in specs]
+        self._groups = tuple(dict.fromkeys(
+            p.group for p in self._all_params if p.sparse and p.group is not None))
         self._tables = None  # derived tables and plans; filled by plan.graph_tables
 
     # -- structure ---------------------------------------------------------
@@ -176,12 +178,9 @@ class ComputationGraph:
     def group_param_count(self, group: str) -> int:
         return sum(p.numel for p in self.all_params() if p.sparse and p.group == group)
 
-    def sparsifiable_groups(self) -> list[str]:
-        seen = []
-        for p in self.all_params():
-            if p.sparse and p.group is not None and p.group not in seen:
-                seen.append(p.group)
-        return seen
+    def sparsifiable_groups(self) -> tuple[str, ...]:
+        """The groups of the sparse-eligible parameters, in first-use order."""
+        return self._groups
 
     # -- flops -------------------------------------------------------------
 

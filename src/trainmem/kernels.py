@@ -2,7 +2,8 @@
 
 Arrays are batch-first.  FP32 runs natively in float32, FP64 in float64;
 FP16 is emulated on a float64 carrier whose values sit on the binary16
-grid: every elementwise result is rounded back to the grid, and dot
+grid: every elementwise result that can leave the grid is rounded back
+to it (a ReLU gradient only masks an on-grid value), and dot
 products honor the configured accumulator width (one rounding after the
 full reduction for a 32-bit accumulator, computed in float32; rounding
 after every addition for a 16-bit one).  Every GEMM goes through
@@ -334,8 +335,9 @@ def backward_op(
             dbeta = g_out.sum(axis=red)
         return [ctx.q(dx)], {f"{nid}.gamma": ctx.q(dgamma), f"{nid}.beta": ctx.q(dbeta)}
     if op == "relu":
-        mask = need("mask")
-        return [ctx.q(g_out * mask)], {}
+        # masking keeps or zeroes each value, so the result is on the
+        # binary16 grid whenever g_out is: it is not rounded again
+        return [g_out * need("mask")], {}
     if op == "glu":
         x = need("x")
         d = x.shape[-1] // 2

@@ -41,9 +41,14 @@ def half_round(x):
 
     Values beyond the binary16 finite range map to signed infinity; NaN maps
     to NaN.  Accepts scalars or arrays and preserves the input's shape.
+    A float32 input is cast to binary16 directly: every float32 value is a
+    float64 value, and both casts round once, so the result is the same.
     """
+    a = np.asarray(x)
+    if a.dtype != np.float32:
+        a = a.astype(np.float64, copy=False)
     with np.errstate(over="ignore"):
-        out = np.asarray(x, dtype=np.float64).astype(np.float16).astype(np.float64)
+        out = a.astype(np.float16).astype(np.float64)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

@@ -1,5 +1,16 @@
 """Static training-cost model: model/optimizer/activation memory and
-forward/backward/recompute FLOPs for a (graph, TrainingConfig) pair."""
+forward/backward/recompute FLOPs for a (graph, TrainingConfig) pair.
+
+Parameter bytes depend on neither the checkpoint strategy nor the batch.
+They come from per-graph totals in `plan.graph_tables`: the element count
+of batchnorm parameters (kept at FP32 under FP16 with
+`batchnorm_params_fp32`) and of all other parameters, priced at the
+config's width, then corrected for each tensor the config sparsifies (its
+CSR bytes instead of its dense bytes in the model, its nonzero values in
+each optimizer array).  Activation bytes and FLOPs come from the graph's
+compiled schedule (`plan.replay`), evaluated at the microbatch for memory
+and at batch 1 for FLOPs.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +19,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigurationError
 from .graph import ComputationGraph
 from .numerics import NumericFormat
-from .plan import NONE, CheckpointStrategy, Sizing, replay
+from .plan import NONE, CheckpointStrategy, Sizing, graph_tables, replay
 from .plan import plan_for  # noqa: F401  (re-exported; the plan cache lives in plan)
 from .sparse import csr_storage_bytes_from_counts
 
@@ -121,56 +132,49 @@ class FlopReport:
 
 def param_nnz(graph: ComputationGraph, density: dict[str, float]) -> dict[str, int]:
     """Nonzeros per sparsified tensor: round(density * numel), half-to-even."""
-    nnz = {}
-    if density:
-        for spec in graph.all_params():
-            if spec.sparse and spec.group in density and density[spec.group] < 1.0:
-                nnz[spec.name] = int(round(density[spec.group] * spec.numel))
-    return nnz
+    return {name: int(round(density[group] * numel))
+            for name, (group, numel, *_) in graph_tables(graph).sparse_params.items()
+            if group in density and density[group] < 1.0}
 
 
-def _param_widths(graph: ComputationGraph, config: TrainingConfig):
-    """(spec, element bytes) for every parameter: the config's precision,
-    except FP32 batchnorm parameters under FP16 with `batchnorm_params_fp32`."""
-    width = config.precision.element_bytes
-    norm_width = width
+def _param_bytes(graph: ComputationGraph, config: TrainingConfig,
+                 nnz: dict[str, int]) -> tuple[int, int]:
+    """(model bytes, optimizer bytes) from the graph's parameter totals.
+
+    Every element is stored at the config's precision, except batchnorm
+    parameters under FP16 with `batchnorm_params_fp32` (FP32).  Each tensor
+    in `nnz` is then corrected from its dense bytes to its CSR bytes in the
+    model and to its nonzero values in each optimizer array.
+    """
+    t = graph_tables(graph)
+    width = norm_width = config.precision.element_bytes
     if config.precision is NumericFormat.FP16 and config.batchnorm_params_fp32:
         norm_width = NumericFormat.FP32.element_bytes
-    for node in graph.nodes:
-        w = norm_width if node.op == "batchnorm" else width
-        for spec in graph.params_of(node):
-            yield spec, w
+    model = values = t.other_param_numel * width + t.norm_param_numel * norm_width
+    for name, count in nnz.items():
+        _, numel, rows, cols, norm = t.sparse_params[name]
+        w = norm_width if norm else width
+        model += csr_storage_bytes_from_counts(rows, cols, count, w) - numel * w
+        values -= (numel - count) * w
+    return model, OPTIMIZER_VALUE_ARRAYS[config.optimizer_kind] * values
 
 
 def model_memory(graph: ComputationGraph, config: TrainingConfig) -> int:
     """Bytes to store the parameters; sparsified tensors in CSR form (the
     model owns the index arrays)."""
-    nnz = param_nnz(graph, config.density)
-    total = 0
-    for spec, width in _param_widths(graph, config):
-        if spec.name in nnz:
-            rows, cols = spec.csr_dims
-            total += csr_storage_bytes_from_counts(rows, cols, nnz[spec.name], width)
-        else:
-            total += spec.numel * width
-    return total
+    return _param_bytes(graph, config, param_nnz(graph, config.density))[0]
 
 
 def optimizer_memory(graph: ComputationGraph, config: TrainingConfig) -> int:
     """Gradient plus momentum buffers: two value arrays for SGD with
     Nesterov momentum, three for Adam.  Sparse buffers store values only;
     the index arrays are shared with the model."""
-    arrays = OPTIMIZER_VALUE_ARRAYS[config.optimizer_kind]
-    nnz = param_nnz(graph, config.density)
-    total = 0
-    for spec, width in _param_widths(graph, config):
-        total += arrays * nnz.get(spec.name, spec.numel) * width
-    return total
+    return _param_bytes(graph, config, param_nnz(graph, config.density))[1]
 
 
-def _replay(graph, config: TrainingConfig, strategy: CheckpointStrategy, batch: int):
-    sizing = Sizing(graph, batch, config.precision, param_nnz(graph, config.density))
-    return replay(graph, strategy, sizing)
+def _replay(graph, config: TrainingConfig, strategy: CheckpointStrategy, batch: int,
+            nnz: dict[str, int]):
+    return replay(graph, strategy, Sizing(graph, batch, config.precision, nnz))
 
 
 def activation_memory(
@@ -182,7 +186,8 @@ def activation_memory(
     the stored-forward part and the live-gradient part."""
     config.validate_for(graph)
     strategy = config.strategy if strategy is None else strategy
-    result = _replay(graph, config, strategy, config.microbatch)
+    result = _replay(graph, config, strategy, config.microbatch,
+                     param_nnz(graph, config.density))
     return result.peak_forward_bytes, result.peak_backward_bytes
 
 
@@ -193,7 +198,22 @@ def stored_forward_bytes(
 ) -> int:
     """Bytes of stored activations at the end of the forward pass."""
     strategy = config.strategy if strategy is None else strategy
-    return _replay(graph, config, strategy, config.microbatch).end_forward_bytes
+    return _replay(graph, config, strategy, config.microbatch,
+                   param_nnz(graph, config.density)).end_forward_bytes
+
+
+def _flop_report(per_example, minibatch: int) -> FlopReport:
+    """The FLOPs of a batch-1 replay, scaled to the minibatch.
+
+    Microbatching does not change the total; all components scale linearly
+    in the batch, so the per-example replay is scaled exactly.
+    """
+    return FlopReport(
+        forward_flops=per_example.forward_flops * minibatch,
+        backward_flops=per_example.backward_flops * minibatch,
+        recompute_flops=per_example.recompute_flops * minibatch,
+        recompute_events=per_example.recompute_events,
+    )
 
 
 def flops(
@@ -201,38 +221,33 @@ def flops(
     config: TrainingConfig,
     strategy: CheckpointStrategy | None = None,
 ) -> FlopReport:
-    """FLOPs for one full minibatch step (forward, backward, recompute).
-
-    Microbatching does not change the total; all components scale linearly
-    in the batch, so the per-example replay is scaled exactly.
-    """
+    """FLOPs for one full minibatch step (forward, backward, recompute)."""
     config.validate_for(graph)
     strategy = config.strategy if strategy is None else strategy
-    result = _replay(graph, config, strategy, 1)
-    scale = config.minibatch
-    return FlopReport(
-        forward_flops=result.forward_flops * scale,
-        backward_flops=result.backward_flops * scale,
-        recompute_flops=result.recompute_flops * scale,
-        recompute_events=result.recompute_events,
-    )
+    result = _replay(graph, config, strategy, 1, param_nnz(graph, config.density))
+    return _flop_report(result, config.minibatch)
 
 
 def total_report(graph: ComputationGraph, config: TrainingConfig) -> tuple[MemoryReport, FlopReport]:
     """Peak training memory for one microbatch step plus the FLOP report.
 
+    The config is validated and its nonzero counts derived once; the memory
+    replay (at the microbatch) and the FLOP replay (at batch 1) share them.
     The gradient-accumulation buffer for microbatching is the optimizer's
     gradient buffer, already included in optimizer bytes.
     """
     config.validate_for(graph)
-    fwd, bwd = activation_memory(graph, config)
+    nnz = param_nnz(graph, config.density)
+    model, optimizer = _param_bytes(graph, config, nnz)
+    peak = _replay(graph, config, config.strategy, config.microbatch, nnz)
     mem = MemoryReport(
-        model_bytes=model_memory(graph, config),
-        optimizer_bytes=optimizer_memory(graph, config),
-        activation_forward_bytes=fwd,
-        activation_backward_bytes=bwd,
+        model_bytes=model,
+        optimizer_bytes=optimizer,
+        activation_forward_bytes=peak.peak_forward_bytes,
+        activation_backward_bytes=peak.peak_backward_bytes,
     )
-    return mem, flops(graph, config)
+    per_example = _replay(graph, config, config.strategy, 1, nnz)
+    return mem, _flop_report(per_example, config.minibatch)
 
 
 def report_to_csv_row(name: str, config: TrainingConfig, mem: MemoryReport, fl: FlopReport) -> str:

@@ -51,6 +51,19 @@ def test_cost_sweep_grid_matches_reference(bench):
     assert seen == len(reports) == 1280
 
 
+def test_profile_cold_outputs_match_reference(bench, tmp_path):
+    """Every `trainmem profile` output the profile-cold workload can print."""
+    workloads, _ = bench
+    ref = workloads.load_ref("profile_cold.json")["outputs"]
+    archs = workloads.write_profile_inputs(tmp_path, workloads.RANDOM_GRAPH_POOL)
+    requests = workloads.profile_requests()
+    for arch, cfg in requests:
+        rc, text = workloads.profile_once(archs[arch], str(tmp_path / f"{cfg}.cfg"))
+        assert rc == 0, (arch, cfg)
+        assert text == ref[f"{arch}|{cfg}"], (arch, cfg)
+    assert len(requests) == len(ref) == 202
+
+
 def test_tracer_targets_resolve(bench):
     """Each traced name exists where the tracer looks: a module function, or
     a method defined on the class itself."""

@@ -41,6 +41,27 @@ def test_half_round_matches_reference_codec():
         assert half_round(float(x)) == reference_half_round(float(x))
 
 
+def test_half_round_float32_input_matches_reference_codec():
+    # float32 inputs are cast straight to binary16; ties, the float32
+    # neighbours of every tie, subnormals and overflow must still round as
+    # the value does
+    rng = np.random.default_rng(11)
+    ties = np.array([(decode_binary16(b) + decode_binary16(b + 1)) / 2
+                     for b in range(0, 0x7BFF, 13)], dtype=np.float32)
+    xs = np.concatenate([
+        ties,
+        np.nextafter(ties, np.float32(np.inf)),
+        np.nextafter(ties, np.float32(0)),
+        rng.normal(0, 1, 1000).astype(np.float32),
+        rng.normal(0, 1e-7, 1000).astype(np.float32),
+        np.array([65504, 65519, 65520, 1e30, np.inf, 2.0**-25, 2.0**-26], np.float32),
+    ])
+    xs = np.concatenate([xs, -xs])
+    out = half_round(xs)
+    assert out.dtype == np.float64 and out.shape == xs.shape
+    assert [float(v) for v in out] == [reference_half_round(float(x)) for x in xs]
+
+
 def test_codec_is_self_consistent():
     # decode(encode(representable)) is the identity on its own grid
     for bits in range(0, 0x7C00, 37):

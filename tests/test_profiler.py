@@ -1,11 +1,18 @@
 """Static memory model: model, optimizer, and activation components."""
 
 import gc
+import itertools
+import math
 import weakref
 
 import pytest
 
-from trainmem.builders import build_dc_transformer_cost, build_desk_cnn, build_wrn
+from trainmem.builders import (
+    build_dc_transformer_cost,
+    build_desk_cnn,
+    build_wrn,
+    random_desk_graph,
+)
 from trainmem.errors import ConfigurationError
 from trainmem.graph import GraphBuilder
 from trainmem.numerics import NumericFormat
@@ -33,6 +40,65 @@ def test_model_memory_dense_fp32(wrn):
     cfg = TrainingConfig(minibatch=100, microbatch=100)
     assert model_memory(wrn, cfg) == wrn.total_param_count() * 4
     assert abs(model_memory(wrn, cfg) / 5.84e6 - 1) < 0.01
+
+
+def param_bytes_oracle(graph, cfg):
+    """(model, optimizer) bytes by a walk over every node's parameters.
+
+    Each element costs the config's width, or 4 bytes for a batchnorm
+    parameter under FP16 with `batchnorm_params_fp32`.  A sparsified tensor
+    keeps round(density * numel) values plus CSR indices in the model: a
+    ceil(log2(cols))-bit column index per value, packed to whole bytes, and
+    a 32-bit row pointer per row plus one.  The optimizer keeps 2 (SGD
+    with Nesterov momentum) or 3 (Adam) value arrays per tensor.
+    """
+    width = cfg.precision.element_bytes
+    arrays = {"sgd_nesterov": 2, "adam": 3}[cfg.optimizer_kind]
+    model = optimizer = 0
+    for node in graph.nodes:
+        w = width
+        if node.op == "batchnorm" and cfg.precision is FP16 and cfg.batchnorm_params_fp32:
+            w = 4
+        for spec in graph.params_of(node):
+            density = cfg.density.get(spec.group, 1.0) if spec.sparse else 1.0
+            if density < 1.0:
+                values = round(density * spec.numel)
+                rows = spec.shape[0]
+                cols = spec.numel // rows
+                index_bytes = (values * math.ceil(math.log2(cols)) + 7) // 8
+                model += values * w + index_bytes + (rows + 1) * 4
+            else:
+                values = spec.numel
+                model += values * w
+            optimizer += arrays * values * w
+    return model, optimizer
+
+
+@pytest.mark.parametrize("graph_name", ["wrn", "dct", *(f"random{s}" for s in range(8))])
+def test_param_bytes_match_per_parameter_oracle(graph_name):
+    if graph_name == "wrn":
+        g = build_wrn(28, 2, 10)
+    elif graph_name == "dct":
+        g = build_dc_transformer_cost()
+    else:
+        g = random_desk_graph(int(graph_name[len("random"):]))
+    batch = 4000 if g.batch_unit == "tokens" else 8
+    groups = g.sparsifiable_groups()
+    checked = 0
+    for densities in itertools.product((1.0, 0.5, 0.01), repeat=len(groups)):
+        density = {grp: d for grp, d in zip(groups, densities) if d < 1.0}
+        for precision, bn_fp32, opt in itertools.product(
+            NumericFormat, (True, False), ("sgd_nesterov", "adam")
+        ):
+            cfg = TrainingConfig(density=density, precision=precision, minibatch=batch,
+                                 optimizer_kind=opt, batchnorm_params_fp32=bn_fp32,
+                                 batch_unit=g.batch_unit)
+            expected = param_bytes_oracle(g, cfg)
+            assert (model_memory(g, cfg), optimizer_memory(g, cfg)) == expected, cfg
+            mem, _ = total_report(g, cfg)
+            assert (mem.model_bytes, mem.optimizer_bytes) == expected, cfg
+            checked += 1
+    assert checked == 3 ** len(groups) * 12
 
 
 def test_model_memory_param_free_graph():
