@@ -1,9 +1,11 @@
-"""Desk-scale reverse-mode engine executing the compiled schedule.
+"""Desk-scale reverse-mode engine walking the compiled schedule.
 
-`run_step` performs one forward/backward pass under a checkpoint strategy,
-storing only what the strategy mandates and recomputing the rest during
-backpropagation, exactly as the static cost model schedules it.  The
-returned peak byte counts and recompute totals therefore equal the
+`run_step` takes the `Plan` the cost model prices for the graph and
+checkpoint strategy and walks its events in one loop, branching on the
+opcode: forward, store statistics or payload, hold, recompute, backprop,
+drop.  It keeps its own value reference counts, so a schedule that frees
+a value still needed raises `ContractError`.  Its peak byte counts and
+recompute totals are `Plan.evaluate` on that same plan, so they equal the
 profiler's predictions for the same configuration.
 
 Sequential microbatching runs each microbatch through `run_step` and
@@ -25,7 +27,9 @@ from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 from .graph import ComputationGraph
 from .kernels import QuantCtx, backward_op, forward_op
 from .numerics import NumericFormat, half_round
-from .plan import NONE, CheckpointStrategy, Plan, Sizing, graph_tables, replay
+from .plan import (BACKPROP, CLEAR, DROP_HOLD, DROP_PAYLOAD, DROP_STATS, FORWARD, FORWARD_DONE,
+                   HOLD, NONE, RECOMPUTE, STORE_PAYLOAD, STORE_STATS, CheckpointStrategy, Plan,
+                   Sizing, graph_tables, plan_for)
 
 
 @dataclass
@@ -60,11 +64,15 @@ class StepResult:
     batch_stats: dict[str, tuple] = field(default_factory=dict)
 
 
-class _Executor:
-    """The methods the schedule's events call, doing the real tensor math."""
+class _Step:
+    """One forward/backward step: walks a compiled schedule's events and does
+    the real tensor math.  Its own reference counts decide when a value is
+    freed, so a schedule that drops a value it still needs fails here with a
+    `ContractError` instead of computing with stale data."""
 
     def __init__(self, graph, params, masks, batch, config: EngineConfig):
         self.g = graph
+        self.t = t = graph_tables(graph)
         self.params = params
         self.masks = masks or {}
         self.batch = batch
@@ -73,24 +81,57 @@ class _Executor:
         self.loss = None
         self.param_grads: dict[str, np.ndarray] = {}
         self.batch_stats: dict[str, tuple] = {}
-
-    # -- lifecycle ---------------------------------------------------------
-    def begin(self, plan: Plan, sizing: Sizing):
-        self.plan = plan
-        t = graph_tables(self.g)
-        self.t = t
-        n = len(self.g.nodes)
         self.values: dict[int, np.ndarray] = {}
-        self.retain = [0] * n
-        self.fwd_pending = [len(t.consumer_idx[i]) for i in range(n)]
+        self.retain = [0] * len(graph.nodes)  # payloads and holds keeping a value
+        self.fwd_pending = [len(c) for c in t.consumer_idx]  # forward reads still to come
         self.payloads: dict[int, dict] = {}
         self.stats: dict[int, tuple] = {}
         self.grads: dict[int, np.ndarray] = {}
-        self.transients: list[int] = []
-        self.forward_phase = True
 
-    def finish(self):
-        self.values.clear()
+    def run(self, plan: Plan):
+        """Walk the events in order, branching on the opcode."""
+        t, values, retain = self.t, self.values, self.retain
+        transients: list[int] = []
+        fresh = None  # (node, statistics) the last forward produced, if new
+        for op, i in plan.events.tolist():
+            if op == FORWARD:
+                values[i], fresh = self._compute(i)
+                if i == t.loss_idx:
+                    self.loss = float(values[i])
+            elif op == FORWARD_DONE:
+                for j in t.in_idx[i]:
+                    self.fwd_pending[j] -= 1
+                    self._maybe_drop(j)
+                self._maybe_drop(i)
+            elif op == STORE_STATS:
+                if fresh is None or fresh[0] != i:
+                    raise ContractError("no statistics produced for stats entry")
+                self.stats[i] = self.batch_stats[self.g.nodes[i].node_id] = fresh[1]
+            elif op == STORE_PAYLOAD:
+                self._store_payload(plan, i)
+            elif op == HOLD:
+                self._get(i)  # must exist now
+                retain[i] += 1
+            elif op == RECOMPUTE:
+                values[i], fresh = self._compute(i)
+                transients.append(i)
+            elif op == CLEAR:
+                for j in transients:
+                    self._maybe_drop(j)
+                transients.clear()
+            elif op == BACKPROP:
+                self._backprop(i)
+            elif op == DROP_PAYLOAD:
+                for j in self.payloads.pop(i, {}).get("inputs", ()):
+                    retain[j] -= 1
+                    self._maybe_drop(j)
+            elif op == DROP_STATS:
+                self.stats.pop(i, None)
+            elif op == DROP_HOLD:
+                retain[i] -= 1
+                self._maybe_drop(i)
+            else:
+                raise ContractError(f"unknown schedule opcode {op}")
 
     # -- value table -------------------------------------------------------
     def _get(self, j: int) -> np.ndarray:
@@ -102,101 +143,46 @@ class _Executor:
         return v
 
     def _maybe_drop(self, j: int):
-        if (
-            self.retain[j] == 0
-            and (not self.forward_phase or self.fwd_pending[j] <= 0)
-            and not self.t.is_input[j]
-            and j in self.values
-        ):
-            del self.values[j]
+        if self.retain[j] == 0 and self.fwd_pending[j] <= 0 and not self.t.is_input[j]:
+            self.values.pop(j, None)
 
-    def _compute(self, i: int) -> np.ndarray:
+    def _compute(self, i: int) -> tuple[np.ndarray, tuple | None]:
+        """Node i's output, and its statistics if they are new."""
         node = self.g.nodes[i]
         if node.op == "input":
             try:
-                return self.batch[node.node_id]
+                return self.batch[node.node_id], None
             except KeyError:
                 raise ContractError(f"batch is missing input '{node.node_id}'") from None
         ins = [self._get(j) for j in self.t.in_idx[i]]
         out, stats = forward_op(node, ins, self.params, self.ctx,
                                 stats=self.stats.get(i))
-        if stats is not None and i not in self.stats:
-            self._fresh_stats = (i, stats)
-        return out
+        fresh = (i, stats) if stats is not None and i not in self.stats else None
+        return out, fresh
 
-    # -- event methods -------------------------------------------------------
-    def forward(self, i: int):
-        self._fresh_stats = None
-        out = self._compute(i)
-        self.values[i] = out
-        if i == self.g.index[self.g.loss_id]:
-            self.loss = float(out)
-
-    def forward_done(self, i: int):
-        for j in self.t.in_idx[i]:
-            self.fwd_pending[j] -= 1
-            self._maybe_drop(j)
-        if self.fwd_pending[i] <= 0:
-            self._maybe_drop(i)
-
-    def store_stats(self, i: int):
-        if self._fresh_stats is None or self._fresh_stats[0] != i:
-            raise ContractError("no statistics produced for stats entry")
-        self.stats[i] = self._fresh_stats[1]
-        self.batch_stats[self.g.nodes[i].node_id] = self._fresh_stats[1]
-
-    def drop_stats(self, i: int):
-        self.stats.pop(i, None)
-
-    def store_payload(self, i: int):
-        node = self.g.nodes[i]
+    def _store_payload(self, plan: Plan, i: int):
+        t = self.t
         payload: dict = {}
-        if node.op == "relu":
-            if not (self.plan.trimmed and node.node_id in self.plan.excluded):
-                payload["mask"] = self._get(self.t.in_idx[i][0]) > 0
+        if self.g.nodes[i].op == "relu":
+            if not (plan.trimmed and t.excluded_idx[i]):
+                payload["mask"] = self._get(t.in_idx[i][0]) > 0
         else:
             kept = []
-            for j in self.t.in_idx[i]:
-                if self.t.is_input[j]:
+            for j in t.in_idx[i]:
+                if t.is_input[j]:
                     continue
-                if self.plan.trimmed and self.t.excluded_idx[j]:
+                if plan.trimmed and t.excluded_idx[j]:
                     continue
                 self.retain[j] += 1
                 kept.append(j)
             payload["inputs"] = kept
         self.payloads[i] = payload
 
-    def drop_payload(self, i: int):
-        payload = self.payloads.pop(i, None)
-        if payload and "inputs" in payload:
-            for j in payload["inputs"]:
-                self.retain[j] -= 1
-                self._maybe_drop(j)
-
-    def add_hold(self, i: int):
-        self._get(i)  # must exist now
-        self.retain[i] += 1
-
-    def drop_hold(self, i: int):
-        self.retain[i] -= 1
-        self._maybe_drop(i)
-
-    def recompute(self, i: int):
-        self._fresh_stats = None
-        self.values[i] = self._compute(i)
-        self.transients.append(i)
-
-    def clear_transients(self):
-        for j in self.transients:
-            self._maybe_drop(j)
-        self.transients.clear()
-
     # -- backward -----------------------------------------------------------
-    def backprop(self, i: int):
-        g = self.g
+    def _backprop(self, i: int):
         t = self.t
-        node = g.nodes[i]
-        loss_idx = g.index[g.loss_id]
+        node = self.g.nodes[i]
+        loss_idx = t.loss_idx
         upstream = self.grads.pop(i, None)
         if i == loss_idx:
             upstream = None
@@ -220,7 +206,7 @@ class _Executor:
                 self.param_grads[name] += pg
             else:
                 self.param_grads[name] = pg
-        # distribute activation gradients, mirroring the replay's buffers
+        # distribute activation gradients, mirroring the schedule's buffers
         pass_through = t.pass_through[i]
         for pos, j in enumerate(t.in_idx[i]):
             if t.is_input[j] or not t.in_backward[j]:
@@ -315,21 +301,23 @@ def run_step(
     if masks:
         nnz = {name: int(m.sum()) for name, m in masks.items()}
     sizing = Sizing(graph, b, config.precision, nnz)
-    executor = _Executor(graph, params, masks, prepared, config)
-    result = replay(graph, config.strategy, sizing, executor=executor)
-    grads = executor.param_grads
+    plan = plan_for(graph, config.strategy)
+    step = _Step(graph, params, masks, prepared, config)
+    step.run(plan)
+    result = plan.evaluate(sizing)
+    grads = step.param_grads
     for name in params:
         if name not in grads and not name.endswith(("running_mean", "running_var")):
             grads.setdefault(name, np.zeros_like(params[name]))
     return StepResult(
-        loss=executor.loss,
+        loss=step.loss,
         grads=grads,
         peak_bytes=result.peak_bytes,
         peak_forward_bytes=result.peak_forward_bytes,
         peak_backward_bytes=result.peak_backward_bytes,
         recompute_events=result.recompute_events,
         recompute_flops=result.recompute_flops,
-        batch_stats=executor.batch_stats,
+        batch_stats=step.batch_stats,
     )
 
 

@@ -4,16 +4,13 @@
 one training step records a flat event list (forward, store statistics or
 payload, hold, recompute, backprop, drop).  What is stored, recomputed or
 dropped never depends on tensor sizes, and every byte and FLOP count is
-linear in the batch, so one list serves every configuration.  `replay`
-reads it in one of two ways:
-  - the cost model (no executor) evaluates it as vectors: a `Sizing`
-    holds a configuration's sizes, the plan's byte deltas gather them, a
-    cumulative sum gives the stored and gradient bytes at each sample
-    point, and the first maximum is the peak; FLOPs are dot products;
-  - the engine (with an executor) walks the events and calls the
-    executor's method for each, doing the real tensor math.
-Both therefore report byte-identical peaks and identical recompute counts
-by construction.
+linear in the batch, so one list serves every configuration.
+`Plan.evaluate` (and `replay`, which looks the plan up first) prices it
+as vectors: a `Sizing` holds a configuration's sizes, the plan's byte
+deltas gather them, a cumulative sum gives the stored and gradient bytes
+at each sample point, and the first maximum is the peak; FLOPs are dot
+products.  The engine walks the same events doing the real tensor math,
+so the schedule it runs is the schedule priced here.
 
 Accounting conventions (matching the node storage classes):
   - Each storing node owns a payload entry holding its input tensors plus
@@ -185,8 +182,8 @@ class _GraphTables:
         self.storing = [c != NOTHING for c in classes]
         self.bitmask = [c == BITMASK_INPUT for c in classes]
         self.pass_through = [op in PASS_THROUGH_OPS for op in ops]
-        self.excluded = _trim_excluded(g)
-        self.excluded_idx = [nd.node_id in self.excluded for nd in g.nodes]
+        excluded = _trim_excluded(g)
+        self.excluded_idx = [nd.node_id in excluded for nd in g.nodes]
         # backward-needs variants: tensor indices the backward kernel reads.
         # A stored, untrimmed payload covers everything its backward reads,
         # so only the missing-payload and trimmed-payload variants are listed.
@@ -404,12 +401,12 @@ class Sizing:
 # ---------------------------------------------------------------------------
 # The compiled schedule
 
-# Event opcodes, and the executor method each one calls.
+# Event opcodes: forward node i, i's forward done (each input has one
+# forward reader fewer), store i's statistics or payload, hold i's output,
+# recompute i, clear the step's recomputed values (node -1), backprop i,
+# drop i's payload, statistics or hold.
 (FORWARD, FORWARD_DONE, STORE_STATS, STORE_PAYLOAD, HOLD, RECOMPUTE, CLEAR,
  BACKPROP, DROP_PAYLOAD, DROP_STATS, DROP_HOLD) = range(11)
-EXECUTOR_METHODS = ("forward", "forward_done", "store_stats", "store_payload", "add_hold",
-                    "recompute", "clear_transients", "backprop", "drop_payload",
-                    "drop_stats", "drop_hold")
 
 
 @dataclass
@@ -427,8 +424,8 @@ class ReplayResult:
 class Plan:
     """The schedule of one (graph, strategy), compiled once.
 
-    `events` holds the (opcode, node index) pairs an executor walks, one
-    row each.  The byte arrays describe the same run for the cost model: delta
+    `events` holds the (opcode, node index) pairs of the step, one row
+    each, in the order they happen.  The byte arrays price the same run: delta
     k adds `sign * sizes[delta_idx[k]]` to the stored or the gradient bytes,
     where `sizes` is `Sizing.byte_sizes`; `samples` are the delta counts at
     which the peak is sampled (the first is the pin-only state before the
@@ -446,7 +443,6 @@ class Plan:
         for nid in checkpoint_nodes(g, strategy):
             self.keep[g.index[nid]] = True
         self.trimmed = strategy.kind in ("no_bn", "residual_star")
-        self.excluded = t.excluded if self.trimmed else set()
 
         # segments to materialize during backward
         self.segments: list[list[int]] = []  # member node indices, topo order
@@ -554,8 +550,6 @@ class Plan:
         return any((self.keep[c] or c in extra) and t.full_or_stats[c]
                    for c in t.consumer_idx[idx])
 
-    # -- the two interpreters ------------------------------------------------
-
     def evaluate(self, sizing: Sizing) -> ReplayResult:
         """Bytes and FLOPs of the schedule for one sizing."""
         sizes = sizing.byte_sizes(self.trimmed)[self.delta_idx]
@@ -575,24 +569,13 @@ class Plan:
             end_forward_bytes=pin + int(stored[self.end_forward]),
         )
 
-    def execute(self, sizing: Sizing, executor):
-        """Walk the events, calling the executor's method for each."""
-        executor.begin(self, sizing)
-        calls = [getattr(executor, name) for name in EXECUTOR_METHODS]
-        for op, i in self.events.tolist():
-            if op == CLEAR:
-                calls[op]()
-            else:
-                calls[op](i)
-        executor.finish()
-
 
 class _Compiler:
     """One symbolic forward/backward step under a plan's strategy.
 
     Which values are live, stored, recomputed or dropped never depends on
-    tensor sizes, so one run records the whole schedule: the executor events
-    and, for the cost model, the byte deltas and sample points.
+    tensor sizes, so one run records the whole schedule: the events and the
+    byte deltas and sample points that price them.
     """
 
     def __init__(self, plan: Plan, t: _GraphTables):
@@ -763,18 +746,7 @@ class _Compiler:
                 self._grads(upstream[0], -1)
 
 
-def replay(
-    graph: ComputationGraph,
-    strategy: CheckpointStrategy,
-    sizing: Sizing,
-    executor=None,
-) -> ReplayResult:
-    """Run one forward/backward step under a checkpoint strategy.
-
-    With `executor=None` this is the static cost model; with an engine
-    executor it also performs the actual computation on the same schedule.
-    """
-    plan = plan_for(graph, strategy)
-    if executor is not None:
-        plan.execute(sizing, executor)
-    return plan.evaluate(sizing)
+def replay(graph: ComputationGraph, strategy: CheckpointStrategy, sizing: Sizing) -> ReplayResult:
+    """Bytes and FLOPs of one forward/backward step under a checkpoint
+    strategy: the static cost model."""
+    return plan_for(graph, strategy).evaluate(sizing)

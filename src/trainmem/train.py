@@ -110,6 +110,9 @@ class TrainSettings:
         for key in ("minibatch", "microbatch", "log_every"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1")
+        for key in ("seed", "rewire_every"):
+            if getattr(self, key) < 0:
+                raise ConfigurationError(f"{key} must be >= 0")
         if self.minibatch > self.task_size:
             raise ConfigurationError(f"minibatch {self.minibatch} exceeds task_size {self.task_size}")
         if self.minibatch % self.microbatch:

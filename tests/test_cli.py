@@ -149,6 +149,8 @@ def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
     ("train", "desk-cnn", "log_every = 0\n", "log_every"),
     ("train", "desk-cnn", "density = 1.5\n", "density"),
     ("train", "desk-cnn", "optimizer = rmsprop\n", "optimizer"),
+    ("train", "desk-cnn", "rewire_every = -3\n", "rewire_every must be >= 0"),
+    ("train --seed=-1", "desk-cnn", "steps = 1\n", "seed must be >= 0"),
     ("train", "dc-transformer-iwslt", "steps = 1\n", "cost-model-only"),
     ("profile", "wrn-28-2", "precision = fp8\n", "precision"),
     ("profile", "wrn-28-2", "minibatch 100\n", "expected key = value"),
@@ -162,7 +164,7 @@ def test_bad_input_is_typed_error(tmp_path, capsys, command, arch, config, expec
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config)
     flag = "--sweep" if command == "pareto" else "--config"
-    code, out, err = run_cli([command, "--arch", arch, flag, str(cfg),
+    code, out, err = run_cli([*command.split(), "--arch", arch, flag, str(cfg),
                               "--out", str(tmp_path / "o")], capsys)
     assert code == 2
     assert err.startswith("error: ") and expect in err, err

@@ -10,7 +10,8 @@ from trainmem.errors import ContractError, UnsupportedOperationError
 from trainmem.graph import GraphBuilder
 from trainmem.kernels import QuantCtx, backward_op, forward_op
 from trainmem.numerics import NumericFormat, half_round
-from trainmem.plan import CheckpointStrategy
+from trainmem.plan import (HOLD, STORE_PAYLOAD, STORE_STATS, CheckpointStrategy, graph_tables,
+                           plan_for)
 
 S = CheckpointStrategy.parse
 FP16, FP32, FP64 = NumericFormat.FP16, NumericFormat.FP32, NumericFormat.FP64
@@ -125,35 +126,46 @@ def test_masked_gradients_are_zero_off_support():
         assert not np.any(res.grads[name][~m])
 
 
-def test_payload_tampering_detected():
-    g = build_desk_cnn([4, 4], 3, with_batchnorm=False)
+def _desk_step_inputs(with_batchnorm: bool):
+    g = build_desk_cnn([4, 4], 3, with_batchnorm=with_batchnorm)
     params = init_params(g, seed=4)
     rng = np.random.default_rng(4)
     batch = {"img": rng.normal(size=(2, 3, 8, 8)), "labels": rng.integers(0, 3, 2)}
+    return g, params, batch
 
-    from trainmem.engine import _Executor
 
-    class Tampering(_Executor):
-        def store_payload(self, i):
-            super().store_payload(i)
-            if self.g.nodes[i].node_id == "b2_conv2":
-                # delete a payload the strategy requires
-                payload = self.payloads[i]
-                for j in payload.get("inputs", ()):
-                    self.retain[j] -= 1
-                    self._maybe_drop(j)
-                payload["inputs"] = []
+@pytest.mark.parametrize("opcode,strategy,with_batchnorm,expect", [
+    (STORE_PAYLOAD, "none", False, "required but not stored"),
+    (STORE_STATS, "none", True, "missing cached statistics"),
+    (HOLD, "residual_star:1", True, "required but not stored"),
+], ids=["store_payload", "store_stats", "hold"])
+def test_schedule_tampering_detected(monkeypatch, opcode, strategy, with_batchnorm, expect):
+    # The engine counts its own references, independent of the compiler, so
+    # a schedule missing any one store or hold fails instead of computing.
+    # A payload that keeps nothing (its only input is a network input) is
+    # the exception: removing it changes nothing.
+    g, params, batch = _desk_step_inputs(with_batchnorm)
+    cfg = EngineConfig(strategy=S(strategy))
+    run_step(g, params, batch, cfg)  # the schedule as compiled runs
+    plan = plan_for(g, cfg.strategy)
+    t = graph_tables(g)
+    events = plan.events
+    rows = [k for k, (op, i) in enumerate(events.tolist())
+            if op == opcode and (op != STORE_PAYLOAD or t.needs_without_payload[i])]
+    assert rows
+    for k in rows:
+        monkeypatch.setattr(plan, "events", np.delete(events, k, axis=0))
+        with pytest.raises(ContractError, match=expect):
+            run_step(g, params, batch, cfg)
 
-    from trainmem.plan import Sizing, replay
 
-    cfg = EngineConfig(strategy=S("none"))
-    ex = Tampering(g, params, None, {
-        "img": np.asarray(batch["img"], dtype=np.float32),
-        "labels": batch["labels"].astype(np.int64),
-    }, cfg)
-    sizing = Sizing(g, 2, cfg.precision)
-    with pytest.raises(ContractError, match="required but not stored"):
-        replay(g, cfg.strategy, sizing, executor=ex)
+def test_unknown_opcode_rejected(monkeypatch):
+    g, params, batch = _desk_step_inputs(True)
+    plan = plan_for(g, S("none"))
+    events = np.insert(plan.events, len(plan.events) // 2, [11, 0], axis=0)
+    monkeypatch.setattr(plan, "events", events)
+    with pytest.raises(ContractError, match="unknown schedule opcode 11"):
+        run_step(g, params, batch, EngineConfig())
 
 
 def test_microbatch_trivial_split_is_identical():

@@ -3,7 +3,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from trainmem.archfile import load_arch
 from trainmem.builders import build_desk_cnn
 from trainmem.numerics import NumericFormat
 from trainmem.plan import CheckpointStrategy
@@ -67,3 +69,16 @@ def test_microbatched_training_runs():
                              log_every=10)
     res = train_desk(g, settings)
     assert res.metrics[-1]["loss"] < 3.0
+
+
+@pytest.mark.xfail(strict=True, reason="train_desk updates batchnorm running statistics "
+                   "only when microbatch == minibatch")
+def test_microbatched_training_updates_running_stats():
+    # Eval accuracy reads the running statistics, so every batchnorm's must
+    # move off its initial zero mean during training, microbatched or not.
+    g = load_arch("desk-cnn")
+    res = train_desk(g, TrainSettings(steps=5, minibatch=32, microbatch=8, log_every=5))
+    means = {k: v for k, v in res.params.items() if k.endswith(".running_mean")}
+    assert means
+    for name, mean in means.items():
+        assert np.any(mean != 0.0), name
