@@ -33,12 +33,12 @@ if __name__ == "__main__":
     # momentum rescaling: tiny momenta survive the round-trip to FP16
     tiny = np.full(8, 2.0e-8)  # below half the smallest binary16 subnormal
     print(f"momentum entries of {tiny[0]:.1e}:")
-    print(f"  plain round to FP16:      {half_round(tiny)[0]!r}")
+    print(f"  plain round to FP16:      {float(half_round(tiny)[0])!r}")
     params = {"w": half_round(np.ones(8))}
     state = SGDState.init(params, mu=1.0, weight_decay=0.0)
     state.momentum["w"] = tiny.copy()
     fp16_update_path(params, {"w": np.zeros(8)}, state, lr=0.0,
                      upcast=True, momentum_rescale=True, weight_decay=0.0)
     s = state.fp16_scales[(0, "w")]
-    print(f"  stored rescaled by {s:.3e}: {state.momentum['w'][0]!r} "
+    print(f"  stored rescaled by {s:.3e}: {float(state.momentum['w'][0])!r} "
           f"(recovers {state.momentum['w'][0] * s:.3e})")

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 from .graph import ComputationGraph
 from .kernels import QuantCtx, backward_op, forward_op
-from .numerics import NumericFormat, half_round
+from .numerics import NumericFormat, half_round  # noqa: F401  (bench/tracer.py wraps this name)
 from .plan import (BACKPROP, CLEAR, DROP_HOLD, DROP_PAYLOAD, DROP_STATS, FORWARD, FORWARD_DONE,
                    HOLD, NONE, RECOMPUTE, STORE_PAYLOAD, STORE_STATS, CheckpointStrategy, Plan,
                    Sizing, graph_tables, plan_for)
@@ -360,7 +360,7 @@ def run_microbatched(
         rec_events += step.recompute_events
         rec_flops += step.recompute_flops
         for name, gr in step.grads.items():
-            update = ctx.q(gr * np.asarray(weight, dtype=gr.dtype)) if ctx.fp16 else gr * weight
+            update = ctx.q(gr * weight)
             if name in acc:
                 acc[name] = ctx.accumulate(acc[name], update)
             else:
@@ -382,9 +382,9 @@ def init_params(
     seed: int = 0,
     precision: NumericFormat = NumericFormat.FP32,
 ) -> dict[str, np.ndarray]:
-    """He-style initialization at the requested precision."""
+    """He-style initialization at the requested precision, in its carrier."""
     rng = np.random.default_rng(seed)
-    dtype = np.float32 if precision is NumericFormat.FP32 else np.float64
+    ctx = QuantCtx(precision)
     params: dict[str, np.ndarray] = {}
     for node in graph.nodes:
         for spec in graph.params_of(node):
@@ -395,13 +395,10 @@ def init_params(
             else:
                 fan_in = int(np.prod(spec.shape[1:])) or 1
                 arr = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=spec.shape)
-            arr = arr.astype(dtype)
-            if precision is NumericFormat.FP16:
-                arr = half_round(arr.astype(np.float64))
-            params[spec.name] = arr
+            params[spec.name] = ctx.asarray(arr)
         if node.op == "batchnorm":
             c = node.p("channels")
-            params[f"{node.node_id}.running_mean"] = np.zeros(c, dtype=dtype)
-            params[f"{node.node_id}.running_var"] = np.ones(c, dtype=dtype)
+            params[f"{node.node_id}.running_mean"] = np.zeros(c, dtype=ctx.dtype)
+            params[f"{node.node_id}.running_var"] = np.ones(c, dtype=ctx.dtype)
     return params
 

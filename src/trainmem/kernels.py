@@ -1,14 +1,16 @@
 """Forward and backward math for each executable node kind.
 
 Arrays are batch-first.  FP32 runs natively in float32, FP64 in float64;
-FP16 is emulated on a float64 carrier whose values sit on the binary16
+FP16 is emulated on a float32 carrier whose values sit on the binary16
 grid: every elementwise result that can leave the grid is rounded back
-to it (a ReLU gradient only masks an on-grid value), and dot
-products honor the configured accumulator width (one rounding after the
-full reduction for a 32-bit accumulator, computed in float32; rounding
-after every addition for a 16-bit one).  Every GEMM goes through
-`QuantCtx.matmul`.  Norm layers are treated as single fused elementwise
-ops with statistics kept at full precision.
+to it (a ReLU gradient only masks an on-grid value); as 24 >= 2*11 + 2,
+one float32 +, -, * or / of binary16 values, so rounded, is correctly
+rounded.  Dot products honor the configured accumulator width (one
+rounding after the full float32 reduction for a 32-bit accumulator;
+rounding after every addition for a 16-bit one).  Every GEMM goes
+through `QuantCtx.matmul` but conv's dx taps under the 32-bit
+accumulator, whose raw sum is rounded once.  Norm layers are treated as
+single fused elementwise ops with statistics kept in the carrier.
 
 Convolution is k1*k2 shifted GEMMs.  Each call pads its input once into a
 zero buffer laid out channels-first with the batch folded in,
@@ -27,8 +29,9 @@ output grid with zeros in the junk columns:
   channel-major (16-bit).
 - dw[:, :, a, d] = G @ X_ad.T, one reduction per tap, rounded once in FP16.
 - dx: W_ad.T @ G is added into tap (a, d)'s slice of a zero input-shaped
-  buffer, taps in (a, d) order.  FP16 rounds each tap's product to
-  binary16 before the taps are summed, and the sum once more.
+  buffer, taps in (a, d) order, one reduction over (c_out, tap).  FP16
+  rounds it once (32-bit accumulator); the 16-bit accumulator rounds after
+  every addition inside each tap's product, and the sum of the taps once.
 
 The workspace is the padded input and the gradient grid; no value outlives
 the call.
@@ -46,21 +49,21 @@ NORM_EPS = 1e-5
 
 
 class QuantCtx:
-    """Precision context: carrier dtype and rounding/accumulation rules."""
+    """Precision context: the carrier dtype (float64 for FP64, float32 for
+    FP32 and FP16) and the rounding and accumulation rules."""
 
     def __init__(self, precision: NumericFormat, accumulator_width: int = 32):
         self.precision = precision
         self.accumulator_width = accumulator_width
-        self.dtype = np.float32 if precision is NumericFormat.FP32 else np.float64
+        self.dtype = np.float64 if precision is NumericFormat.FP64 else np.float32
         self.fp16 = precision is NumericFormat.FP16
-        # dtype of a GEMM's operands: float32 under FP16's 32-bit accumulator
-        self.gemm_dtype = np.float32 if self.fp16 and accumulator_width == 32 else self.dtype
+        # FP16 with a 16-bit accumulator: every addition of a reduction rounds
+        self.narrow = self.fp16 and accumulator_width == 16
 
     def asarray(self, x) -> np.ndarray:
-        a = np.asarray(x, dtype=self.dtype)
-        if self.fp16:
-            a = half_round(a)
-        return a
+        if self.fp16:  # at x's own precision: through float32, float64 x would round twice
+            x = half_round(x)
+        return np.asarray(x, dtype=self.dtype)
 
     def q(self, x: np.ndarray) -> np.ndarray:
         return half_round(x) if self.fp16 else x
@@ -75,27 +78,22 @@ class QuantCtx:
         each k, the products of every t in order.
         """
         terms = [(a[t], b[t]) for t in np.ndindex(a.shape[:-2])] if sum_stacks else [(a, b)]
-        if self.fp16 and self.accumulator_width == 16:
+        if self.narrow:
             acc = 0.0
             for k in range(a.shape[-1]):
                 for x, y in terms:
                     acc = half_round(acc + half_round(x[..., :, k, None] * y[..., None, k, :]))
             return acc
-        if self.fp16:
-            wide = self.gemm_dtype
-            terms = [(x.astype(wide, copy=False), y.astype(wide, copy=False)) for x, y in terms]
         acc = terms[0][0] @ terms[0][1]
         for x, y in terms[1:]:
             acc += x @ y
         return half_round(acc) if self.fp16 else acc
 
     def accumulate(self, buf: np.ndarray, update: np.ndarray) -> np.ndarray:
-        """buf + update under the accumulation rule (used across microbatches)."""
-        if not self.fp16:
-            return buf + update
-        if self.accumulator_width == 32:
-            return half_round(buf.astype(np.float32) + update.astype(np.float32))
-        return half_round(buf + update)
+        """buf + update under the accumulation rule (used across microbatches).
+        FP16 rounds the sum once at either width: the carrier's sum of two
+        binary16 values, rounded, is their correctly rounded sum."""
+        return self.q(buf + update)
 
 
 # ---------------------------------------------------------------------------
@@ -147,27 +145,28 @@ class _ConvGrid:
 
 
 def _tap_weights(weight, ctx: QuantCtx):
-    return np.ascontiguousarray(weight.transpose(2, 3, 0, 1), ctx.gemm_dtype)  # (k1, k2, c_out, c)
+    return np.ascontiguousarray(weight.transpose(2, 3, 0, 1), ctx.dtype)  # (k1, k2, c_out, c)
 
 
 def _conv2d_forward(node: Node, x, weight, ctx: QuantCtx):
     grid = _ConvGrid(node, x.shape)
-    out = ctx.matmul(_tap_weights(weight, ctx), grid.taps(grid.pad(x, ctx.gemm_dtype)),
+    out = ctx.matmul(_tap_weights(weight, ctx), grid.taps(grid.pad(x, ctx.dtype)),
                      sum_stacks=True)
     return _window(out, grid.b, grid.rows, grid.wp, 0, grid.h2, grid.w2)
 
 
 def _conv2d_backward(node: Node, g_out, x, weight, ctx: QuantCtx):
     grid = _ConvGrid(node, x.shape)
-    xbuf = grid.pad(x, ctx.gemm_dtype)
-    g = _place(g_out, grid.rows, grid.wp, 0, 0, ctx.gemm_dtype)  # zero in the junk columns
+    xbuf = grid.pad(x, ctx.dtype)
+    g = _place(g_out, grid.rows, grid.wp, 0, 0, ctx.dtype)  # zero in the junk columns
     dw = ctx.matmul(g, grid.taps(xbuf).swapaxes(2, 3)).transpose(2, 3, 0, 1).copy()
     wt = _tap_weights(weight, ctx)
     dbuf = np.zeros(xbuf.shape, ctx.dtype)
     dtaps = grid.taps(dbuf)
+    tap = ctx.matmul if ctx.narrow else np.matmul  # 32-bit: the raw sum is rounded once
     for a in range(grid.k1):  # taps summed in (a, d) order: the FP32 dx bits depend on it
         for d in range(grid.k2):
-            dtaps[a, d] += ctx.matmul(wt[a, d].T, g)
+            dtaps[a, d] += tap(wt[a, d].T, g)
     return ctx.q(_window(dbuf, grid.b, grid.hp, grid.wp, grid.p, grid.h, grid.w)), dw
 
 

@@ -1,9 +1,10 @@
 """Numeric formats and emulated binary16 rounding.
 
-Tensors are carried as float64 arrays regardless of their nominal format;
-an FP16 tensor is a float64 array whose every element sits exactly on the
-IEEE binary16 grid.  Byte accounting is always done by formula from the
-nominal format, never by measuring the carrier array.
+The engine carries FP64 tensors as float64 arrays and FP32 and FP16
+tensors as float32 arrays; an FP16 tensor is a float32 array whose every
+element sits exactly on the IEEE binary16 grid.  `DenseTensor` keeps its
+data as float64 whatever the format.  Byte accounting is always done by
+formula from the nominal format, never by measuring the carrier array.
 """
 
 from __future__ import annotations
@@ -37,19 +38,20 @@ class NumericFormat(Enum):
 
 
 def half_round(x):
-    """Round to the nearest IEEE binary16 value (ties to even), widened back.
+    """Round to the nearest IEEE binary16 value (ties to even), widened back
+    to float32 for a float32 input and to float64 for any other.
 
     Values beyond the binary16 finite range map to signed infinity; NaN maps
     to NaN.  Accepts scalars or arrays and preserves the input's shape.
-    A float32 input is cast to binary16 directly: every float32 value is a
-    float64 value, and both casts round once, so the result is the same.
+    Either input is cast to binary16 directly, so it is rounded once, and
+    every binary16 value is exact in both carriers.
     """
     a = np.asarray(x)
     if a.dtype != np.float32:
         a = a.astype(np.float64, copy=False)
     with np.errstate(over="ignore"):
-        out = a.astype(np.float16).astype(np.float64)
-    if np.isscalar(x) or np.ndim(x) == 0:
+        out = a.astype(np.float16).astype(a.dtype)
+    if out.ndim == 0:
         return float(out)
     return out
 

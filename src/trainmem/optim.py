@@ -2,9 +2,9 @@
 per-tensor momentum rescaling.
 
 There is never a persistent FP32 master copy of FP16 weights; the optional
-upcast path widens tensors transiently inside the update and rounds the
-results straight back to the binary16 grid.  Microbatch gradients are
-accumulated by `engine.run_microbatched`, not here.
+upcast path updates transient FP32 copies and rounds the results straight
+back to the binary16 grid.  Microbatch gradients are accumulated by
+`engine.run_microbatched`, not here.
 """
 
 from __future__ import annotations
@@ -173,11 +173,11 @@ def fp16_update_path(params, grads, state, lr: float, upcast: bool = True,
                      masks=None):
     """FP16 parameter update without a persistent FP32 master copy.
 
-    With `upcast`, tensors are transiently widened, updated, and rounded
-    back to the binary16 grid.  With `momentum_rescale`, each momentum
-    buffer is stored divided by a per-tensor power-of-two scale chosen so
-    its magnitude fits comfortably in the FP16 range; the scale is undone
-    on the way in and reapplied on the way out.
+    With `upcast`, transient copies are updated in FP32 arithmetic and the
+    results rounded back to the binary16 grid.  With `momentum_rescale`,
+    each momentum buffer is stored divided by a per-tensor power-of-two
+    scale chosen so its magnitude fits comfortably in the FP16 range; the
+    scale is undone on the way in and reapplied on the way out.
     """
     scales = state.fp16_scales
     buffers = [state.momentum] if isinstance(state, SGDState) else [state.m, state.v]
@@ -208,7 +208,7 @@ def fp16_update_path(params, grads, state, lr: float, upcast: bool = True,
             state.m, state.v, state.t = wstate.m, wstate.v, wstate.t
             buffers = [state.m, state.v]
         for name in params:
-            params[name] = half_round(wp[name].astype(np.float64))
+            params[name] = half_round(wp[name])
     elif is_sgd:
         # plain FP16 arithmetic: round after every expression
         for name, w in params.items():
@@ -241,11 +241,11 @@ def fp16_update_path(params, grads, state, lr: float, upcast: bool = True,
     for bi, d in enumerate(buffers):
         for name, buf in d.items():
             if momentum_rescale:
-                s = _rescale_factor(np.asarray(buf, dtype=np.float64))
+                s = _rescale_factor(buf)
                 new_scales[(bi, name)] = s
-                d[name] = half_round(np.asarray(buf, dtype=np.float64) / s)
+                d[name] = half_round(buf / s)
             else:
-                d[name] = half_round(np.asarray(buf, dtype=np.float64))
+                d[name] = half_round(buf)
     state.fp16_scales = new_scales
     if masks:
         for name, mask in masks.items():

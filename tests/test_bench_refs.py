@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from trainmem import builders, pareto, profiler
+from trainmem import builders, pareto, profiler, train
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -62,6 +62,21 @@ def test_profile_cold_outputs_match_reference(bench, tmp_path):
         assert rc == 0, (arch, cfg)
         assert text == ref[f"{arch}|{cfg}"], (arch, cfg)
     assert len(requests) == len(ref) == 202
+
+
+@pytest.mark.parametrize("workload", ["train-fp32", "train-fp16"])
+def test_train_calls_match_reference(bench, workload):
+    """Two of the 24 recorded seeds of each train setting pass the
+    benchmark's own check: finite losses, the engine peak equal to the
+    profiler's, FP16 parameters on the grid, and the final loss and
+    accuracy within tolerance of the recorded values."""
+    workloads, _ = bench
+    w = workloads.Train(workload, 0)
+    w.setup()
+    for setting in w.settings:
+        for seed in (0, 12):
+            s = workloads.train_settings(workload, setting, seed)
+            assert w.check(setting, s, train.train_desk(w.graph, s)) is None, (setting, seed)
 
 
 def test_tracer_targets_resolve(bench):

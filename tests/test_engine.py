@@ -187,8 +187,7 @@ def test_fp16_accumulator_width_effect_bounded(monkeypatch):
     # The additions have a simple bound, checked here on every one the
     # engine makes: each rounds the exact sum of two binary16 values (exact
     # in float64) once, so it loses at most 2^-11 of that sum (2^-25
-    # absolute among subnormals).  Under the 32-bit accumulator the float32
-    # sum is exact whenever the binary16 rounding is not already decided.
+    # absolute among subnormals), although the carrier sums in float32.
     additions = []
     accumulate = QuantCtx.accumulate
 
@@ -211,7 +210,7 @@ def test_fp16_accumulator_width_effect_bounded(monkeypatch):
         assert any(not np.array_equal(seq.grads[k], joint.grads[k]) for k in seq.grads)
     assert len(additions) == 4 * 2 * 3 * len(seq.grads)  # seeds x modes x (groups - 1)
     for buf, update, out in additions:
-        exact = buf + update
+        exact = buf.astype(np.float64) + update
         assert np.array_equal(out, half_round(out))
         assert np.all(np.abs(out - exact) <= 2.0**-11 * np.abs(exact) + 2.0**-25)
 

@@ -1,10 +1,13 @@
 """Kernel math against independent oracles: the stacked and summed
-`QuantCtx.matmul`, and conv2d forward, dx and dw against a direct float64
-loop over output positions."""
+`QuantCtx.matmul`, conv2d forward, dx and dw against a direct float64
+loop over output positions, and the FP16 float32 carrier against the same
+expressions in float64 rounded once."""
 
 import numpy as np
 import pytest
 
+from trainmem.builders import build_desk_cnn
+from trainmem.engine import init_params
 from trainmem.graph import Node
 from trainmem.kernels import QuantCtx, backward_op, forward_op
 from trainmem.numerics import NumericFormat, half_round
@@ -142,20 +145,20 @@ def test_conv_fp32_within_float32_bound(case):
 
 @pytest.mark.parametrize("case", CONV_CASES)
 def test_conv_fp16_on_grid_within_rounding_bound(case):
-    # 32-bit accumulator: out and dw round once after a float32 reduction;
-    # dx rounds each tap's product, then the sum of the taps.  Each
-    # rounding to binary16 errs by at most 2^-11 relative, or 2^-25
-    # absolute below the normal range.
+    # 32-bit accumulator: out, dx and dw each round once after a float32
+    # reduction, and are carried as float32.  The rounding to binary16
+    # errs by at most 2^-11 relative, or 2^-25 absolute below the normal
+    # range.
     (x, w, g), got = run_conv(case, FP16, 32)
-    s, p, k1, k2 = case[7], case[8], case[5], case[6]
+    s, p = case[7], case[8]
+    x, w, g = (a.astype(np.float64) for a in (x, w, g))
     refs = conv_oracle(x, w, s, p, g)
     mags = conv_oracle(np.abs(x), np.abs(w), s, p, np.abs(g))
-    roundings = (1, 2, 1)
-    subnormal = (1, k1 * k2 + 1, 1)
-    for name, val, ref, mag, k, r, m in zip(("out", "dx", "dw"), got, refs, mags,
-                                            reduction_lengths(case), roundings, subnormal):
+    for name, val, ref, mag, k in zip(("out", "dx", "dw"), got, refs, mags,
+                                      reduction_lengths(case)):
+        assert val.dtype == np.float32, name
         assert np.array_equal(val, half_round(val)), name
-        bound = (r * U16 + k * U32) * mag * 1.01 + m * HALF_SUBNORMAL
+        bound = (U16 + k * U32) * mag * 1.01 + HALF_SUBNORMAL
         assert np.all(np.abs(val - ref) <= bound), name
 
 
@@ -166,3 +169,85 @@ def test_conv_results_are_contiguous_and_own_their_data(case, precision, width):
     _, got = run_conv(case, precision, width)
     for name, val in zip(("out", "dx", "dw"), got):
         assert val.flags.c_contiguous and val.flags.owndata and val.base is None, name
+
+
+# ---------------------------------------------------------------------------
+# the FP16 float32 carrier
+
+
+def binary16_operands(rng, shape, scale=1.0):
+    """Random binary16 values as float32: normals of every exponent,
+    subnormals, and values near the 65504 limit, with both signs; all
+    times `scale`, rounded to binary16."""
+    normal = np.ldexp(rng.uniform(1, 2, shape), rng.integers(-14, 16, shape))
+    subnormal = rng.integers(1, 1024, shape) * 2.0 ** -24
+    near_max = 65504 - rng.integers(0, 64, shape) * 32.0
+    pick = rng.integers(0, 3, shape)
+    x = np.choose(pick, [normal, subnormal, near_max]) * rng.choice([-1.0, 1.0], shape)
+    return half_round(x * scale).astype(np.float32)
+
+
+def same_bits(got, want):
+    """got (float32) equals want (float64) in value and sign, NaN as NaN."""
+    assert got.dtype == np.float32
+    wide = got.astype(np.float64)
+    return (np.array_equal(wide, want, equal_nan=True)
+            and np.array_equal(np.signbit(wide), np.signbit(want)))
+
+
+def test_fp16_carrier_matches_float64_rounded_once(monkeypatch):
+    # One +, -, * or / of binary16 values in float32, rounded to binary16,
+    # is the correctly rounded result: each kernel below must agree bit for
+    # bit with the same expression in float64 rounded once.
+    rng = np.random.default_rng(17)
+    ctx = QuantCtx(FP16)
+    a, b = binary16_operands(rng, (64, 48)), binary16_operands(rng, (64, 48))
+    wa, wb = a.astype(np.float64), b.astype(np.float64)
+
+    add = Node("s", "add", ("a", "b"), {})
+    assert same_bits(forward_op(add, [a, b], {}, ctx)[0], half_round(wa + wb))
+    relu = Node("r", "relu", ("a",), {})
+    assert same_bits(forward_op(relu, [a], {}, ctx)[0], np.maximum(wa, 0))
+    mask = b > 0
+    assert same_bits(backward_op(relu, a, {"mask": mask}, {}, ctx)[0][0], wa * mask)
+    for width in (16, 32):
+        assert same_bits(QuantCtx(FP16, width).accumulate(a, b), half_round(wa + wb))
+
+    # linear: the bias add on the GEMM's rounded output.  GEMM operands
+    # are scaled by 2^-8 so that no product overflows (sums still may).
+    lin = Node("l", "linear", ("a",), dict(d_in=48, d_out=48, bias=1))
+    x = binary16_operands(rng, (16, 48), 2.0 ** -8)
+    w = binary16_operands(rng, (48, 48), 2.0 ** -8)
+    bias = binary16_operands(rng, (48,))
+    params = {"l.weight": w, "l.bias": bias}
+    out = forward_op(lin, [x], params, ctx)[0]
+    gemm = ctx.matmul(x, w.T).astype(np.float64)
+    assert same_bits(out, half_round(gemm + bias.astype(np.float64)))
+
+    # the 16-bit accumulator rounds every product and every addition
+    x, y = binary16_operands(rng, (5, 12), 2.0 ** -8), binary16_operands(rng, (12, 7), 2.0 ** -8)
+    wx, wy = x.astype(np.float64), y.astype(np.float64)
+    acc = np.zeros((5, 7))
+    for k in range(12):
+        acc = half_round(acc + half_round(wx[:, k, None] * wy[None, k, :]))
+    assert same_bits(QuantCtx(FP16, 16).matmul(x, y), acc)
+
+    # Conversion from float64 rounds once.  1 + 2^-11 + 2^-30 lies above
+    # the binary16 midpoint 1 + 2^-11, so it rounds up to 1 + 2^-10;
+    # through float32 it would first become the midpoint itself and then
+    # round to even, down to 1.0.
+    v = 1 + 2.0 ** -11 + 2.0 ** -30
+    assert half_round(np.float32(v)) == 1.0
+    got = QuantCtx(FP16).asarray(np.array([v, -v]))
+    assert got.dtype == np.float32 and list(got) == [1 + 2.0 ** -10, -1 - 2.0 ** -10]
+
+    class Draws:
+        def normal(self, loc, scale, size):
+            return np.full(size, v)
+
+    g = build_desk_cnn([4], 3, with_batchnorm=False)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
+    params = init_params(g, seed=0, precision=FP16)
+    weights = [p for name, p in params.items() if name.endswith(".weight")]
+    assert weights and all(p.dtype == np.float32 for p in weights)
+    assert all(np.all(p == 1 + 2.0 ** -10) for p in weights)

@@ -42,9 +42,9 @@ def test_half_round_matches_reference_codec():
 
 
 def test_half_round_float32_input_matches_reference_codec():
-    # float32 inputs are cast straight to binary16; ties, the float32
-    # neighbours of every tie, subnormals and overflow must still round as
-    # the value does
+    # float32 inputs are cast straight to binary16 and stay float32; ties,
+    # the float32 neighbours of every tie, subnormals and overflow must
+    # still round as the value does
     rng = np.random.default_rng(11)
     ties = np.array([(decode_binary16(b) + decode_binary16(b + 1)) / 2
                      for b in range(0, 0x7BFF, 13)], dtype=np.float32)
@@ -58,8 +58,12 @@ def test_half_round_float32_input_matches_reference_codec():
     ])
     xs = np.concatenate([xs, -xs])
     out = half_round(xs)
-    assert out.dtype == np.float64 and out.shape == xs.shape
+    assert out.dtype == np.float32 and out.shape == xs.shape
     assert [float(v) for v in out] == [reference_half_round(float(x)) for x in xs]
+    # the same values as float64 stay float64
+    out64 = half_round(xs.astype(np.float64))
+    assert out64.dtype == np.float64 and out64.shape == xs.shape
+    assert [float(v) for v in out64] == [reference_half_round(float(x)) for x in xs]
 
 
 def test_codec_is_self_consistent():
