@@ -26,7 +26,8 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 from .graph import ComputationGraph
 from .kernels import QuantCtx, backward_op, forward_op
-from .numerics import NumericFormat, half_round  # noqa: F401  (bench/tracer.py wraps this name)
+from .numerics import FlatLayout, NumericFormat
+from .numerics import half_round  # noqa: F401  (bench/tracer.py wraps this name)
 from .plan import (BACKPROP, CLEAR, DROP_HOLD, DROP_PAYLOAD, DROP_STATS, FORWARD, FORWARD_DONE,
                    HOLD, NONE, RECOMPUTE, STORE_PAYLOAD, STORE_STATS, CheckpointStrategy, Plan,
                    Sizing, graph_tables, plan_for)
@@ -344,7 +345,7 @@ def run_microbatched(
         return run_step(graph, params, batch, config, masks)
     ctx = config.ctx()
     weight = microbatch_size / n
-    acc: dict[str, np.ndarray] = {}
+    layout = acc = None  # gradients packed into one flat buffer
     losses = []
     stats = {}
     peaks = []
@@ -359,19 +360,17 @@ def run_microbatched(
         peaks.append((step.peak_bytes, step.peak_forward_bytes, step.peak_backward_bytes))
         rec_events += step.recompute_events
         rec_flops += step.recompute_flops
-        for name, gr in step.grads.items():
-            update = ctx.q(gr * weight)
-            if name in acc:
-                acc[name] = ctx.accumulate(acc[name], update)
-            else:
-                acc[name] = update
+        if layout is None:
+            layout = FlatLayout(step.grads)
+        update = ctx.q(layout.pack(step.grads) * weight)
+        acc = update if acc is None else ctx.accumulate(acc, update)
     loss = float(np.mean(losses))
     if config.exec_mode == "joint":
         # simulated microbatching holds every group at once
         peak = tuple(sum(axis) for axis in zip(*peaks))
     else:
         peak = max(peaks)
-    return StepResult(loss=loss, grads=acc, peak_bytes=peak[0],
+    return StepResult(loss=loss, grads=layout.unpack(acc), peak_bytes=peak[0],
                       peak_forward_bytes=peak[1], peak_backward_bytes=peak[2],
                       recompute_events=rec_events, recompute_flops=rec_flops,
                       batch_stats={"groups": stats})

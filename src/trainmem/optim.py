@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .numerics import half_round
+from .numerics import FlatLayout, half_round
 
 WRN_MOMENTUM = 0.9
 WRN_WEIGHT_DECAY = 5e-4
@@ -152,20 +152,21 @@ def loss_scale_update(scaler: LossScaler, grads_have_nonfinite: bool) -> tuple[L
     return s, False
 
 
-def grads_nonfinite(grads: dict[str, np.ndarray]) -> bool:
-    return any(not np.all(np.isfinite(g)) for g in grads.values())
+def grads_nonfinite(flat: np.ndarray) -> bool:
+    """Whether a packed gradient buffer holds an infinity or NaN."""
+    return not np.isfinite(flat).all()
 
 
 # ---------------------------------------------------------------------------
 # FP16 update path
 
 
-def _rescale_factor(buf: np.ndarray) -> float:
-    """Per-tensor power-of-two scale putting max|m|/s into [2^9, 2^11)."""
-    peak = float(np.max(np.abs(buf))) if buf.size else 0.0
-    if peak == 0.0 or not math.isfinite(peak):
-        return 1.0
-    return 2.0 ** (math.floor(math.log2(peak)) - 10)
+def _rescale_factors(layout: FlatLayout, buf: np.ndarray) -> np.ndarray:
+    """Per-tensor power-of-two scales putting max|m|/s into [2^9, 2^11);
+    1 where the tensor is all zero or not finite."""
+    peak = np.maximum.reduceat(np.abs(buf), layout.offsets[:-1]).astype(np.float64)
+    _, e = np.frexp(peak)  # peak = f * 2^e with f in [0.5, 1)
+    return np.where((peak > 0) & np.isfinite(peak), np.ldexp(1.0, e - 11), 1.0)
 
 
 def fp16_update_path(params, grads, state, lr: float, upcast: bool = True,
@@ -178,79 +179,80 @@ def fp16_update_path(params, grads, state, lr: float, upcast: bool = True,
     each momentum buffer is stored divided by a per-tensor power-of-two
     scale chosen so its magnitude fits comfortably in the FP16 range; the
     scale is undone on the way in and reapplied on the way out.
+
+    Parameters, gradients and each momentum buffer are packed into one flat
+    array apiece (parameters with a gradient first), so every step below is
+    one call over all tensors; `params` and the state's buffers come back as
+    views of those arrays.  Parameters without a gradient are not updated,
+    but their momenta are still rescaled and stored, and with `upcast` the
+    parameters are still rounded.
     """
-    scales = state.fp16_scales
-    buffers = [state.momentum] if isinstance(state, SGDState) else [state.m, state.v]
-    # undo storage scaling to recover true momentum values (exact: powers of two)
-    for bi, d in enumerate(buffers):
-        for name, buf in d.items():
-            s = scales.get((bi, name), 1.0)
-            if s != 1.0:
-                d[name] = buf * s
     is_sgd = isinstance(state, SGDState)
     if is_sgd:
         wd = state.weight_decay if weight_decay is None else weight_decay
     else:
         wd = TRANSFORMER_WEIGHT_DECAY if weight_decay is None else weight_decay
+    live = [k for k in params if k in grads]
+    layout = FlatLayout({k: params[k] for k in live + [k for k in params if k not in grads]})
+    n = int(layout.offsets[len(live)])
+    carrier = np.float32 if upcast else None
+    w = layout.pack(params, carrier)
+    g = FlatLayout({k: params[k] for k in live}).pack(grads, carrier)
+    dicts = [state.momentum] if is_sgd else [state.m, state.v]
+    bufs = []
+    for bi, d in enumerate(dicts):
+        # undo storage scaling to recover true momentum values (exact: powers of two)
+        buf = layout.pack(d)
+        buf *= layout.spread([state.fp16_scales.get((bi, k), 1.0) for k in layout.names],
+                             buf.dtype)
+        bufs.append(buf.astype(carrier, copy=False) if upcast else buf)
     if upcast:
         # transient FP32 widening; no persistent wide copies survive the call
-        f32 = lambda d: {k: v.astype(np.float32) for k, v in d.items()}
-        wp, wg = f32(params), f32(grads)
         if is_sgd:
-            wstate = SGDState(f32(state.momentum), state.mu, wd)
-            sgd_nesterov_step(wp, wg, wstate, lr)
-            buffers = [wstate.momentum]
-            state.momentum = wstate.momentum
+            sgd_nesterov_step({"": w[:n]}, {"": g},
+                              SGDState({"": bufs[0][:n]}, state.mu, wd), lr)
         else:
-            wstate = AdamState(f32(state.m), f32(state.v), state.beta1, state.beta2,
-                               state.eps, state.t)
-            adam_step(wp, wg, wstate, lr, weight_decay=wd)
-            state.m, state.v, state.t = wstate.m, wstate.v, wstate.t
-            buffers = [state.m, state.v]
-        for name in params:
-            params[name] = half_round(wp[name])
+            wstate = AdamState({"": bufs[0][:n]}, {"": bufs[1][:n]}, state.beta1,
+                               state.beta2, state.eps, state.t)
+            adam_step({"": w[:n]}, {"": g}, wstate, lr, weight_decay=wd)
+            state.t = wstate.t
+        w = half_round(w)
     elif is_sgd:
         # plain FP16 arithmetic: round after every expression
-        for name, w in params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            gp = half_round(g + half_round(wd * w)) if wd else g
-            b = half_round(half_round(state.mu * state.momentum[name]) + gp)
-            state.momentum[name] = b
-            params[name] = half_round(
-                w - half_round(lr * half_round(gp + half_round(state.mu * b)))
-            )
+        wl = w[:n]
+        gp = half_round(g + half_round(wd * wl)) if wd else g
+        b = bufs[0][:n] = half_round(half_round(state.mu * bufs[0][:n]) + gp)
+        wl[...] = half_round(wl - half_round(lr * half_round(gp + half_round(state.mu * b))))
     else:
         state.t += 1
         c1 = 1.0 - state.beta1 ** state.t
         c2 = 1.0 - state.beta2 ** state.t
-        for name, w in params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            if wd:
-                g = half_round(g + half_round(wd * w))
-            m = half_round(half_round(state.beta1 * state.m[name]) + half_round((1 - state.beta1) * g))
-            v = half_round(half_round(state.beta2 * state.v[name]) + half_round((1 - state.beta2) * np.square(g)))
-            state.m[name], state.v[name] = m, v
-            upd = half_round(half_round(m / c1) / half_round(np.sqrt(half_round(v / c2)) + state.eps))
-            params[name] = half_round(w - half_round(lr * upd))
+        wl = w[:n]
+        if wd:
+            g = half_round(g + half_round(wd * wl))
+        m = bufs[0][:n] = half_round(half_round(state.beta1 * bufs[0][:n])
+                                     + half_round((1 - state.beta1) * g))
+        v = bufs[1][:n] = half_round(half_round(state.beta2 * bufs[1][:n])
+                                     + half_round((1 - state.beta2) * np.square(g)))
+        upd = half_round(half_round(m / c1) / half_round(np.sqrt(half_round(v / c2)) + state.eps))
+        wl[...] = half_round(wl - half_round(lr * upd))
     # store momenta back, rescaled and rounded to the FP16 grid
     new_scales = {}
-    for bi, d in enumerate(buffers):
-        for name, buf in d.items():
-            if momentum_rescale:
-                s = _rescale_factor(buf)
-                new_scales[(bi, name)] = s
-                d[name] = half_round(buf / s)
-            else:
-                d[name] = half_round(buf)
+    for bi, buf in enumerate(bufs):
+        if momentum_rescale:
+            scales = _rescale_factors(layout, buf)
+            new_scales.update({(bi, k): float(s) for k, s in zip(layout.names, scales)})
+            buf = buf / layout.spread(scales, buf.dtype)
+        bufs[bi] = half_round(buf)
     state.fp16_scales = new_scales
     if masks:
+        keep = np.ones(layout.size, dtype=w.dtype)
+        views = layout.unpack(keep)
         for name, mask in masks.items():
-            if name in params:
-                params[name] = params[name] * mask
-            for d in buffers:
-                if name in d:
-                    d[name] = d[name] * mask
+            if name in views:
+                views[name][...] = mask
+        for flat in [w, *bufs]:
+            flat *= keep
+    params.update(layout.unpack(w))
+    for d, buf in zip(dicts, bufs):
+        d.update(layout.unpack(buf))

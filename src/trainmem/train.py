@@ -17,7 +17,7 @@ from .engine import EngineConfig, init_params, require_executable, run_microbatc
 from .errors import ConfigurationError, TrainmemError, UnsupportedOperationError
 from .graph import ComputationGraph
 from .kernels import forward_op
-from .numerics import NumericFormat, half_round
+from .numerics import FlatLayout, NumericFormat, half_round
 from .optim import (
     LossScaler,
     SGDState,
@@ -107,7 +107,7 @@ class TrainSettings:
     def __post_init__(self):
         if self.microbatch is None:
             self.microbatch = self.minibatch
-        for key in ("minibatch", "microbatch", "log_every"):
+        for key in ("steps", "minibatch", "microbatch", "log_every"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1")
         for key in ("seed", "rewire_every"):
@@ -205,12 +205,12 @@ def train_desk(
             on_after_backward(step, grads)
         skip = False
         if fp16 and settings.loss_scaling:
-            overflow = grads_nonfinite(grads)
-            scaler, skip = loss_scale_update(scaler, overflow)
+            layout = FlatLayout(grads)
+            flat = layout.pack(grads)
+            scaler, skip = loss_scale_update(scaler, grads_nonfinite(flat))
             scale_trace.append(scaler.scale)
             if not skip and engine_cfg.loss_scale != 1.0:
-                inv = 1.0 / engine_cfg.loss_scale
-                grads = {k: half_round(g * inv) for k, g in grads.items()}
+                grads = layout.unpack(half_round(flat * (1.0 / engine_cfg.loss_scale)))
         if skip:
             skipped += 1
             if not np.isfinite(res.loss) and scaler.scale <= scaler.min_scale:
@@ -252,12 +252,11 @@ def train_desk(
                 "loss_scale": scaler.scale if fp16 and settings.loss_scaling else None,
             })
 
-    final_acc = _accuracy(graph, params, images, labels, eval_cfg)
     return TrainResult(
         metrics=metrics,
         rewire_log=rewire_log,
         scale_trace=scale_trace,
-        final_accuracy=final_acc,
+        final_accuracy=acc,  # logged at the last step
         peak_activation_bytes=peak_bytes,
         params=params,
         masks=masks or {},

@@ -146,6 +146,7 @@ def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
     ("train", "desk-cnn", "log_every = 2.5\n", "log_every"),
     ("train", "desk-cnn", "minibatch = 300\n", "task_size"),
     ("train", "desk-cnn", "minibatch = 0\n", "minibatch"),
+    ("train", "desk-cnn", "steps = 0\n", "steps must be >= 1"),
     ("train", "desk-cnn", "log_every = 0\n", "log_every"),
     ("train", "desk-cnn", "density = 1.5\n", "density"),
     ("train", "desk-cnn", "optimizer = rmsprop\n", "optimizer"),

@@ -208,11 +208,38 @@ def test_fp16_accumulator_width_effect_bounded(monkeypatch):
                                  EngineConfig(precision=FP16, exec_mode="joint"))
         # the width genuinely matters
         assert any(not np.array_equal(seq.grads[k], joint.grads[k]) for k in seq.grads)
-    assert len(additions) == 4 * 2 * 3 * len(seq.grads)  # seeds x modes x (groups - 1)
+    # one packed addition per group boundary: seeds x modes x (groups - 1),
+    # covering every gradient element
+    assert len(additions) == 4 * 2 * 3
+    assert sum(out.size for _, _, out in additions) == (
+        4 * 2 * 3 * sum(v.size for v in seq.grads.values()))
     for buf, update, out in additions:
         exact = buf.astype(np.float64) + update
         assert np.array_equal(out, half_round(out))
         assert np.all(np.abs(out - exact) <= 2.0**-11 * np.abs(exact) + 2.0**-25)
+
+
+@pytest.mark.parametrize("precision,width", [(FP16, 16), (FP16, 32), (FP32, 32)])
+def test_microbatched_packed_accumulation_matches_per_parameter(precision, width):
+    # run_microbatched packs the gradients into one buffer; its sums must
+    # equal a per-parameter weighting and accumulation over run_step
+    g = build_desk_cnn([4, 6], 3, with_batchnorm=True, input_shape=(2, 8, 8))
+    params = init_params(g, seed=4, precision=precision)
+    rng = np.random.default_rng(4)
+    batch = {"img": rng.normal(size=(6, 2, 8, 8)), "labels": rng.integers(0, 3, 6)}
+    masks = {"b1_conv1.weight": rng.random(params["b1_conv1.weight"].shape) < 0.5}
+    cfg = EngineConfig(precision=precision, accumulator_width=width)
+    got = run_microbatched(g, params, batch, 2, cfg, masks=masks).grads
+    ctx, weight, want = cfg.ctx(), 2 / 6, {}  # a weight off the binary16 grid
+    for gi in range(3):
+        sub = {k: v[2 * gi:2 * gi + 2] for k, v in batch.items()}
+        for name, gr in run_step(g, params, sub, cfg, masks=masks).grads.items():
+            update = ctx.q(gr * weight)
+            want[name] = ctx.accumulate(want[name], update) if name in want else update
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def test_fp16_outputs_on_grid():

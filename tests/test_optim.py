@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from trainmem.numerics import half_round
 from trainmem.optim import (
@@ -183,3 +184,55 @@ def test_fp16_path_stays_finite():
                          upcast=True, momentum_rescale=True, weight_decay=0.0)
         assert np.all(np.isfinite(params["w"]))
         assert np.all(np.isfinite(state.momentum["w"]))
+
+
+@pytest.mark.parametrize("adam", [False, True])
+@pytest.mark.parametrize("upcast", [True, False])
+@pytest.mark.parametrize("rescale", [True, False])
+def test_fp16_update_path_packed_equals_per_tensor(adam, upcast, rescale):
+    # One call over a dict of tensors must equal one call per tensor, each
+    # with its own state: no scale, mask or update leaks across the tensors'
+    # boundaries in the packed buffers.  "bn.running_mean" has no gradient.
+    rng = np.random.default_rng(21)
+    shapes = {"conv": (3, 2, 3, 3), "bias": (5,), "bn.running_mean": (4,), "fc": (4, 6)}
+    masks = {"conv": rng.random(shapes["conv"]) < 0.5}
+
+    def init():
+        return {k: half_round(rng.normal(size=s, scale=0.3).astype(np.float32))
+                for k, s in shapes.items()}
+
+    def make_state(params):
+        if adam:
+            return AdamState.init(params)
+        return SGDState.init(params, mu=0.9, weight_decay=5e-4)
+
+    params = init()
+    state = make_state(params)
+    singles = {k: ({k: v.copy()},) for k, v in params.items()}
+    singles = {k: (p, make_state(p)) for k, (p,) in singles.items()}
+    for it in range(4):
+        # magnitudes two binades apart, so the per-tensor scales differ, and
+        # none so small that plain FP16 Adam's denominator rounds to zero
+        grads = {k: half_round((rng.choice([-1, 1], size=s) * rng.uniform(0.5, 1, size=s)
+                                * 4.0**-i).astype(np.float32))
+                 for i, (k, s) in enumerate(shapes.items()) if k != "bn.running_mean"}
+        kw = dict(upcast=upcast, momentum_rescale=rescale,
+                  weight_decay=None if adam else 5e-4)
+        fp16_update_path(params, grads, state, 0.05, masks=masks, **kw)
+        for k, (p, st) in singles.items():
+            fp16_update_path(p, {k: grads[k]} if k in grads else {}, st, 0.05,
+                             masks={k: masks[k]} if k in masks else None, **kw)
+        bufs = [state.m, state.v] if adam else [state.momentum]
+        scales = {}
+        for k, (p, st) in singles.items():
+            one = [st.m, st.v] if adam else [st.momentum]
+            assert p[k].dtype == params[k].dtype
+            assert p[k].tobytes() == params[k].tobytes(), (it, k)
+            for b, b1 in zip(bufs, one):
+                assert b1[k].dtype == b[k].dtype and b1[k].tobytes() == b[k].tobytes(), (it, k)
+            scales.update(st.fp16_scales)
+        assert scales == state.fp16_scales
+    if rescale:
+        assert len(set(state.fp16_scales.values())) > 2  # the scales really differ
+    assert np.all(params["conv"][~masks["conv"]] == 0.0)
+    assert all(np.all(np.isfinite(p)) for p in params.values())

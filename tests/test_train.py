@@ -7,6 +7,7 @@ import pytest
 
 from trainmem.archfile import load_arch
 from trainmem.builders import build_desk_cnn
+from trainmem.errors import ConfigurationError
 from trainmem.numerics import NumericFormat
 from trainmem.plan import CheckpointStrategy
 from trainmem.train import TrainSettings, make_synthetic_task, metrics_to_jsonl, train_desk
@@ -52,6 +53,32 @@ def test_dsr_run_keeps_budget_in_log():
     assert len(budgets) == 1  # total nonzeros constant across every rewire
     nnzs = {m["nnz"] for m in res.metrics}
     assert nnzs == budgets
+
+
+def test_final_accuracy_reuses_last_logged_evaluation(monkeypatch):
+    # steps 2 and 4 are logged, and step 5 as the last; the final accuracy
+    # is that last evaluation, not a fourth forward pass
+    from trainmem import train
+
+    calls = []
+    forward_eval = train.forward_eval
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return forward_eval(*args, **kwargs)
+
+    monkeypatch.setattr(train, "forward_eval", counting)
+    res = train_desk(build_desk_cnn([4, 4], 4),
+                     TrainSettings(steps=5, minibatch=8, log_every=2, seed=2))
+    assert len(calls) == 3
+    assert [m["step"] for m in res.metrics] == [2, 4, 5]
+    assert round(res.final_accuracy, 6) == res.metrics[-1]["accuracy"]
+
+
+@pytest.mark.parametrize("steps", [0, -4])
+def test_steps_must_be_positive(steps):
+    with pytest.raises(ConfigurationError, match="steps must be >= 1"):
+        TrainSettings(steps=steps)
 
 
 def test_fp16_training_runs_with_scaling():
