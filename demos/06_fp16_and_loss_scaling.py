@@ -37,8 +37,7 @@ if __name__ == "__main__":
     params = {"w": half_round(np.ones(8))}
     state = SGDState.init(params, mu=1.0, weight_decay=0.0)
     state.momentum["w"] = tiny.copy()
-    fp16_update_path(params, {"w": np.zeros(8)}, state, lr=0.0,
-                     upcast=True, momentum_rescale=True, weight_decay=0.0)
+    fp16_update_path(params, {"w": np.zeros(8)}, state, lr=0.0)
     s = state.fp16_scales[(0, "w")]
     print(f"  stored rescaled by {s:.3e}: {float(state.momentum['w'][0])!r} "
           f"(recovers {state.momentum['w'][0] * s:.3e})")

@@ -14,87 +14,17 @@ CONV_GROUP = "conv"
 FC_EMBED_GROUP = "fc_embed"
 
 
-def build_wrn(
-    depth: int = 28,
-    width_multiplier: float = 2.0,
-    num_classes: int = 10,
-    input_shape: tuple[int, int, int] = (3, 32, 32),
-) -> ComputationGraph:
-    """Wide residual network with identity (parameter-free) shortcuts.
+def _preact_resnet(g: GraphBuilder, x: str, c_in: int, h: int,
+                   blocks: list[tuple[str, int, int]], classes: int,
+                   with_batchnorm: bool) -> ComputationGraph:
+    """Pre-activation residual blocks after the stem `x`, then the pooled
+    linear classifier and its softmax loss.
 
-    Pre-activation blocks; the sparsifiable group holds every convolution
-    except the stem, and excludes the classifier, norm parameters, and
-    biases.  Downsampling shortcuts use stride-2 pooling plus zero channel
-    padding so they contribute no parameters.
+    `blocks` lists (name prefix, width, stride).  Shortcuts are parameter-
+    free: stride-2 pooling plus zero channel padding.  Both block convs are
+    in the sparsifiable conv group.
     """
-    if (depth - 4) % 6 != 0:
-        raise ConfigurationError(f"depth must satisfy (depth - 4) % 6 == 0, got {depth}")
-    n = (depth - 4) // 6
-    widths = [int(16 * width_multiplier), int(32 * width_multiplier), int(64 * width_multiplier)]
-
-    g = GraphBuilder(name=f"wrn-{depth}-{width_multiplier:g}")
-    g.add("img", "input", shape=input_shape, dtype="float")
-    g.add("labels", "input", shape=(), dtype="int")
-    x = g.add("conv0", "conv2d", "img", c_in=input_shape[0], c_out=16, k1=3, k2=3,
-              stride=1, pad=1, sparse=0)
-    c_in = 16
-    h = input_shape[1]
-    bi = 0
-    for gi, width in enumerate(widths):
-        for b in range(n):
-            stride = 2 if (gi > 0 and b == 0) else 1
-            bi += 1
-            p = f"g{gi + 1}b{b + 1}"
-            entry = g.add(f"{p}_bn1", "batchnorm", x, channels=c_in)
-            r1 = g.add(f"{p}_relu1", "relu", entry)
-            c1 = g.add(f"{p}_conv1", "conv2d", r1, c_in=c_in, c_out=width, k1=3, k2=3,
-                       stride=stride, pad=1, sparse=1, group=CONV_GROUP)
-            b2 = g.add(f"{p}_bn2", "batchnorm", c1, channels=width)
-            r2 = g.add(f"{p}_relu2", "relu", b2)
-            c2 = g.add(f"{p}_conv2", "conv2d", r2, c_in=width, c_out=width, k1=3, k2=3,
-                       stride=1, pad=1, sparse=1, group=CONV_GROUP)
-            skip = x
-            if stride != 1:
-                skip = g.add(f"{p}_pool", "avgpool", skip, window=stride)
-            if c_in != width:
-                skip = g.add(f"{p}_pad", "pad_channels", skip, extra=width - c_in)
-            x = g.add(f"{p}_add", "add", (c2, skip))
-            g.block(entry, x)
-            c_in = width
-            h //= stride
-    bn_f = g.add("final_bn", "batchnorm", x, channels=c_in)
-    r_f = g.add("final_relu", "relu", bn_f)
-    pool = g.add("final_pool", "avgpool", r_f, window=h)
-    flat = g.add("flatten", "reshape", pool, shape=(c_in,))
-    fc = g.add("fc", "linear", flat, d_in=c_in, d_out=num_classes, bias=1, sparse=0)
-    g.add("loss", "softmax_xent", (fc, "labels"), classes=num_classes)
-    g.loss("loss")
-    return g.build()
-
-
-def build_desk_cnn(
-    channels: list[int],
-    classes: int = 4,
-    with_batchnorm: bool = True,
-    input_shape: tuple[int, int, int] = (3, 8, 8),
-) -> ComputationGraph:
-    """Small residual CNN the engine can execute; one block per channel entry.
-
-    The spatial extent halves whenever the channel count changes between
-    consecutive blocks (stride-2 first conv, pooled shortcut).
-    """
-    if not channels:
-        raise ConfigurationError("channel list must be nonempty")
-    g = GraphBuilder(name="desk-cnn")
-    g.add("img", "input", shape=input_shape, dtype="float")
-    g.add("labels", "input", shape=(), dtype="int")
-    c_in = channels[0]
-    x = g.add("stem", "conv2d", "img", c_in=input_shape[0], c_out=c_in, k1=3, k2=3,
-              stride=1, pad=1, sparse=0)
-    h = input_shape[1]
-    for b, width in enumerate(channels):
-        stride = 2 if width != c_in else 1
-        p = f"b{b + 1}"
+    for p, width, stride in blocks:
         if with_batchnorm:
             entry = g.add(f"{p}_bn1", "batchnorm", x, channels=c_in)
             r1 = g.add(f"{p}_relu1", "relu", entry)
@@ -127,6 +57,57 @@ def build_desk_cnn(
     g.add("loss", "softmax_xent", (fc, "labels"), classes=classes)
     g.loss("loss")
     return g.build()
+
+
+def build_wrn(
+    depth: int = 28,
+    width_multiplier: float = 2.0,
+    num_classes: int = 10,
+    input_shape: tuple[int, int, int] = (3, 32, 32),
+) -> ComputationGraph:
+    """Wide residual network with identity (parameter-free) shortcuts.
+
+    Pre-activation blocks; the sparsifiable group holds every convolution
+    except the stem, and excludes the classifier, norm parameters, and
+    biases.  Downsampling shortcuts use stride-2 pooling plus zero channel
+    padding so they contribute no parameters.
+    """
+    if (depth - 4) % 6 != 0:
+        raise ConfigurationError(f"depth must satisfy (depth - 4) % 6 == 0, got {depth}")
+    n = (depth - 4) // 6
+    widths = [int(16 * width_multiplier), int(32 * width_multiplier), int(64 * width_multiplier)]
+
+    g = GraphBuilder(name=f"wrn-{depth}-{width_multiplier:g}")
+    g.add("img", "input", shape=input_shape, dtype="float")
+    g.add("labels", "input", shape=(), dtype="int")
+    x = g.add("conv0", "conv2d", "img", c_in=input_shape[0], c_out=16, k1=3, k2=3,
+              stride=1, pad=1, sparse=0)
+    blocks = [(f"g{gi + 1}b{b + 1}", width, 2 if (gi > 0 and b == 0) else 1)
+              for gi, width in enumerate(widths) for b in range(n)]
+    return _preact_resnet(g, x, 16, input_shape[1], blocks, num_classes, True)
+
+
+def build_desk_cnn(
+    channels: list[int],
+    classes: int = 4,
+    with_batchnorm: bool = True,
+    input_shape: tuple[int, int, int] = (3, 8, 8),
+) -> ComputationGraph:
+    """Small residual CNN the engine can execute; one block per channel entry.
+
+    The spatial extent halves whenever the channel count changes between
+    consecutive blocks (stride-2 first conv, pooled shortcut).
+    """
+    if not channels:
+        raise ConfigurationError("channel list must be nonempty")
+    g = GraphBuilder(name="desk-cnn")
+    g.add("img", "input", shape=input_shape, dtype="float")
+    g.add("labels", "input", shape=(), dtype="int")
+    x = g.add("stem", "conv2d", "img", c_in=input_shape[0], c_out=channels[0], k1=3, k2=3,
+              stride=1, pad=1, sparse=0)
+    blocks = [(f"b{b + 1}", width, 2 if width != prev else 1)
+              for b, (prev, width) in enumerate(zip([channels[0], *channels], channels))]
+    return _preact_resnet(g, x, channels[0], input_shape[1], blocks, classes, with_batchnorm)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ run desk-scale training demonstrations, and execute the acceptance suite.
     trainmem train   --arch desk-cnn --config train.cfg --seed 0
     trainmem verify
 
-Config files are flat `key = value` text.  Set TRAINMEM_LOG=debug|info for
-verbosity.  Outputs are deterministic given a seed and inputs.
+Config files are flat `key = value` text; an unknown key is an error.
+Set TRAINMEM_LOG=debug|info for verbosity.  Outputs are deterministic
+given a seed and inputs.
 """
 
 from __future__ import annotations
@@ -28,8 +29,16 @@ from .train import TrainSettings, TrainingDiverged, metrics_to_jsonl, train_desk
 
 log = logging.getLogger("trainmem")
 
+PROFILE_KEYS = ("density", "precision", "minibatch", "microbatch", "strategy", "optimizer",
+                "batch_unit")
+SWEEP_KEYS = ("arch", "densities", "precisions", "minibatch", "microbatches", "strategies",
+              "optimizers", "batch_unit")
+TRAIN_KEYS = ("steps", "minibatch", "microbatch", "lr", "density", "precision", "strategy",
+              "optimizer", "exec_mode", "accumulator_width", "rewire_every", "log_every")
 
-def read_kv_file(path: str) -> dict[str, str]:
+
+def read_kv_file(path: str, keys: tuple[str, ...]) -> dict[str, str]:
+    """The `key = value` lines of a config file; a key outside `keys` is an error."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -39,7 +48,10 @@ def read_kv_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in keys:
+                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+            out[key] = val.strip()
     return out
 
 
@@ -84,7 +96,7 @@ def config_from_kv(kv: dict[str, str], graph) -> TrainingConfig:
 
 def cmd_profile(args) -> int:
     graph = load_arch(args.arch)
-    kv = read_kv_file(args.config) if args.config else {}
+    kv = read_kv_file(args.config, PROFILE_KEYS) if args.config else {}
     config = config_from_kv(kv, graph)
     mem, fl = total_report(graph, config)
     payload = {"arch": graph.name, **mem.to_dict(), **fl.to_dict()}
@@ -104,7 +116,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    kv = read_kv_file(args.sweep)
+    kv = read_kv_file(args.sweep, SWEEP_KEYS)
     graph = load_arch(kv.get("arch", args.arch or "wrn-28-2"))
 
     def split(key, default, conv):
@@ -139,7 +151,7 @@ def cmd_pareto(args) -> int:
 
 def cmd_train(args) -> int:
     graph = load_arch(args.arch)
-    kv = read_kv_file(args.config) if args.config else {}
+    kv = read_kv_file(args.config, TRAIN_KEYS) if args.config else {}
     minibatch = _number("minibatch", kv.get("minibatch", 32))
     settings = TrainSettings(
         steps=_number("steps", kv.get("steps", 200)),

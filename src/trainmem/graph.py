@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
 
-from .errors import ArchSemanticError, ConfigurationError, ContractError
+from .errors import ArchSemanticError, ConfigurationError
 
 # Storage classes
 FULL_INPUT = "full_input"
@@ -54,15 +54,6 @@ class ParamSpec:
     @cached_property
     def numel(self) -> int:
         return math.prod(self.shape)
-
-    @property
-    def csr_dims(self) -> tuple[int, int]:
-        if len(self.shape) == 4:
-            c_o, c_i, k1, k2 = self.shape
-            return c_o, c_i * k1 * k2
-        if len(self.shape) == 2:
-            return self.shape
-        raise ContractError(f"parameter {self.name} is not CSR-encodable")
 
 
 @dataclass(slots=True)

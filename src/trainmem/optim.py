@@ -1,9 +1,9 @@
 """Optimizers, dynamic loss scaling, and the FP16 update path with
 per-tensor momentum rescaling.
 
-There is never a persistent FP32 master copy of FP16 weights; the optional
-upcast path updates transient FP32 copies and rounds the results straight
-back to the binary16 grid.  Microbatch gradients are accumulated by
+There is never a persistent FP32 master copy of FP16 weights; the FP16
+path updates transient FP32 copies and rounds the results straight back to
+the binary16 grid.  Microbatch gradients are accumulated by
 `engine.run_microbatched`, not here.
 """
 
@@ -169,35 +169,28 @@ def _rescale_factors(layout: FlatLayout, buf: np.ndarray) -> np.ndarray:
     return np.where((peak > 0) & np.isfinite(peak), np.ldexp(1.0, e - 11), 1.0)
 
 
-def fp16_update_path(params, grads, state, lr: float, upcast: bool = True,
-                     momentum_rescale: bool = True, weight_decay: float | None = None,
-                     masks=None):
+def fp16_update_path(params, grads, state, lr: float, masks=None):
     """FP16 parameter update without a persistent FP32 master copy.
 
-    With `upcast`, transient copies are updated in FP32 arithmetic and the
-    results rounded back to the binary16 grid.  With `momentum_rescale`,
-    each momentum buffer is stored divided by a per-tensor power-of-two
-    scale chosen so its magnitude fits comfortably in the FP16 range; the
-    scale is undone on the way in and reapplied on the way out.
+    Transient copies are updated in FP32 arithmetic and the results rounded
+    back to the binary16 grid.  Each momentum buffer is stored divided by a
+    per-tensor power-of-two scale chosen so its magnitude fits comfortably
+    in the FP16 range; the scale is undone on the way in and reapplied on
+    the way out.  SGD decays by the state's weight decay, Adam by
+    `TRANSFORMER_WEIGHT_DECAY`.
 
     Parameters, gradients and each momentum buffer are packed into one flat
     array apiece (parameters with a gradient first), so every step below is
     one call over all tensors; `params` and the state's buffers come back as
     views of those arrays.  Parameters without a gradient are not updated,
-    but their momenta are still rescaled and stored, and with `upcast` the
-    parameters are still rounded.
+    but they are still rounded and their momenta still rescaled and stored.
     """
     is_sgd = isinstance(state, SGDState)
-    if is_sgd:
-        wd = state.weight_decay if weight_decay is None else weight_decay
-    else:
-        wd = TRANSFORMER_WEIGHT_DECAY if weight_decay is None else weight_decay
     live = [k for k in params if k in grads]
     layout = FlatLayout({k: params[k] for k in live + [k for k in params if k not in grads]})
     n = int(layout.offsets[len(live)])
-    carrier = np.float32 if upcast else None
-    w = layout.pack(params, carrier)
-    g = FlatLayout({k: params[k] for k in live}).pack(grads, carrier)
+    w = layout.pack(params, np.float32)
+    g = FlatLayout({k: params[k] for k in live}).pack(grads, np.float32)
     dicts = [state.momentum] if is_sgd else [state.m, state.v]
     bufs = []
     for bi, d in enumerate(dicts):
@@ -205,45 +198,23 @@ def fp16_update_path(params, grads, state, lr: float, upcast: bool = True,
         buf = layout.pack(d)
         buf *= layout.spread([state.fp16_scales.get((bi, k), 1.0) for k in layout.names],
                              buf.dtype)
-        bufs.append(buf.astype(carrier, copy=False) if upcast else buf)
-    if upcast:
-        # transient FP32 widening; no persistent wide copies survive the call
-        if is_sgd:
-            sgd_nesterov_step({"": w[:n]}, {"": g},
-                              SGDState({"": bufs[0][:n]}, state.mu, wd), lr)
-        else:
-            wstate = AdamState({"": bufs[0][:n]}, {"": bufs[1][:n]}, state.beta1,
-                               state.beta2, state.eps, state.t)
-            adam_step({"": w[:n]}, {"": g}, wstate, lr, weight_decay=wd)
-            state.t = wstate.t
-        w = half_round(w)
-    elif is_sgd:
-        # plain FP16 arithmetic: round after every expression
-        wl = w[:n]
-        gp = half_round(g + half_round(wd * wl)) if wd else g
-        b = bufs[0][:n] = half_round(half_round(state.mu * bufs[0][:n]) + gp)
-        wl[...] = half_round(wl - half_round(lr * half_round(gp + half_round(state.mu * b))))
+        bufs.append(buf.astype(np.float32, copy=False))
+    # transient FP32 widening; no persistent wide copies survive the call
+    if is_sgd:
+        sgd_nesterov_step({"": w[:n]}, {"": g},
+                          SGDState({"": bufs[0][:n]}, state.mu, state.weight_decay), lr)
     else:
-        state.t += 1
-        c1 = 1.0 - state.beta1 ** state.t
-        c2 = 1.0 - state.beta2 ** state.t
-        wl = w[:n]
-        if wd:
-            g = half_round(g + half_round(wd * wl))
-        m = bufs[0][:n] = half_round(half_round(state.beta1 * bufs[0][:n])
-                                     + half_round((1 - state.beta1) * g))
-        v = bufs[1][:n] = half_round(half_round(state.beta2 * bufs[1][:n])
-                                     + half_round((1 - state.beta2) * np.square(g)))
-        upd = half_round(half_round(m / c1) / half_round(np.sqrt(half_round(v / c2)) + state.eps))
-        wl[...] = half_round(wl - half_round(lr * upd))
+        wstate = AdamState({"": bufs[0][:n]}, {"": bufs[1][:n]}, state.beta1,
+                           state.beta2, state.eps, state.t)
+        adam_step({"": w[:n]}, {"": g}, wstate, lr)
+        state.t = wstate.t
+    w = half_round(w)
     # store momenta back, rescaled and rounded to the FP16 grid
     new_scales = {}
     for bi, buf in enumerate(bufs):
-        if momentum_rescale:
-            scales = _rescale_factors(layout, buf)
-            new_scales.update({(bi, k): float(s) for k, s in zip(layout.names, scales)})
-            buf = buf / layout.spread(scales, buf.dtype)
-        bufs[bi] = half_round(buf)
+        scales = _rescale_factors(layout, buf)
+        new_scales.update({(bi, k): float(s) for k, s in zip(layout.names, scales)})
+        bufs[bi] = half_round(buf / layout.spread(scales, buf.dtype))
     state.fp16_scales = new_scales
     if masks:
         keep = np.ones(layout.size, dtype=w.dtype)

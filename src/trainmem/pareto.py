@@ -22,7 +22,6 @@ class SweepSpec:
     optimizers: list[str] = field(default_factory=lambda: ["sgd_nesterov"])
     minibatch: int = 100
     batch_unit: str = "examples"
-    density_group: str | None = None
 
     def __post_init__(self):
         for name in ("densities", "precisions", "microbatches", "strategies", "optimizers"):
@@ -33,7 +32,7 @@ class SweepSpec:
                 raise ConfigurationError(f"densities must be in (0, 1], got {d:g}")
 
     def configs(self, graph: ComputationGraph):
-        group = self.density_group or (graph.sparsifiable_groups() or [None])[0]
+        group = (graph.sparsifiable_groups() or [None])[0]
         for d in self.densities:
             for p in self.precisions:
                 for mb in self.microbatches:

@@ -46,6 +46,7 @@ from .graph import (
     Node,
 )
 from .numerics import NumericFormat
+from .sparse import csr_dims
 
 PASS_THROUGH_OPS = ("add", "reshape", "transpose")
 
@@ -240,7 +241,7 @@ class _GraphTables:
             if nd.op in ("conv2d", "linear"):
                 name = g.params_of(nd)[0].name
                 self.weight_of[name] = (i, g.forward_flops(nd, {name: 1}))
-        # parameter elements: batchnorm parameters (which FP16 may keep at
+        # parameter elements: batchnorm parameters (which FP16 keeps at
         # FP32) and all others, plus each sparse-eligible tensor by name:
         # (group, numel, CSR rows, CSR cols, is a batchnorm parameter)
         self.norm_param_numel = self.other_param_numel = 0
@@ -253,7 +254,8 @@ class _GraphTables:
                 else:
                     self.other_param_numel += spec.numel
                 if spec.sparse:
-                    self.sparse_params[spec.name] = (spec.group, spec.numel, *spec.csr_dims, norm)
+                    self.sparse_params[spec.name] = (spec.group, spec.numel,
+                                                     *csr_dims(spec.shape), norm)
         # payload aux quantities per example: elements at the activation
         # width, and bytes independent of it
         self.aux_per_elem = _vec([_aux_elements(g, nd) for nd in g.nodes])

@@ -3,13 +3,12 @@ forward/backward/recompute FLOPs for a (graph, TrainingConfig) pair.
 
 Parameter bytes depend on neither the checkpoint strategy nor the batch.
 They come from per-graph totals in `plan.graph_tables`: the element count
-of batchnorm parameters (kept at FP32 under FP16 with
-`batchnorm_params_fp32`) and of all other parameters, priced at the
-config's width, then corrected for each tensor the config sparsifies (its
-CSR bytes instead of its dense bytes in the model, its nonzero values in
-each optimizer array).  Activation bytes and FLOPs come from the graph's
-compiled schedule (`plan.replay`), evaluated at the microbatch for memory
-and at batch 1 for FLOPs.
+of batchnorm parameters (kept at FP32 under FP16) and of all other
+parameters, priced at the config's width, then corrected for each tensor
+the config sparsifies (its CSR bytes instead of its dense bytes in the
+model, its nonzero values in each optimizer array).  Activation bytes and
+FLOPs come from the graph's compiled schedule (`plan.replay`), evaluated
+at the microbatch for memory and at batch 1 for FLOPs.
 """
 
 from __future__ import annotations
@@ -39,14 +38,11 @@ class TrainingConfig:
     microbatch: int | None = None
     strategy: CheckpointStrategy = NONE
     optimizer_kind: str = "sgd_nesterov"
-    batchnorm_params_fp32: bool | None = None
     batch_unit: str = "examples"
 
     def __post_init__(self):
         if self.microbatch is None:
             self.microbatch = self.minibatch
-        if self.batchnorm_params_fp32 is None:
-            self.batchnorm_params_fp32 = self.precision is NumericFormat.FP16
         if self.minibatch < 1:
             raise ConfigurationError("minibatch must be >= 1")
         if self.optimizer_kind not in OPTIMIZER_VALUE_ARRAYS:
@@ -142,13 +138,13 @@ def _param_bytes(graph: ComputationGraph, config: TrainingConfig,
     """(model bytes, optimizer bytes) from the graph's parameter totals.
 
     Every element is stored at the config's precision, except batchnorm
-    parameters under FP16 with `batchnorm_params_fp32` (FP32).  Each tensor
-    in `nnz` is then corrected from its dense bytes to its CSR bytes in the
-    model and to its nonzero values in each optimizer array.
+    parameters under FP16 (FP32).  Each tensor in `nnz` is then corrected
+    from its dense bytes to its CSR bytes in the model and to its nonzero
+    values in each optimizer array.
     """
     t = graph_tables(graph)
     width = norm_width = config.precision.element_bytes
-    if config.precision is NumericFormat.FP16 and config.batchnorm_params_fp32:
+    if config.precision is NumericFormat.FP16:
         norm_width = NumericFormat.FP32.element_bytes
     model = values = t.other_param_numel * width + t.norm_param_numel * norm_width
     for name, count in nnz.items():
@@ -172,33 +168,22 @@ def optimizer_memory(graph: ComputationGraph, config: TrainingConfig) -> int:
     return _param_bytes(graph, config, param_nnz(graph, config.density))[1]
 
 
-def _replay(graph, config: TrainingConfig, strategy: CheckpointStrategy, batch: int,
-            nnz: dict[str, int]):
-    return replay(graph, strategy, Sizing(graph, batch, config.precision, nnz))
+def _replay(graph, config: TrainingConfig, batch: int, nnz: dict[str, int]):
+    return replay(graph, config.strategy, Sizing(graph, batch, config.precision, nnz))
 
 
-def activation_memory(
-    graph: ComputationGraph,
-    config: TrainingConfig,
-    strategy: CheckpointStrategy | None = None,
-) -> tuple[int, int]:
+def activation_memory(graph: ComputationGraph, config: TrainingConfig) -> tuple[int, int]:
     """Peak activation bytes for one microbatch step, split at the peak into
     the stored-forward part and the live-gradient part."""
     config.validate_for(graph)
-    strategy = config.strategy if strategy is None else strategy
-    result = _replay(graph, config, strategy, config.microbatch,
-                     param_nnz(graph, config.density))
+    result = _replay(graph, config, config.microbatch, param_nnz(graph, config.density))
     return result.peak_forward_bytes, result.peak_backward_bytes
 
 
-def stored_forward_bytes(
-    graph: ComputationGraph,
-    config: TrainingConfig,
-    strategy: CheckpointStrategy | None = None,
-) -> int:
+def stored_forward_bytes(graph: ComputationGraph, config: TrainingConfig) -> int:
     """Bytes of stored activations at the end of the forward pass."""
-    strategy = config.strategy if strategy is None else strategy
-    return _replay(graph, config, strategy, config.microbatch,
+    config.validate_for(graph)
+    return _replay(graph, config, config.microbatch,
                    param_nnz(graph, config.density)).end_forward_bytes
 
 
@@ -216,15 +201,10 @@ def _flop_report(per_example, minibatch: int) -> FlopReport:
     )
 
 
-def flops(
-    graph: ComputationGraph,
-    config: TrainingConfig,
-    strategy: CheckpointStrategy | None = None,
-) -> FlopReport:
+def flops(graph: ComputationGraph, config: TrainingConfig) -> FlopReport:
     """FLOPs for one full minibatch step (forward, backward, recompute)."""
     config.validate_for(graph)
-    strategy = config.strategy if strategy is None else strategy
-    result = _replay(graph, config, strategy, 1, param_nnz(graph, config.density))
+    result = _replay(graph, config, 1, param_nnz(graph, config.density))
     return _flop_report(result, config.minibatch)
 
 
@@ -239,14 +219,14 @@ def total_report(graph: ComputationGraph, config: TrainingConfig) -> tuple[Memor
     config.validate_for(graph)
     nnz = param_nnz(graph, config.density)
     model, optimizer = _param_bytes(graph, config, nnz)
-    peak = _replay(graph, config, config.strategy, config.microbatch, nnz)
+    peak = _replay(graph, config, config.microbatch, nnz)
     mem = MemoryReport(
         model_bytes=model,
         optimizer_bytes=optimizer,
         activation_forward_bytes=peak.peak_forward_bytes,
         activation_backward_bytes=peak.peak_backward_bytes,
     )
-    per_example = _replay(graph, config, config.strategy, 1, nnz)
+    per_example = _replay(graph, config, 1, nnz)
     return mem, _flop_report(per_example, config.minibatch)
 
 

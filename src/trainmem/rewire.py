@@ -1,6 +1,6 @@
 """Dynamic sparse reparameterization: global-threshold magnitude pruning
-with an adaptive threshold, regrowth at a constant nonzero budget, rewiring
-schedules, and momentum reset.
+with an adaptive threshold, regrowth at a constant nonzero budget, the
+rewiring schedule, and momentum reset.
 
 The model, gradients, and momentum buffers always share one sparsity
 pattern; after every rewiring the momentum buffers are reset to zero so
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,38 +21,10 @@ DEFAULT_PRUNE_FRACTION = 0.01377866
 DEFAULT_INITIAL_THRESHOLD = 0.001
 DEFAULT_ADJUST_FACTOR = 2.0
 
-# Base rewiring schedule in raw update indices (update range -> period;
-# period 0 means no rewiring).  The image-model schedule spans 100k updates;
-# the translation schedule is the same with every range halved.
+# Rewiring schedule in raw update indices (update range -> period; period 0
+# means no rewiring), spanning the image model's 100k updates.
 WRN_REWIRE_SCHEDULE = ((0, 12500, 100), (12500, 40000, 200), (40000, 70000, 400),
                        (70000, 95000, 800), (95000, 100000, 0))
-TRANSFORMER_REWIRE_SCHEDULE = tuple(
-    (lo // 2, hi // 2, p) for lo, hi, p in WRN_REWIRE_SCHEDULE
-)
-
-
-@dataclass
-class DSRConfig:
-    target_prune_fraction: float = DEFAULT_PRUNE_FRACTION
-    initial_threshold: float = DEFAULT_INITIAL_THRESHOLD
-    adjust_factor: float = DEFAULT_ADJUST_FACTOR
-    schedule: tuple = WRN_REWIRE_SCHEDULE
-    fraction_multiplier: float = 1.0
-    frequency_multiplier: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if not 0 < self.target_prune_fraction < 1:
-            raise ConfigurationError("target prune fraction must be in (0, 1)")
-        if self.adjust_factor <= 1:
-            raise ConfigurationError("adjust factor must exceed 1")
-        self.frequency_multiplier = Fraction(self.frequency_multiplier)
-        prev_hi = None
-        for lo, hi, period in self.schedule:
-            if hi <= lo or period < 0:
-                raise ConfigurationError("schedule ranges must be ordered with period >= 0")
-            if prev_hi is not None and lo < prev_hi:
-                raise ConfigurationError("schedule ranges must be disjoint and ordered")
-            prev_hi = hi
 
 
 @dataclass
@@ -69,17 +40,15 @@ class DSRState:
         return sum(m.size for m in self.masks.values())
 
 
-def init_sparse_pattern(graph: ComputationGraph, density: float, seed: int,
-                        group: str | None = None,
-                        config: DSRConfig | None = None) -> DSRState:
-    """Uniformly random fixed-budget pattern over the sparsifiable group;
-    each tensor receives round(density * numel) nonzeros."""
+def init_sparse_pattern(graph: ComputationGraph, density: float, seed: int) -> DSRState:
+    """Uniformly random fixed-budget pattern over the graph's first
+    sparsifiable group; each tensor receives round(density * numel) nonzeros."""
     if not 0 < density <= 1:
         raise ConfigurationError("density must be in (0, 1]")
     groups = graph.sparsifiable_groups()
     if not groups:
         raise ConfigurationError("graph has no sparsifiable group")
-    group = group or groups[0]
+    group = groups[0]
     rng = np.random.default_rng(seed)
     masks = {}
     budget = 0
@@ -91,23 +60,19 @@ def init_sparse_pattern(graph: ComputationGraph, density: float, seed: int,
         bits[rng.choice(spec.numel, size=k, replace=False)] = True
         masks[spec.name] = bits.reshape(spec.shape)
         budget += k
-    cfg = config or DSRConfig()
-    return DSRState(threshold=cfg.initial_threshold, masks=masks, budget=budget)
+    return DSRState(threshold=DEFAULT_INITIAL_THRESHOLD, masks=masks, budget=budget)
 
 
-def rewire_due(update_index: int, config: DSRConfig) -> bool:
-    """True when the schedule's period (divided by the frequency multiplier)
-    divides the update index; period 0 ranges never rewire."""
+def rewire_due(update_index: int) -> bool:
+    """True when the schedule's period divides the update index; period 0
+    ranges never rewire."""
     if update_index < 0:
         raise ContractError("update index must be nonnegative")
     if update_index == 0:
         return False
-    for lo, hi, period in config.schedule:
+    for lo, hi, period in WRN_REWIRE_SCHEDULE:
         if lo <= update_index < hi:
-            if period == 0:
-                return False
-            effective = Fraction(period) / config.frequency_multiplier
-            return (update_index * effective.denominator) % effective.numerator == 0
+            return period != 0 and update_index % period == 0
     return False
 
 
@@ -203,7 +168,7 @@ class RewireEvent:
 
 
 def rewire(weights: dict[str, np.ndarray], optimizer_state, dsr_state: DSRState,
-           config: DSRConfig, seed: int, update_index: int = 0) -> RewireEvent:
+           seed: int, update_index: int = 0) -> RewireEvent:
     """One prune-and-replace event: global prune, threshold adaptation,
     proportional regrowth back to the budget, and a momentum reset."""
     before = dsr_state.threshold
@@ -211,10 +176,9 @@ def rewire(weights: dict[str, np.ndarray], optimizer_state, dsr_state: DSRState,
     for name, kill in pruned_sets.items():
         dsr_state.masks[name] &= ~kill
         weights[name][kill] = 0.0
-    target = int(round(config.target_prune_fraction * config.fraction_multiplier
-                       * dsr_state.group_numel()))
+    target = int(round(DEFAULT_PRUNE_FRACTION * dsr_state.group_numel()))
     dsr_state.threshold = adapt_threshold(count, target, dsr_state.threshold,
-                                          config.adjust_factor)
+                                          DEFAULT_ADJUST_FACTOR)
     grown = regrow(count, dsr_state.masks, seed)
     # new weights start at exactly zero; pattern bookkeeping already updated
     if optimizer_state is not None:

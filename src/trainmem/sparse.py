@@ -90,7 +90,8 @@ class SparseConvCSR:
         return col_index_bits(self.cols)
 
 
-def _flatten_shape(shape: tuple[int, ...]) -> tuple[int, int]:
+def csr_dims(shape: tuple[int, ...]) -> tuple[int, int]:
+    """(rows, cols) of the flattened CSR matrix of a 2-D or 4-D weight."""
     if len(shape) == 4:
         c_o, c_i, k1, k2 = shape
         return c_o, c_i * k1 * k2
@@ -103,7 +104,7 @@ def csr_from_dense(weight: DenseTensor, mask: SparsityMask) -> SparseConvCSR:
     """Encode the masked-true entries of `weight` in flattened CSR form."""
     if mask.shape != weight.shape:
         raise ContractError(f"mask shape {mask.shape} != weight shape {weight.shape}")
-    rows, cols = _flatten_shape(weight.shape)
+    rows, cols = csr_dims(weight.shape)
     w = weight.data.reshape(rows, cols)
     m = mask.bits.reshape(rows, cols)
     counts = m.sum(axis=1)
@@ -122,7 +123,7 @@ def csr_from_dense(weight: DenseTensor, mask: SparsityMask) -> SparseConvCSR:
 
 def csr_to_dense(csr: SparseConvCSR, shape, fmt: NumericFormat) -> DenseTensor:
     """Decode back to a dense tensor; zeros everywhere the CSR has no entry."""
-    rows, cols = _flatten_shape(tuple(shape))
+    rows, cols = csr_dims(tuple(shape))
     if (rows, cols) != (csr.rows, csr.cols):
         raise ContractError("target shape inconsistent with CSR dimensions")
     out = np.zeros((rows, cols), dtype=np.float64)
@@ -132,28 +133,19 @@ def csr_to_dense(csr: SparseConvCSR, shape, fmt: NumericFormat) -> DenseTensor:
     return DenseTensor(tuple(shape), fmt, out.reshape(-1))
 
 
-def csr_storage_bytes(csr: SparseConvCSR, shares_indices: bool = False) -> int:
-    """Storage bytes of one CSR tensor.
-
-    When `shares_indices` is set the tensor reuses another tensor's index
-    arrays (as gradient and momentum reuse the model's) and pays only for
-    its values.
-    """
+def csr_storage_bytes(csr: SparseConvCSR) -> int:
+    """Storage bytes of one CSR tensor: packed column indices, 32-bit row
+    pointers and values.  Gradient and momentum buffers reuse the model's
+    index arrays, so `profiler._param_bytes` charges them values only."""
     value_bytes = csr.nnz * csr.element_bytes
-    if shares_indices:
-        return value_bytes
     index_bytes = (csr.nnz * csr.col_index_bits + 7) // 8
     ptr_bytes = (csr.rows + 1) * 4
     return index_bytes + ptr_bytes + value_bytes
 
 
-def csr_storage_bytes_from_counts(
-    rows: int, cols: int, nnz: int, element_bytes: int, shares_indices: bool = False
-) -> int:
+def csr_storage_bytes_from_counts(rows: int, cols: int, nnz: int, element_bytes: int) -> int:
     """Same formula as `csr_storage_bytes` without materializing arrays."""
     value_bytes = nnz * element_bytes
-    if shares_indices:
-        return value_bytes
     index_bytes = (nnz * col_index_bits(cols) + 7) // 8
     ptr_bytes = (rows + 1) * 4
     return index_bytes + ptr_bytes + value_bytes

@@ -9,7 +9,7 @@ scaling, microbatching, checkpointing) and emit machine-readable metrics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,9 @@ from .optim import (
 )
 from .plan import NONE, CheckpointStrategy
 from .profiler import OPTIMIZER_VALUE_ARRAYS
-from .rewire import DSRConfig, DSRState, init_sparse_pattern, rewire, rewire_due
+from .rewire import DSRState, init_sparse_pattern, rewire, rewire_due
+
+TASK_SIZE = 256  # examples in the synthetic task
 
 
 class TrainingDiverged(TrainmemError):
@@ -38,7 +40,7 @@ class TrainingDiverged(TrainmemError):
 
 
 def make_synthetic_task(
-    n: int = 256,
+    n: int = TASK_SIZE,
     classes: int = 4,
     input_shape: tuple[int, int, int] = (3, 8, 8),
     noise: float = 0.35,
@@ -52,10 +54,9 @@ def make_synthetic_task(
     return images, labels
 
 
-def forward_eval(graph: ComputationGraph, params, batch, config: EngineConfig,
-                 mode: str = "eval"):
-    """Forward-only pass; returns (logit array, loss).  Eval mode uses the
-    running norm statistics kept in the parameter store."""
+def forward_eval(graph: ComputationGraph, params, batch, config: EngineConfig):
+    """Forward-only pass; returns (logit array, loss).  Norm nodes use the
+    running statistics kept in the parameter store."""
     ctx = config.ctx()
     values = {}
     logits_src = graph.node(graph.loss_id).inputs[0]
@@ -68,7 +69,7 @@ def forward_eval(graph: ComputationGraph, params, batch, config: EngineConfig,
             )
             continue
         stats = None
-        if mode == "eval" and node.op in ("batchnorm", "layernorm"):
+        if node.op in ("batchnorm", "layernorm"):
             rm = params.get(f"{node.node_id}.running_mean")
             rv = params.get(f"{node.node_id}.running_var")
             if rm is not None and rv is not None:
@@ -88,8 +89,6 @@ class TrainSettings:
     minibatch: int = 32
     microbatch: int | None = None
     lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
     density: float = 1.0
     precision: NumericFormat = NumericFormat.FP32
     strategy: CheckpointStrategy = NONE
@@ -98,11 +97,7 @@ class TrainSettings:
     accumulator_width: int = 32
     seed: int = 0
     rewire_every: int = 0  # 0 = use the DSR schedule; >0 = fixed period
-    dsr: DSRConfig = field(default_factory=DSRConfig)
     log_every: int = 20
-    classes: int = 4
-    task_size: int = 256
-    loss_scaling: bool | None = None  # default: on for FP16
 
     def __post_init__(self):
         if self.microbatch is None:
@@ -113,16 +108,14 @@ class TrainSettings:
         for key in ("seed", "rewire_every"):
             if getattr(self, key) < 0:
                 raise ConfigurationError(f"{key} must be >= 0")
-        if self.minibatch > self.task_size:
-            raise ConfigurationError(f"minibatch {self.minibatch} exceeds task_size {self.task_size}")
+        if self.minibatch > TASK_SIZE:
+            raise ConfigurationError(f"minibatch {self.minibatch} exceeds task_size {TASK_SIZE}")
         if self.minibatch % self.microbatch:
             raise ConfigurationError("microbatch must divide minibatch")
         if not 0.0 < self.density <= 1.0:
             raise ConfigurationError("density must be in (0, 1]")
         if self.optimizer not in OPTIMIZER_VALUE_ARRAYS:
             raise ConfigurationError(f"unknown optimizer '{self.optimizer}'")
-        if self.loss_scaling is None:
-            self.loss_scaling = self.precision is NumericFormat.FP16
 
 
 @dataclass
@@ -147,13 +140,19 @@ def train_desk(
     settings: TrainSettings,
     on_after_backward=None,
 ) -> TrainResult:
-    """Train on the synthetic task; deterministic given the seed."""
+    """Train on the synthetic task, with as many classes as the graph's
+    softmax_xent loss; deterministic given the seed."""
     require_executable(graph)
     if "img" not in graph.index:
         raise UnsupportedOperationError(f"graph '{graph.name}' has no 'img' input to train on")
+    loss = graph.node(graph.loss_id)
+    if loss.op != "softmax_xent":
+        raise UnsupportedOperationError(
+            f"graph '{graph.name}' has loss '{loss.node_id}' ({loss.op}); "
+            "training needs a softmax_xent loss")
     input_shape = graph.out_shape["img"]
     images, labels = make_synthetic_task(
-        settings.task_size, settings.classes, input_shape, seed=1234 + settings.seed
+        TASK_SIZE, loss.p("classes"), input_shape, seed=1234 + settings.seed
     )
     rng = np.random.default_rng(settings.seed)
     fp16 = settings.precision is NumericFormat.FP16
@@ -162,15 +161,13 @@ def train_desk(
     masks = None
     dsr_state: DSRState | None = None
     if settings.density < 1.0:
-        dsr_state = init_sparse_pattern(graph, settings.density, settings.seed,
-                                        config=settings.dsr)
+        dsr_state = init_sparse_pattern(graph, settings.density, settings.seed)
         masks = dsr_state.masks
         for name, mask in masks.items():
             params[name] = params[name] * mask
 
     if settings.optimizer == "sgd_nesterov":
-        state = SGDState.init(params, mu=settings.momentum,
-                              weight_decay=settings.weight_decay)
+        state = SGDState.init(params)
     else:
         state = AdamState.init(params)
 
@@ -192,7 +189,7 @@ def train_desk(
     for step in range(1, settings.steps + 1):
         idx = rng.choice(images.shape[0], size=settings.minibatch, replace=False)
         batch = {"img": images[idx], "labels": labels[idx]}
-        engine_cfg.loss_scale = scaler.scale if (fp16 and settings.loss_scaling) else 1.0
+        engine_cfg.loss_scale = scaler.scale if fp16 else 1.0
         if settings.microbatch == settings.minibatch:
             res = run_step(graph, params, batch, engine_cfg, masks=masks)
             _update_running_stats(graph, params, res.batch_stats)
@@ -204,7 +201,7 @@ def train_desk(
         if on_after_backward is not None:
             on_after_backward(step, grads)
         skip = False
-        if fp16 and settings.loss_scaling:
+        if fp16:
             layout = FlatLayout(grads)
             flat = layout.pack(grads)
             scaler, skip = loss_scale_update(scaler, grads_nonfinite(flat))
@@ -219,11 +216,7 @@ def train_desk(
                 )
         else:
             if fp16:
-                fp16_update_path(params, grads, state, settings.lr,
-                                 upcast=True, momentum_rescale=True,
-                                 weight_decay=settings.weight_decay
-                                 if settings.optimizer == "sgd_nesterov" else None,
-                                 masks=masks)
+                fp16_update_path(params, grads, state, settings.lr, masks=masks)
             elif settings.optimizer == "sgd_nesterov":
                 sgd_nesterov_step(params, grads, state, settings.lr, masks=masks)
             else:
@@ -234,10 +227,10 @@ def train_desk(
             due = (
                 step % settings.rewire_every == 0
                 if settings.rewire_every
-                else rewire_due(step, settings.dsr)
+                else rewire_due(step)
             )
             if due:
-                event = rewire(params, state, dsr_state, settings.dsr,
+                event = rewire(params, state, dsr_state,
                                seed=settings.seed * 100003 + step, update_index=step)
                 rewire_log.append(event.to_json())
                 masks = dsr_state.masks
@@ -249,7 +242,7 @@ def train_desk(
                 "loss": round(float(res.loss), 10),
                 "accuracy": round(acc, 6),
                 "nnz": dsr_state.nnz() if dsr_state else None,
-                "loss_scale": scaler.scale if fp16 and settings.loss_scaling else None,
+                "loss_scale": scaler.scale if fp16 else None,
             })
 
     return TrainResult(

@@ -21,7 +21,7 @@ from .optim import LossScaler, SGDState, loss_scale_update, sgd_nesterov_step
 from .plan import CheckpointStrategy, Sizing, plan_for, replay
 from .profiler import TrainingConfig, activation_memory, flops, model_memory, \
     optimizer_memory, stored_forward_bytes, total_report
-from .rewire import DSRConfig, init_sparse_pattern, rewire
+from .rewire import DEFAULT_ADJUST_FACTOR, init_sparse_pattern, rewire
 from .train import TrainSettings, train_desk
 
 S = CheckpointStrategy.parse
@@ -247,7 +247,6 @@ def check_08_dsr_invariants() -> str:
     state = SGDState.init(params)
     cfg = EngineConfig()
     rng = np.random.default_rng(9)
-    dsr_cfg = DSRConfig()
     rewires = 0
     for step in range(1, 2001):
         idx = rng.choice(128, size=16, replace=False)
@@ -259,11 +258,11 @@ def check_08_dsr_invariants() -> str:
             )
         if step % 50 == 0:
             before = dsr.threshold
-            event = rewire(params, state, dsr, dsr_cfg, seed=step, update_index=step)
+            event = rewire(params, state, dsr, seed=step, update_index=step)
             rewires += 1
             assert dsr.nnz() == dsr.budget, f"step {step}: nnz {dsr.nnz()} != budget {dsr.budget}"
             factor = max(dsr.threshold / before, before / dsr.threshold)
-            assert factor <= dsr_cfg.adjust_factor + 1e-12, (
+            assert factor <= DEFAULT_ADJUST_FACTOR + 1e-12, (
                 f"step {step}: threshold moved by {factor:.2f} > factor 2"
             )
             for name, m in masks.items():

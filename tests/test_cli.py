@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from trainmem import profiler
+from trainmem import profiler, train
+from trainmem.archfile import serialize_arch
+from trainmem.builders import build_desk_cnn
 from trainmem.cli import main, read_kv_file
 from trainmem.errors import ConfigurationError
 from trainmem.numerics import NumericFormat
@@ -126,8 +128,8 @@ def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
 
     original = profiler.csr_storage_bytes_from_counts
 
-    def corrupted(rows, cols, nnz, element_bytes, shares_indices=False):
-        return original(rows, cols, nnz, element_bytes, shares_indices) + 64 * nnz
+    def corrupted(rows, cols, nnz, element_bytes):
+        return original(rows, cols, nnz, element_bytes) + 64 * nnz
 
     monkeypatch.setattr(profiler, "csr_storage_bytes_from_counts", corrupted)
     with pytest.raises(AssertionError):
@@ -160,6 +162,10 @@ def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
     ("pareto", "wrn-28-2", "densities = 0.5, 0\n", "densities"),
     ("pareto", "wrn-28-2", "precisions = fp32, fp8\n", "precisions"),
     ("pareto", "wrn-28-2", "strategies\n", "expected key = value"),
+    ("profile", "wrn-28-2", "minibatch = 8\nprecison = fp16\n", "c.cfg:2: unknown key 'precison'"),
+    ("train", "desk-cnn", "stpes = 5\n", "c.cfg:1: unknown key 'stpes'"),
+    ("train", "desk-cnn", "classes = 3\n", "c.cfg:1: unknown key 'classes'"),
+    ("pareto", "wrn-28-2", "densites = 0.5\n", "c.cfg:1: unknown key 'densites'"),
 ])
 def test_bad_input_is_typed_error(tmp_path, capsys, command, arch, config, expect):
     cfg = tmp_path / "c.cfg"
@@ -180,4 +186,55 @@ def test_bad_precision_and_config_line_are_configuration_errors(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("minibatch = 4\nmicrobatch\n")
     with pytest.raises(ConfigurationError, match=":2: expected key = value"):
-        read_kv_file(str(cfg))
+        read_kv_file(str(cfg), ("minibatch", "microbatch"))
+
+
+@pytest.mark.parametrize("command,arch,config", [
+    ("profile", "wrn-28-2", "density = conv=0.3\nprecision = fp16\nminibatch = 100\n"
+                            "microbatch = 10\nstrategy = residual_star:2\noptimizer = adam\n"
+                            "batch_unit = examples\n"),
+    ("pareto", "wrn-28-2", "arch = wrn-28-2\nminibatch = 100\ndensities = 1.0, 0.3\n"
+                           "precisions = fp16\nmicrobatches = 100, 10\nstrategies = none\n"
+                           "optimizers = sgd_nesterov, adam\nbatch_unit = examples\n"),
+    ("train", "desk-cnn", "steps = 2\nminibatch = 8\nmicrobatch = 4\nlr = 0.05\n"
+                          "density = 0.5\nprecision = fp16\nstrategy = every:2\n"
+                          "optimizer = adam\nexec_mode = joint\naccumulator_width = 16\n"
+                          "rewire_every = 1\nlog_every = 1\n"),
+])
+def test_every_documented_key_is_accepted(tmp_path, capsys, command, arch, config):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    flag = "--sweep" if command == "pareto" else "--config"
+    code, _, err = run_cli([command, "--arch", arch, flag, str(cfg),
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("classes", [3, 6])
+def test_train_takes_class_count_from_arch(tmp_path, capsys, monkeypatch, classes):
+    arch = tmp_path / "net.arch"
+    arch.write_text(serialize_arch(build_desk_cnn([4, 4], classes)))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("steps = 2\nminibatch = 8\nlog_every = 1\n")
+    tasks = []
+    make_task = train.make_synthetic_task
+
+    def recorded(*args, **kw):
+        tasks.append(make_task(*args, **kw))
+        return tasks[-1]
+
+    monkeypatch.setattr(train, "make_synthetic_task", recorded)
+    code, _, err = run_cli(["train", "--arch", str(arch), "--config", str(cfg),
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == 0, err
+    (_, labels), = tasks
+    assert set(labels.tolist()) == set(range(classes))
+
+
+def test_train_rejects_a_loss_other_than_softmax_xent(tmp_path, capsys):
+    arch = tmp_path / "net.arch"
+    text = serialize_arch(build_desk_cnn([4, 4], 4))
+    arch.write_text(text.replace("\nloss loss\n", "\nloss labels\n"))
+    code, _, err = run_cli(["train", "--arch", str(arch), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "softmax_xent" in err, err

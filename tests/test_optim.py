@@ -103,21 +103,6 @@ def test_loss_scaler_power_of_two_invariant():
         assert s.clean_streak < s.growth_interval
 
 
-def test_fp16_no_upcast_is_plain_fp16():
-    # oracle: hand-written plain-FP16 update with rounding at every step
-    rng = np.random.default_rng(5)
-    w0 = half_round(rng.normal(size=6, scale=0.1))
-    g0 = half_round(rng.normal(size=6, scale=0.01))
-    params = {"w": w0.copy()}
-    state = SGDState.init(params, mu=0.9, weight_decay=0.0)
-    fp16_update_path(params, {"w": g0.copy()}, state, lr=0.1,
-                     upcast=False, momentum_rescale=False, weight_decay=0.0)
-    b = half_round(half_round(0.9 * np.zeros(6)) + g0)
-    expect = half_round(w0 - half_round(0.1 * half_round(g0 + half_round(0.9 * b))))
-    assert np.array_equal(params["w"], expect)
-    assert np.array_equal(state.momentum["w"], half_round(b))
-
-
 def test_fp16_momentum_rescale_roundtrip():
     # a buffer whose largest entry is 3e-6 and whose small entries sit below
     # the 2^-24 subnormal floor: without rescaling the small entries flush
@@ -129,27 +114,21 @@ def test_fp16_momentum_rescale_roundtrip():
     params = {"w": half_round(np.ones(16))}
     state = SGDState.init(params, mu=0.9, weight_decay=0.0)
     state.momentum["w"] = tiny.copy()
-    fp16_update_path(params, {"w": np.zeros(16)}, state, lr=0.0,
-                     upcast=True, momentum_rescale=True, weight_decay=0.0)
+    fp16_update_path(params, {"w": np.zeros(16)}, state, lr=0.0)
     scale = state.fp16_scales[(0, "w")]
     recovered = state.momentum["w"] * scale
     expected = np.asarray(0.9 * tiny.astype(np.float32), dtype=np.float64)
     rel = np.max(np.abs(recovered - expected) / expected)
     assert rel <= 2.0 ** -11
-    # ... whereas without rescale the sub-floor values vanish
-    state2 = SGDState.init(params, mu=0.9, weight_decay=0.0)
-    state2.momentum["w"] = tiny.copy()
-    fp16_update_path(params, {"w": np.zeros(16)}, state2, lr=0.0,
-                     upcast=True, momentum_rescale=False, weight_decay=0.0)
-    assert np.all(state2.momentum["w"][below_floor] == 0.0)
+    # ... whereas rounded without rescaling the sub-floor values vanish
+    assert np.all(half_round(0.9 * tiny.astype(np.float32))[below_floor] == 0.0)
 
 
 def test_fp16_rescale_identity_window():
     params = {"w": half_round(np.ones(4))}
     state = SGDState.init(params, mu=1.0, weight_decay=0.0)
     state.momentum["w"] = np.array([2.0 ** 10, 1.0, 0.0, -3.0])
-    fp16_update_path(params, {"w": np.zeros(4)}, state, lr=0.0,
-                     upcast=True, momentum_rescale=True, weight_decay=0.0)
+    fp16_update_path(params, {"w": np.zeros(4)}, state, lr=0.0)
     assert state.fp16_scales[(0, "w")] == 1.0  # max already sits at 2^10
     assert np.array_equal(state.momentum["w"], [2.0 ** 10, 1.0, 0.0, -3.0])
 
@@ -157,8 +136,7 @@ def test_fp16_rescale_identity_window():
 def test_fp16_all_zero_momentum_scale_one():
     params = {"w": half_round(np.ones(4))}
     state = SGDState.init(params, mu=0.9, weight_decay=0.0)
-    fp16_update_path(params, {"w": np.zeros(4)}, state, lr=0.1,
-                     upcast=True, momentum_rescale=True, weight_decay=0.0)
+    fp16_update_path(params, {"w": np.zeros(4)}, state, lr=0.1)
     assert state.fp16_scales[(0, "w")] == 1.0
 
 
@@ -167,7 +145,7 @@ def test_reset_momentum_clears_fp16_scales():
     params = {"w": half_round(np.ones(4))}
     state = SGDState.init(params, mu=0.9, weight_decay=0.0)
     state.momentum["w"] = np.full(4, 3e-6)
-    fp16_update_path(params, {"w": np.zeros(4)}, state, lr=0.0, weight_decay=0.0)
+    fp16_update_path(params, {"w": np.zeros(4)}, state, lr=0.0)
     assert state.fp16_scales[(0, "w")] != 1.0
     state.reset_momentum()
     assert state.fp16_scales == {}
@@ -180,16 +158,13 @@ def test_fp16_path_stays_finite():
     state = SGDState.init(params, weight_decay=0.0)
     for _ in range(50):
         g = half_round(rng.normal(size=32, scale=100.0))
-        fp16_update_path(params, {"w": g}, state, lr=0.01,
-                         upcast=True, momentum_rescale=True, weight_decay=0.0)
+        fp16_update_path(params, {"w": g}, state, lr=0.01)
         assert np.all(np.isfinite(params["w"]))
         assert np.all(np.isfinite(state.momentum["w"]))
 
 
 @pytest.mark.parametrize("adam", [False, True])
-@pytest.mark.parametrize("upcast", [True, False])
-@pytest.mark.parametrize("rescale", [True, False])
-def test_fp16_update_path_packed_equals_per_tensor(adam, upcast, rescale):
+def test_fp16_update_path_packed_equals_per_tensor(adam):
     # One call over a dict of tensors must equal one call per tensor, each
     # with its own state: no scale, mask or update leaks across the tensors'
     # boundaries in the packed buffers.  "bn.running_mean" has no gradient.
@@ -211,17 +186,14 @@ def test_fp16_update_path_packed_equals_per_tensor(adam, upcast, rescale):
     singles = {k: ({k: v.copy()},) for k, v in params.items()}
     singles = {k: (p, make_state(p)) for k, (p,) in singles.items()}
     for it in range(4):
-        # magnitudes two binades apart, so the per-tensor scales differ, and
-        # none so small that plain FP16 Adam's denominator rounds to zero
+        # magnitudes two binades apart, so the per-tensor scales differ
         grads = {k: half_round((rng.choice([-1, 1], size=s) * rng.uniform(0.5, 1, size=s)
                                 * 4.0**-i).astype(np.float32))
                  for i, (k, s) in enumerate(shapes.items()) if k != "bn.running_mean"}
-        kw = dict(upcast=upcast, momentum_rescale=rescale,
-                  weight_decay=None if adam else 5e-4)
-        fp16_update_path(params, grads, state, 0.05, masks=masks, **kw)
+        fp16_update_path(params, grads, state, 0.05, masks=masks)
         for k, (p, st) in singles.items():
             fp16_update_path(p, {k: grads[k]} if k in grads else {}, st, 0.05,
-                             masks={k: masks[k]} if k in masks else None, **kw)
+                             masks={k: masks[k]} if k in masks else None)
         bufs = [state.m, state.v] if adam else [state.momentum]
         scales = {}
         for k, (p, st) in singles.items():
@@ -232,7 +204,6 @@ def test_fp16_update_path_packed_equals_per_tensor(adam, upcast, rescale):
                 assert b1[k].dtype == b[k].dtype and b1[k].tobytes() == b[k].tobytes(), (it, k)
             scales.update(st.fp16_scales)
         assert scales == state.fp16_scales
-    if rescale:
-        assert len(set(state.fp16_scales.values())) > 2  # the scales really differ
+    assert len(set(state.fp16_scales.values())) > 2  # the scales really differ
     assert np.all(params["conv"][~masks["conv"]] == 0.0)
     assert all(np.all(np.isfinite(p)) for p in params.values())

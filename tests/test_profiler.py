@@ -21,9 +21,11 @@ from trainmem.profiler import (
     CSV_HEADER,
     TrainingConfig,
     activation_memory,
+    flops,
     model_memory,
     optimizer_memory,
     report_to_csv_row,
+    stored_forward_bytes,
     total_report,
 )
 
@@ -46,7 +48,7 @@ def param_bytes_oracle(graph, cfg):
     """(model, optimizer) bytes by a walk over every node's parameters.
 
     Each element costs the config's width, or 4 bytes for a batchnorm
-    parameter under FP16 with `batchnorm_params_fp32`.  A sparsified tensor
+    parameter under FP16.  A sparsified tensor
     keeps round(density * numel) values plus CSR indices in the model: a
     ceil(log2(cols))-bit column index per value, packed to whole bytes, and
     a 32-bit row pointer per row plus one.  The optimizer keeps 2 (SGD
@@ -57,7 +59,7 @@ def param_bytes_oracle(graph, cfg):
     model = optimizer = 0
     for node in graph.nodes:
         w = width
-        if node.op == "batchnorm" and cfg.precision is FP16 and cfg.batchnorm_params_fp32:
+        if node.op == "batchnorm" and cfg.precision is FP16:
             w = 4
         for spec in graph.params_of(node):
             density = cfg.density.get(spec.group, 1.0) if spec.sparse else 1.0
@@ -87,18 +89,15 @@ def test_param_bytes_match_per_parameter_oracle(graph_name):
     checked = 0
     for densities in itertools.product((1.0, 0.5, 0.01), repeat=len(groups)):
         density = {grp: d for grp, d in zip(groups, densities) if d < 1.0}
-        for precision, bn_fp32, opt in itertools.product(
-            NumericFormat, (True, False), ("sgd_nesterov", "adam")
-        ):
+        for precision, opt in itertools.product(NumericFormat, ("sgd_nesterov", "adam")):
             cfg = TrainingConfig(density=density, precision=precision, minibatch=batch,
-                                 optimizer_kind=opt, batchnorm_params_fp32=bn_fp32,
-                                 batch_unit=g.batch_unit)
+                                 optimizer_kind=opt, batch_unit=g.batch_unit)
             expected = param_bytes_oracle(g, cfg)
             assert (model_memory(g, cfg), optimizer_memory(g, cfg)) == expected, cfg
             mem, _ = total_report(g, cfg)
             assert (mem.model_bytes, mem.optimizer_bytes) == expected, cfg
             checked += 1
-    assert checked == 3 ** len(groups) * 12
+    assert checked == 3 ** len(groups) * 6
 
 
 def test_model_memory_param_free_graph():
@@ -127,12 +126,6 @@ def test_batchnorm_params_stay_fp32_under_fp16(wrn):
     bn_params = 3_616
     other = wrn.total_param_count() - bn_params
     assert fp16 == other * 2 + bn_params * 4
-    no_keep = model_memory(
-        wrn,
-        TrainingConfig(minibatch=100, microbatch=100, precision=FP16,
-                       batchnorm_params_fp32=False),
-    )
-    assert no_keep == wrn.total_param_count() * 2
 
 
 def test_optimizer_ratios(wrn):
@@ -204,11 +197,11 @@ def test_config_validation():
 
 def test_config_graph_mismatch(wrn):
     tokens_cfg = TrainingConfig(minibatch=4000, microbatch=250, batch_unit="tokens")
-    with pytest.raises(ConfigurationError):
-        activation_memory(wrn, tokens_cfg)
-    with pytest.raises(ConfigurationError):
-        activation_memory(wrn, TrainingConfig(minibatch=4, microbatch=4,
-                                              density={"nope": 0.5}))
+    for cost in (activation_memory, stored_forward_bytes, flops):
+        with pytest.raises(ConfigurationError):
+            cost(wrn, tokens_cfg)
+        with pytest.raises(ConfigurationError):
+            cost(wrn, TrainingConfig(minibatch=4, microbatch=4, density={"nope": 0.5}))
 
 
 def test_total_monotone_in_precision_width(wrn):

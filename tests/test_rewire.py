@@ -7,9 +7,7 @@ from trainmem.builders import build_desk_cnn, build_wrn
 from trainmem.errors import ConfigurationError
 from trainmem.optim import SGDState
 from trainmem.rewire import (
-    DSRConfig,
-    TRANSFORMER_REWIRE_SCHEDULE,
-    WRN_REWIRE_SCHEDULE,
+    DEFAULT_ADJUST_FACTOR,
     adapt_threshold,
     init_sparse_pattern,
     prune_global,
@@ -49,22 +47,11 @@ def test_init_deterministic():
 
 
 def test_rewire_due_schedule():
-    cfg = DSRConfig(schedule=WRN_REWIRE_SCHEDULE)
-    assert rewire_due(100, cfg)  # period 100 in updates 0-12500
-    assert not rewire_due(150, cfg)
-    assert not rewire_due(48500, cfg)  # period 400 there; 48500 % 400 != 0
-    assert not rewire_due(99000, cfg)  # final range has period 0
-    assert not rewire_due(0, cfg)
-    fast = DSRConfig(schedule=WRN_REWIRE_SCHEDULE, frequency_multiplier=2)
-    assert rewire_due(50, fast)  # period becomes 100/2 = 50
-    slow = DSRConfig(schedule=WRN_REWIRE_SCHEDULE, frequency_multiplier="1/2")
-    assert not rewire_due(100, slow)
-    assert rewire_due(200, slow)
-
-
-def test_transformer_schedule_is_halved():
-    assert TRANSFORMER_REWIRE_SCHEDULE[0] == (0, 6250, 100)
-    assert TRANSFORMER_REWIRE_SCHEDULE[-1] == (47500, 50000, 0)
+    assert rewire_due(100)  # period 100 in updates 0-12500
+    assert not rewire_due(150)
+    assert not rewire_due(48500)  # period 400 there; 48500 % 400 != 0
+    assert not rewire_due(99000)  # final range has period 0
+    assert not rewire_due(0)
 
 
 def test_prune_global():
@@ -128,7 +115,7 @@ def test_rewire_composition():
     opt = SGDState.init(params)
     for k in opt.momentum:
         opt.momentum[k] = rng.normal(size=opt.momentum[k].shape)
-    event = rewire(params, opt, state, DSRConfig(), seed=3, update_index=50)
+    event = rewire(params, opt, state, seed=3, update_index=50)
     assert state.nnz() == state.budget
     assert event.pruned == event.regrown
     for buf in opt.momentum.values():
@@ -143,7 +130,7 @@ def test_rewire_all_above_threshold_doubles_threshold():
     params = {k: (np.sign(np.random.default_rng(1).normal(size=m.shape)) * m)
               for k, m in state.masks.items()}  # all magnitudes are 1
     before = {k: m.copy() for k, m in state.masks.items()}
-    event = rewire(params, None, state, DSRConfig(), seed=1)
+    event = rewire(params, None, state, seed=1)
     assert event.pruned == 0 and event.regrown == 0
     assert event.threshold_after == 2 * event.threshold_before
     for k in before:
@@ -154,11 +141,10 @@ def test_budget_conservation_randomized():
     g = build_desk_cnn([4, 4], 3)
     state = init_sparse_pattern(g, 0.4, seed=2)
     rng = np.random.default_rng(9)
-    cfg = DSRConfig()
     for trial in range(1000):
         params = {k: rng.normal(scale=rng.uniform(1e-4, 1.0), size=m.shape) * m
                   for k, m in state.masks.items()}
-        rewire(params, None, state, cfg, seed=trial)
+        rewire(params, None, state, seed=trial)
         assert state.nnz() == state.budget
 
 
@@ -174,12 +160,11 @@ def test_threshold_bounded_per_rewire():
     g = build_desk_cnn([4, 4], 3)
     state = init_sparse_pattern(g, 0.5, seed=4)
     rng = np.random.default_rng(4)
-    cfg = DSRConfig()
     for trial in range(50):
         params = {k: rng.normal(scale=10.0 ** rng.integers(-5, 2), size=m.shape) * m
                   for k, m in state.masks.items()}
         before = state.threshold
-        rewire(params, None, state, cfg, seed=trial)
+        rewire(params, None, state, seed=trial)
         ratio = max(state.threshold / before, before / state.threshold)
-        assert ratio <= cfg.adjust_factor
+        assert ratio <= DEFAULT_ADJUST_FACTOR
         assert state.threshold > 0

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from trainmem.errors import ContractError
+from trainmem.graph import GraphBuilder
 from trainmem.numerics import DenseTensor, NumericFormat
+from trainmem.profiler import TrainingConfig, _param_bytes
 from trainmem.sparse import (
     SparsityMask,
     col_index_bits,
@@ -75,8 +77,6 @@ def test_storage_bytes_wrn_example():
     expected = (1383 * 8 + 7) // 8 + 33 * 4 + 1383 * 2
     assert expected == 1383 + 132 + 2766
     assert csr_storage_bytes_from_counts(32, 16 * 9, 1383, 2) == expected
-    # shared-index buffers (gradient, momentum) pay values only
-    assert csr_storage_bytes_from_counts(32, 16 * 9, 1383, 2, shares_indices=True) == 2766
 
 
 def test_storage_bytes_matches_array_path():
@@ -91,15 +91,32 @@ def test_storage_bytes_matches_array_path():
     )
 
 
+def _one_weight_graph(rows: int, cols: int):
+    b = GraphBuilder()
+    b.add("x", "input", shape=(cols,), dtype="float")
+    b.add("y", "input", shape=(), dtype="int")
+    b.add("fc", "linear", "x", d_in=cols, d_out=rows, bias=0, sparse=1, group="g")
+    b.add("loss", "softmax_xent", ("fc", "y"), classes=rows)
+    b.loss("loss")
+    return b.build()
+
+
 def test_sharing_always_strictly_smaller():
+    # gradient and momentum share the model's index arrays, so each optimizer
+    # array of a sparsified tensor costs its values only: strictly less than
+    # the model's CSR bytes (row pointers alone make it strict)
     rng = np.random.default_rng(9)
     for _ in range(200):
         rows = int(rng.integers(1, 12))
         cols = int(rng.integers(1, 40))
         nnz = int(rng.integers(0, rows * cols + 1))
-        full = csr_storage_bytes_from_counts(rows, cols, nnz, 4)
-        shared = csr_storage_bytes_from_counts(rows, cols, nnz, 4, shares_indices=True)
-        assert shared < full  # row pointers alone make it strict
+        fmt = (F16, F32)[int(rng.integers(2))]
+        w = fmt.element_bytes
+        cfg = TrainingConfig(minibatch=1, precision=fmt)
+        model, optimizer = _param_bytes(_one_weight_graph(rows, cols), cfg, {"fc.weight": nnz})
+        assert model == csr_storage_bytes_from_counts(rows, cols, nnz, w)
+        assert optimizer == 2 * nnz * w
+        assert nnz * w < model
 
 
 def test_col_index_bits():
