@@ -6,9 +6,9 @@ run desk-scale training demonstrations, and execute the acceptance suite.
     trainmem train   --arch desk-cnn --config train.cfg --seed 0
     trainmem verify
 
-Config files are flat `key = value` text; an unknown key is an error.
-Set TRAINMEM_LOG=debug|info for verbosity.  Outputs are deterministic
-given a seed and inputs.
+Config files are flat `key = value` text; an unknown or repeated key is
+an error.  Set TRAINMEM_LOG=debug|info for verbosity.  Outputs are
+deterministic given a seed and inputs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ TRAIN_KEYS = ("steps", "minibatch", "microbatch", "lr", "density", "precision", 
 
 
 def read_kv_file(path: str, keys: tuple[str, ...]) -> dict[str, str]:
-    """The `key = value` lines of a config file; a key outside `keys` is an error."""
+    """The `key = value` lines of a config file; a key outside `keys`, or
+    one given twice, is an error."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -51,6 +52,8 @@ def read_kv_file(path: str, keys: tuple[str, ...]) -> dict[str, str]:
             key = key.strip()
             if key not in keys:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in out:
+                raise ConfigurationError(f"{path}:{lineno}: repeated key {key!r}")
             out[key] = val.strip()
     return out
 

@@ -14,30 +14,45 @@ single fused elementwise ops with statistics kept in the carrier.
 
 Convolution is k1*k2 shifted GEMMs.  Each call pads its input once into a
 zero buffer laid out channels-first with the batch folded in,
-`(c, b*hp*wp + tail)`, where `hp` is the padded height rounded up to a
-multiple of the stride s and `wp` the padded width.  Output column t of
-tap (a, d) reads flat position `a*wp + d + s*t`, so each tap is one
-strided slice of n = b*(hp/s)*wp columns, a view with no copy.  The output
-grid holds hp/s rows of wp columns per example; its (h2, w2) corner is the
-valid output and the rest are junk columns, which are dropped when the
-result is copied back to batch-first.  With X_ad the tap slice, W_ad the
-(c_out, c) weights of tap (a, d) and G the upstream gradient placed in the
-output grid with zeros in the junk columns:
+`(c, b*hp*wp + M)`, where `hp` is the padded height rounded up to a
+multiple of the stride s, `wp` the padded width and M = (k1-1)*wp + k2-1.
+Output column t of tap (a, d) reads flat position `a*wp + d + s*t`, so
+each tap is one strided slice of n = b*(hp/s)*wp columns, a view with no
+copy.  The output grid holds hp/s rows of wp columns per example; its
+(h2, w2) corner is the valid output and the rest are junk columns, which
+are dropped when the result is copied back to batch-first.  With X_ad the
+tap slice, W_ad the (c_out, c) weights of tap (a, d) and G the upstream
+gradient placed in the output grid with zeros in the junk columns:
 
 - forward: the sum over taps of W_ad @ X_ad, one reduction over (channel,
   tap).  FP16 rounds it once (32-bit accumulator) or after every addition,
   channel-major (16-bit).
 - dw[:, :, a, d] = G @ X_ad.T, one reduction per tap, rounded once in FP16.
-- dx: W_ad.T @ G is added into tap (a, d)'s slice of a zero input-shaped
-  buffer, taps in (a, d) order, one reduction over (c_out, tap).  FP16
+- dx is a gather, not a scatter: the backward pass of a strided conv is a
+  direct conv over the gradient dilated by the stride and zero-padded
+  (Dumoulin & Visin, "A guide to convolution arithmetic for deep
+  learning", arXiv:1603.07285).  G goes behind a front margin of M zeros,
+  dilated: `gm[:, M + s*t] = G[:, t]`.  Input-buffer column j then meets
+  tap (a, d) at `gm[:, M - a*wp - d + j]`, a unit-stride view, and dx is
+  the sum over taps of W_ad.T @ (that view) over every input-buffer
+  column.  Where tap (a, d) does not reach column j the view reads zeros,
+  so the sum has the same nonzero terms in the same (a, d) order as adding
+  W_ad.T @ G into each tap's slice of a zero buffer.  It has the same bits
+  as long as BLAS rounds each product column alike wherever it sits in the
+  call; OpenBLAS's FP64 matrix-vector product does not, and numpy uses it
+  for one-row products, as in dx of a conv with one input channel.  FP16
   rounds it once (32-bit accumulator); the 16-bit accumulator rounds after
   every addition inside each tap's product, and the sum of the taps once.
 
-The workspace is the padded input and the gradient grid; no value outlives
-the call.
+Forward and dx sum their per-tap products with `_stack_sum`: one stacked
+`np.matmul` and one `np.add.reduce` in (a, d) order per column chunk.  The
+workspace is the padded input, the gradient grid and its dilated copy,
+and one capped chunk of stacked products; no value outlives the call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,6 +61,8 @@ from .graph import Node
 from .numerics import NumericFormat, half_round
 
 NORM_EPS = 1e-5
+# Bytes of the stacked per-tap products held at once (see `_stack_sum`).
+_STACK_BYTES = 1 << 20
 
 
 class QuantCtx:
@@ -74,20 +91,19 @@ class QuantCtx:
 
         With `sum_stacks` the stack axes (equal in a and b) are reduced too:
         the result is the sum of a[t] @ b[t] over every stack index t, as one
-        reduction rounded once.  The 16-bit accumulator adds k-major: for
-        each k, the products of every t in order.
+        reduction rounded once.  The 32-bit accumulator computes every
+        a[t] @ b[t] in one stacked product and adds them in C order of t
+        (`_stack_sum`).  The 16-bit accumulator adds k-major: for each k, the
+        products of every t in order.
         """
-        terms = [(a[t], b[t]) for t in np.ndindex(a.shape[:-2])] if sum_stacks else [(a, b)]
         if self.narrow:
+            terms = [(a[t], b[t]) for t in np.ndindex(a.shape[:-2])] if sum_stacks else [(a, b)]
             acc = 0.0
             for k in range(a.shape[-1]):
                 for x, y in terms:
                     acc = half_round(acc + half_round(x[..., :, k, None] * y[..., None, k, :]))
             return acc
-        acc = terms[0][0] @ terms[0][1]
-        for x, y in terms[1:]:
-            acc += x @ y
-        return half_round(acc) if self.fp16 else acc
+        return self.q(_stack_sum(a, b, np.matmul) if sum_stacks else a @ b)
 
     def accumulate(self, buf: np.ndarray, update: np.ndarray) -> np.ndarray:
         """buf + update under the accumulation rule (used across microbatches).
@@ -98,6 +114,33 @@ class QuantCtx:
 
 # ---------------------------------------------------------------------------
 # conv as shifted GEMMs
+
+
+def _stack_sum(a, b, product):
+    """The sum over stack index t of product(a[t], b[t]), for stacks of
+    (m, k) and (k, n) operands, as one `np.add.reduce` of the stacked
+    products in C order of t: (((0 + p0) + p1) + ...), per element.
+
+    The products are computed a chunk of b's columns at a time.  A chunk
+    is the largest multiple of 64 columns whose stack of products fits in
+    `_STACK_BYTES` (64 if none does), so that BLAS meets each column at the
+    same offset from a tile edge as in one unchunked product (under other
+    widths OpenBLAS's FP64 GEMM rounded some columns differently).  The
+    last chunk takes what is left, and the one column that would otherwise
+    be alone: numpy computes a one-column product as a matrix-vector
+    product, which BLAS rounds differently.
+    """
+    m, n = a.shape[-2], b.shape[-1]
+    axes = tuple(range(a.ndim - 2))
+    dtype = np.result_type(a, b)
+    step = max(1, _STACK_BYTES // (math.prod(a.shape[:-2]) * m * dtype.itemsize) // 64) * 64
+    stops = [*range(step, n - 1, step), n]
+    if len(stops) == 1:
+        return np.add.reduce(product(a, b), axis=axes)
+    out = np.empty((m, n), dtype)
+    for j, k in zip([0, *stops], stops):  # reducing into a view of out is slower
+        out[:, j:k] = np.add.reduce(product(a, b[..., j:k]), axis=axes)
+    return out
 
 
 def _place(x, rows, cols, p, tail, dtype):
@@ -131,17 +174,32 @@ class _ConvGrid:
         self.wp = self.w + 2 * self.p
         self.rows = self.hp // self.s  # output-grid rows per example
         self.n = self.b * self.rows * self.wp
+        self.margin = (self.k1 - 1) * self.wp + self.k2 - 1  # M
+        self.nx = self.b * self.hp * self.wp  # input-buffer columns, less the tail
 
     def pad(self, x, dtype):
-        """The input buffer; its tail keeps the last taps' slices in bounds."""
-        return _place(x, self.hp, self.wp, self.p, (self.k1 - 1) * self.wp + self.k2 - 1, dtype)
+        """The input buffer; its tail of M columns keeps the last taps' slices
+        in bounds."""
+        return _place(x, self.hp, self.wp, self.p, self.margin, dtype)
 
     def taps(self, buf):
         """(k1, k2, c, n) view of an input-shaped buffer: [a, d] is tap (a, d)."""
-        e = buf.strides[1]
-        return np.lib.stride_tricks.as_strided(
-            buf, (self.k1, self.k2, buf.shape[0], self.n),
-            (self.wp * e, e, buf.strides[0], self.s * e))
+        return self._shifted(buf, 0, 1, self.s, self.n)
+
+    def gather(self, g):
+        """(k1, k2, c_out, b*hp*wp) view of the output-grid gradient g dilated
+        by s behind a margin of M zeros: [a, d, :, j] is what tap (a, d)
+        sends to input-buffer column j."""
+        gm = np.zeros((g.shape[0], self.margin + self.nx), g.dtype)
+        gm[:, self.margin :: self.s] = g
+        return self._shifted(gm, self.margin, -1, 1, self.nx)
+
+    def _shifted(self, buf, start, sign, step, cols):
+        """[a, d, :, j] = buf[:, start + sign*(a*wp + d) + step*j] of a
+        C-contiguous buf; numpy checks that the view stays inside it."""
+        e = buf.itemsize
+        return np.ndarray((self.k1, self.k2, buf.shape[0], cols), buf.dtype, buf, start * e,
+                          (sign * self.wp * e, sign * e, buf.strides[0], step * e))
 
 
 def _tap_weights(weight, ctx: QuantCtx):
@@ -160,14 +218,11 @@ def _conv2d_backward(node: Node, g_out, x, weight, ctx: QuantCtx):
     xbuf = grid.pad(x, ctx.dtype)
     g = _place(g_out, grid.rows, grid.wp, 0, 0, ctx.dtype)  # zero in the junk columns
     dw = ctx.matmul(g, grid.taps(xbuf).swapaxes(2, 3)).transpose(2, 3, 0, 1).copy()
-    wt = _tap_weights(weight, ctx)
-    dbuf = np.zeros(xbuf.shape, ctx.dtype)
-    dtaps = grid.taps(dbuf)
-    tap = ctx.matmul if ctx.narrow else np.matmul  # 32-bit: the raw sum is rounded once
-    for a in range(grid.k1):  # taps summed in (a, d) order: the FP32 dx bits depend on it
-        for d in range(grid.k2):
-            dtaps[a, d] += tap(wt[a, d].T, g)
-    return ctx.q(_window(dbuf, grid.b, grid.hp, grid.wp, grid.p, grid.h, grid.w)), dw
+    gm = grid.gather(g)
+    del xbuf, g  # dx holds only the gathered gradient, its own grid and one chunk
+    product = ctx.matmul if ctx.narrow else np.matmul  # 32-bit: the raw sum is rounded once
+    dx = _stack_sum(_tap_weights(weight, ctx).swapaxes(2, 3), gm, product)
+    return ctx.q(_window(dx, grid.b, grid.hp, grid.wp, grid.p, grid.h, grid.w)), dw
 
 
 # ---------------------------------------------------------------------------
@@ -190,32 +245,24 @@ def forward_op(node: Node, inputs: list[np.ndarray], params: dict, ctx: QuantCtx
         if node.p("bias", 1):
             out = ctx.q(out + params[f"{node.node_id}.bias"])
         return out, None
-    if op == "batchnorm":
+    if op in ("batchnorm", "layernorm"):
         x = inputs[0]
+        axes = (0, 2, 3) if op == "batchnorm" else (-1,)
+        if stats is None:  # as x.mean and x.var compute them, without their wrappers
+            cnt = math.prod(x.shape[ax] for ax in axes)
+            mean = np.add.reduce(x, axes, keepdims=True) / cnt
+            xc = x - mean
+            inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axes, keepdims=True) / cnt
+                                + np.asarray(NORM_EPS, dtype=x.dtype))
+            stats = mean.squeeze(axes), inv.squeeze(axes)
+        else:
+            mean, inv = (np.expand_dims(v, axes) for v in stats)
+            xc = x - mean
         gamma = params[f"{node.node_id}.gamma"]
         beta = params[f"{node.node_id}.beta"]
-        if stats is None:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            inv = 1.0 / np.sqrt(var + np.asarray(NORM_EPS, dtype=x.dtype))
-        else:
-            mean, inv = stats
-        m = mean[:, None, None]
-        i = inv[:, None, None]
-        out = ctx.q(gamma[:, None, None] * ((x - m) * i) + beta[:, None, None])
-        return out, (mean, inv)
-    if op == "layernorm":
-        x = inputs[0]
-        gamma = params[f"{node.node_id}.gamma"]
-        beta = params[f"{node.node_id}.beta"]
-        if stats is None:
-            mean = x.mean(axis=-1)
-            var = x.var(axis=-1)
-            inv = 1.0 / np.sqrt(var + np.asarray(NORM_EPS, dtype=x.dtype))
-        else:
-            mean, inv = stats
-        out = ctx.q(gamma * ((x - mean[..., None]) * inv[..., None]) + beta)
-        return out, (mean, inv)
+        if op == "batchnorm":
+            gamma, beta = gamma[:, None, None], beta[:, None, None]
+        return ctx.q(gamma * (xc * inv) + beta), stats
     if op == "relu":
         return np.maximum(inputs[0], 0), None
     if op == "glu":

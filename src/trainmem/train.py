@@ -16,7 +16,7 @@ import numpy as np
 from .engine import EngineConfig, init_params, require_executable, run_microbatched, run_step
 from .errors import ConfigurationError, TrainmemError, UnsupportedOperationError
 from .graph import ComputationGraph
-from .kernels import forward_op
+from .kernels import NORM_EPS, forward_op
 from .numerics import FlatLayout, NumericFormat, half_round
 from .optim import (
     LossScaler,
@@ -74,7 +74,7 @@ def forward_eval(graph: ComputationGraph, params, batch, config: EngineConfig):
             rv = params.get(f"{node.node_id}.running_var")
             if rm is not None and rv is not None:
                 stats = (np.asarray(rm, dtype=ctx.dtype),
-                         1.0 / np.sqrt(np.asarray(rv, dtype=ctx.dtype) + 1e-5))
+                         1.0 / np.sqrt(np.asarray(rv, dtype=ctx.dtype) + NORM_EPS))
         ins = [values[i] for i in node.inputs]
         out, _ = forward_op(node, ins, params, ctx, stats=stats)
         values[node.node_id] = out
@@ -261,7 +261,7 @@ def _update_running_stats(graph, params, batch_stats: dict, momentum: float = 0.
     for nid, (mean, inv) in batch_stats.items():
         if graph.node(nid).op != "batchnorm":
             continue
-        var = 1.0 / np.square(inv) - 1e-5
+        var = 1.0 / np.square(inv) - NORM_EPS
         rm = params[f"{nid}.running_mean"]
         rv = params[f"{nid}.running_var"]
         params[f"{nid}.running_mean"] = (1 - momentum) * rm + momentum * mean

@@ -166,6 +166,8 @@ def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
     ("train", "desk-cnn", "stpes = 5\n", "c.cfg:1: unknown key 'stpes'"),
     ("train", "desk-cnn", "classes = 3\n", "c.cfg:1: unknown key 'classes'"),
     ("pareto", "wrn-28-2", "densites = 0.5\n", "c.cfg:1: unknown key 'densites'"),
+    ("profile", "wrn-28-2", "precision = fp16\nprecision = fp32\n",
+     "c.cfg:2: repeated key 'precision'"),
 ])
 def test_bad_input_is_typed_error(tmp_path, capsys, command, arch, config, expect):
     cfg = tmp_path / "c.cfg"

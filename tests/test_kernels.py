@@ -1,15 +1,20 @@
 """Kernel math against independent oracles: the stacked and summed
 `QuantCtx.matmul`, conv2d forward, dx and dw against a direct float64
-loop over output positions, and the FP16 float32 carrier against the same
+loop over output positions and, bit for bit, against one GEMM per tap
+summed in tap order, conv's memory bound, norm statistics against
+`x.mean`/`x.var`, and the FP16 float32 carrier against the same
 expressions in float64 rounded once."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from trainmem import kernels
 from trainmem.builders import build_desk_cnn
 from trainmem.engine import init_params
 from trainmem.graph import Node
-from trainmem.kernels import QuantCtx, backward_op, forward_op
+from trainmem.kernels import NORM_EPS, QuantCtx, backward_op, forward_op
 from trainmem.numerics import NumericFormat, half_round
 
 FP16, FP32, FP64 = NumericFormat.FP16, NumericFormat.FP32, NumericFormat.FP64
@@ -169,6 +174,174 @@ def test_conv_results_are_contiguous_and_own_their_data(case, precision, width):
     _, got = run_conv(case, precision, width)
     for name, val in zip(("out", "dx", "dw"), got):
         assert val.flags.c_contiguous and val.flags.owndata and val.base is None, name
+
+
+def per_tap_conv(case, ctx, x, w, g):
+    """Forward, dx and dw on the flat padded layout of the module docstring,
+    one GEMM per tap added in (a, d) order into zero buffers, dx by
+    scattering each tap's W_ad.T @ G into its slice of the input buffer,
+    with the FP16 roundings the kernels promise."""
+    b, c, c_out, h, wd, k1, k2, s, p = case
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k1, k2, c_out, c)
+    h2, w2 = (h + 2 * p - k1) // s + 1, (wd + 2 * p - k2) // s + 1
+    hp, wp = -(-(h + 2 * p) // s) * s, wd + 2 * p
+    n = b * (hp // s) * wp
+    xbuf = np.zeros((c, b * hp * wp + (k1 - 1) * wp + k2 - 1), ctx.dtype)
+    xin = xbuf[:, : b * hp * wp].reshape(c, b, hp, wp)
+    xin[:, :, p : p + h, p : p + wd] = x.transpose(1, 0, 2, 3)
+    grid = np.zeros((c_out, n), ctx.dtype)
+    grid.reshape(c_out, b, hp // s, wp)[:, :, :h2, :w2] = g.transpose(1, 0, 2, 3)
+    tap = {(a, d): slice(a * wp + d, a * wp + d + s * n, s) for a in range(k1) for d in range(k2)}
+    out = np.zeros((c_out, n), ctx.dtype)
+    dbuf = np.zeros(xbuf.shape, ctx.dtype)
+    dw = np.zeros(w.shape, ctx.dtype)
+    for (a, d), cols in tap.items():
+        out += np.matmul(wt[a, d], xbuf[:, cols])
+        dbuf[:, cols] += (ctx.matmul if ctx.narrow else np.matmul)(wt[a, d].T, grid)
+        dw[:, :, a, d] = ctx.matmul(grid, xbuf[:, cols].T)
+    if ctx.narrow:  # the forward is one running sum instead, k-major: each channel, every tap
+        out = 0.0
+        for k in range(c):
+            for (a, d), cols in tap.items():
+                out = half_round(out + half_round(wt[a, d, :, k, None] * xbuf[k, cols]))
+    out = out.reshape(c_out, b, hp // s, wp)[:, :, :h2, :w2].transpose(1, 0, 2, 3)
+    dx = dbuf[:, : b * hp * wp].reshape(c, b, hp, wp)[:, :, p : p + h, p : p + wd]
+    return ctx.q(out), ctx.q(dx.transpose(1, 0, 2, 3)), dw
+
+
+def same_bytes(got, want):
+    """Equal dtype, shape and bytes: signed zeros count."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def matrix_products(case):
+    """The results whose per-tap products have at least two rows.  numpy
+    computes a one-row product as a matrix-vector product, and BLAS may
+    round those by the column's place in the call (OpenBLAS's FP64 one
+    does), which a gather or a chunk moves; such results are held to the
+    bounds above instead."""
+    c, c_out = case[1], case[2]
+    return {"out": c_out > 1, "dx": c > 1, "dw": True}
+
+
+@pytest.mark.parametrize("precision,width", CTXS)
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv_is_bitwise_the_per_tap_sum(case, precision, width):
+    # The stacked products, the gathered dx and the tap reduction keep the
+    # terms, and the order, of one GEMM per tap summed in (a, d) order.
+    (x, w, g), got = run_conv(case, precision, width)
+    ctx = QuantCtx(precision, width)
+    checked = matrix_products(case)
+    for name, val, ref in zip(("out", "dx", "dw"), got, per_tap_conv(case, ctx, x, w, g)):
+        if checked[name]:
+            assert same_bytes(val, ref), name
+
+
+# cases with more than 64 output-grid and input-buffer columns, so that
+# small workspace caps split the products into several chunks
+CHUNKED_CASES = [(4, 3, 5, 9, 7, 3, 3, 1, 1), (5, 2, 3, 10, 9, 3, 2, 2, 1),
+                 (3, 2, 2, 7, 11, 2, 3, 3, 2), (2, 4, 2, 8, 8, 3, 3, 1, 1)]
+
+
+@pytest.mark.parametrize("precision,width", CTXS)
+@pytest.mark.parametrize("case", CONV_CASES + CHUNKED_CASES)
+def test_conv_chunking_leaves_results_bitwise_unchanged(case, precision, width, monkeypatch):
+    # A 1-byte cap gives the smallest chunks, 64 columns; the larger caps
+    # give other multiples of 64.  Last chunks are odd-sized where the
+    # column count is.
+    _, unchunked = run_conv(case, precision, width)
+    checked = matrix_products(case)
+    for cap in (1, 3 * 64 * 9 * 4 * 4, 5 * 64 * 4 * 4):
+        monkeypatch.setattr(kernels, "_STACK_BYTES", cap)
+        _, got = run_conv(case, precision, width)
+        for name, val, ref in zip(("out", "dx", "dw"), got, unchunked):
+            if checked[name]:
+                assert same_bytes(val, ref), (cap, name)
+
+
+@pytest.mark.parametrize("cap,n", [(1, 64), (1, 65), (1, 130), (1, 300), (3 * 64 * 108, 1000),
+                                   (1 << 20, 5000)])
+def test_stack_sum_chunks(cap, n, monkeypatch):
+    # Chunks are multiples of 64 columns within the cap (or 64 columns if
+    # the cap is smaller), the last keeps at least two columns, and the
+    # result is the unchunked reduction bit for bit.
+    monkeypatch.setattr(kernels, "_STACK_BYTES", cap)
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(3, 3, 3, 5)).astype(np.float32)
+    b = rng.normal(size=(3, 3, 5, n)).astype(np.float32)
+    widths = []
+
+    def product(x, y):
+        widths.append(y.shape[-1])
+        return np.matmul(x, y)
+
+    got = kernels._stack_sum(a, b, product)
+    step = max(64, cap // 108 // 64 * 64)  # 108 bytes: a column of nine 3-row products
+    assert sum(widths) == n and all(w == step for w in widths[:-1])
+    assert widths[-1] >= min(n, 2) and widths[-1] <= step + 1
+    want = np.zeros((3, n), np.float32)
+    for t in np.ndindex(3, 3):
+        want += a[t] @ b[t]
+    assert same_bytes(got, want)
+
+
+def test_conv_workspace_is_capped(monkeypatch):
+    # One desk-cnn conv at batch 256: besides its inputs, a forward or a
+    # backward call holds at most an input-sized buffer, an output-grid-
+    # sized one, the result and one chunk of stacked products.  Stacking
+    # all nine taps' products at once would hold nine output grids.
+    b, c, hw = 256, 8, 8
+    node = Node("c", "conv2d", ("x",), dict(c_in=c, c_out=c, k1=3, k2=3, stride=1, pad=1,
+                                            sparse=0))
+    ctx = QuantCtx(FP32)
+    rng = np.random.default_rng(0)
+    x = ctx.asarray(rng.normal(size=(b, c, hw, hw)))
+    w = ctx.asarray(rng.normal(size=(c, c, 3, 3)))
+    g = ctx.asarray(rng.normal(size=(b, c, hw, hw)))
+    wp = hw + 2
+    padded = c * (b * wp * wp + 2 * wp + 2) * 4
+    grid = c * b * wp * wp * 4
+    result = x.nbytes
+    budget = padded + grid + result + kernels._STACK_BYTES + 64 * 1024
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    calls = [lambda: forward_op(node, [x], {"c.weight": w}, ctx),
+             lambda: backward_op(node, g, {"x": x}, {"c.weight": w}, ctx)]
+    assert all(peak(call) < budget for call in calls)
+    monkeypatch.setattr(kernels, "_STACK_BYTES", 9 * grid)  # the guard catches an uncapped stack
+    assert all(peak(call) > budget for call in calls)
+
+
+@pytest.mark.parametrize("precision", [FP32, FP64, FP16])
+@pytest.mark.parametrize("op,shape", [("batchnorm", (4, 3, 5, 6)), ("batchnorm", (1, 2, 1, 9)),
+                                      ("batchnorm", (32, 8, 8, 8)), ("layernorm", (4, 7)),
+                                      ("layernorm", (2, 3, 10))])
+def test_norm_statistics_are_those_of_mean_and_var(op, shape, precision):
+    ctx = QuantCtx(precision)
+    rng = np.random.default_rng(len(shape))
+    x = ctx.asarray(rng.normal(2.0, 3.0, size=shape))
+    ch = shape[1] if op == "batchnorm" else shape[-1]
+    params = {f"n.{name}": ctx.asarray(rng.normal(size=ch)) for name in ("gamma", "beta")}
+    node = Node("n", op, ("x",), dict(channels=ch))
+    out, (mean, inv) = forward_op(node, [x], params, ctx)
+    axes = (0, 2, 3) if op == "batchnorm" else -1
+    assert same_bytes(mean, x.mean(axis=axes))
+    assert same_bytes(inv, 1.0 / np.sqrt(x.var(axis=axes) + np.asarray(NORM_EPS, dtype=x.dtype)))
+    m, i = (np.expand_dims(v, axes) for v in (mean, inv))
+    gamma, beta = params["n.gamma"], params["n.beta"]
+    if op == "batchnorm":
+        gamma, beta = gamma[:, None, None], beta[:, None, None]
+    assert same_bytes(out, ctx.q(gamma * ((x - m) * i) + beta))
+    # re-evaluating from the cached statistics gives the same output
+    assert same_bytes(forward_op(node, [x], params, ctx, stats=(mean, inv))[0], out)
 
 
 # ---------------------------------------------------------------------------
