@@ -9,7 +9,7 @@ claims are machine-checkable.
 
 from .builders import build_dc_transformer_cost, build_desk_cnn, build_wrn
 from .engine import EngineConfig, run_microbatched, run_step
-from .numerics import DenseTensor, NumericFormat, half_round, tensor_bytes
+from .numerics import NumericFormat, half_round, tensor_bytes
 from .plan import CheckpointStrategy, checkpoint_nodes
 from .profiler import (
     FlopReport,
@@ -21,17 +21,15 @@ from .profiler import (
     optimizer_memory,
     total_report,
 )
-from .sparse import SparseConvCSR, SparsityMask, csr_from_dense, csr_storage_bytes, csr_to_dense
+from .sparse import SparseConvCSR, csr_from_dense, csr_storage_bytes, csr_to_dense
 
 __all__ = [
     "CheckpointStrategy",
-    "DenseTensor",
     "EngineConfig",
     "FlopReport",
     "MemoryReport",
     "NumericFormat",
     "SparseConvCSR",
-    "SparsityMask",
     "TrainingConfig",
     "activation_memory",
     "build_dc_transformer_cost",

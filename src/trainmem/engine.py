@@ -162,22 +162,13 @@ class _Step:
         return out, fresh
 
     def _store_payload(self, plan: Plan, i: int):
-        t = self.t
-        payload: dict = {}
-        if self.g.nodes[i].op == "relu":
-            if not (plan.trimmed and t.excluded_idx[i]):
-                payload["mask"] = self._get(t.in_idx[i][0]) > 0
-        else:
-            kept = []
-            for j in t.in_idx[i]:
-                if t.is_input[j]:
-                    continue
-                if plan.trimmed and t.excluded_idx[j]:
-                    continue
-                self.retain[j] += 1
-                kept.append(j)
-            payload["inputs"] = kept
-        self.payloads[i] = payload
+        """Keep what the plan's payload table lists for node i."""
+        sources = plan.payload.sources[i]
+        for j in sources:
+            self.retain[j] += 1
+        self.payloads[i] = {"inputs": sources}
+        if plan.payload.mask[i]:
+            self.payloads[i]["mask"] = self._get(self.t.in_idx[i][0]) > 0
 
     # -- backward -----------------------------------------------------------
     def _backprop(self, i: int):

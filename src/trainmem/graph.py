@@ -228,11 +228,6 @@ class ComputationGraph:
             return nnz[spec.name]
         return spec.numel
 
-    # -- storage -----------------------------------------------------------
-
-    def storage_class(self, node: Node) -> str:
-        return STORAGE_CLASS[node.op]
-
 
 def _build_params(node: Node) -> list[ParamSpec]:
     """The parameter tensors a node owns."""

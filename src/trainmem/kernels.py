@@ -8,8 +8,8 @@ one float32 +, -, * or / of binary16 values, so rounded, is correctly
 rounded.  Dot products honor the configured accumulator width (one
 rounding after the full float32 reduction for a 32-bit accumulator;
 rounding after every addition for a 16-bit one).  Every GEMM goes
-through `QuantCtx.matmul` but conv's dx taps under the 32-bit
-accumulator, whose raw sum is rounded once.  Norm layers are treated as
+through `QuantCtx.matmul` but conv's forward and dx taps under the 32-bit
+accumulator, whose raw sums are rounded once.  Norm layers are treated as
 single fused elementwise ops with statistics kept in the carrier.
 
 Convolution is k1*k2 shifted GEMMs.  Each call pads its input once into a
@@ -25,8 +25,8 @@ tap slice, W_ad the (c_out, c) weights of tap (a, d) and G the upstream
 gradient placed in the output grid with zeros in the junk columns:
 
 - forward: the sum over taps of W_ad @ X_ad, one reduction over (channel,
-  tap).  FP16 rounds it once (32-bit accumulator) or after every addition,
-  channel-major (16-bit).
+  tap).  FP16 rounds it once, after the junk columns are dropped (32-bit
+  accumulator), or after every addition, channel-major (16-bit).
 - dw[:, :, a, d] = G @ X_ad.T, one reduction per tap, rounded once in FP16.
 - dx is a gather, not a scatter: the backward pass of a strided conv is a
   direct conv over the gradient dilated by the stride and zero-padded
@@ -89,12 +89,12 @@ class QuantCtx:
         """a @ b under the accumulation rule: the reduction runs over a's last
         axis and b's second-to-last, stacks broadcast as in np.matmul.
 
-        With `sum_stacks` the stack axes (equal in a and b) are reduced too:
-        the result is the sum of a[t] @ b[t] over every stack index t, as one
-        reduction rounded once.  The 32-bit accumulator computes every
-        a[t] @ b[t] in one stacked product and adds them in C order of t
-        (`_stack_sum`).  The 16-bit accumulator adds k-major: for each k, the
-        products of every t in order.
+        With `sum_stacks`, read by the 16-bit accumulator only, the stack
+        axes (equal in a and b) are reduced too: the result is the sum of
+        a[t] @ b[t] over every stack index t, as one running sum that adds
+        k-major: for each k, the products of every t in order.  Under the
+        32-bit accumulator callers sum stacks with `_stack_sum` and round
+        the sum once themselves.
         """
         if self.narrow:
             terms = [(a[t], b[t]) for t in np.ndindex(a.shape[:-2])] if sum_stacks else [(a, b)]
@@ -103,7 +103,7 @@ class QuantCtx:
                 for x, y in terms:
                     acc = half_round(acc + half_round(x[..., :, k, None] * y[..., None, k, :]))
             return acc
-        return self.q(_stack_sum(a, b, np.matmul) if sum_stacks else a @ b)
+        return self.q(a @ b)
 
     def accumulate(self, buf: np.ndarray, update: np.ndarray) -> np.ndarray:
         """buf + update under the accumulation rule (used across microbatches).
@@ -208,9 +208,14 @@ def _tap_weights(weight, ctx: QuantCtx):
 
 def _conv2d_forward(node: Node, x, weight, ctx: QuantCtx):
     grid = _ConvGrid(node, x.shape)
-    out = ctx.matmul(_tap_weights(weight, ctx), grid.taps(grid.pad(x, ctx.dtype)),
-                     sum_stacks=True)
-    return _window(out, grid.b, grid.rows, grid.wp, 0, grid.h2, grid.w2)
+    w, taps = _tap_weights(weight, ctx), grid.taps(grid.pad(x, ctx.dtype))
+    if ctx.narrow:
+        out = ctx.matmul(w, taps, sum_stacks=True)
+    else:
+        out = _stack_sum(w, taps, np.matmul)  # 32-bit: rounded once, after the junk columns go
+    del taps  # free the padded input before the window copy
+    out = _window(out, grid.b, grid.rows, grid.wp, 0, grid.h2, grid.w2)
+    return out if ctx.narrow else ctx.q(out)
 
 
 def _conv2d_backward(node: Node, g_out, x, weight, ctx: QuantCtx):
@@ -348,37 +353,28 @@ def backward_op(
         return [dx], grads
     if op in ("batchnorm", "layernorm"):
         x = need("x")
+        # statistics per channel (batchnorm) or per row (layernorm), reduced
+        # over `axes` and broadcast back by indexing with `put`
+        if op == "batchnorm":
+            axes, put = (0, 2, 3), (slice(None), None, None)
+        else:
+            axes, put = (-1,), (..., None)
         mean, inv = need("stats")
+        cnt = x.size // mean.size
+        mean, inv = mean[put], inv[put]
         gamma = params[f"{nid}.gamma"]
         if op == "batchnorm":
-            axes = (0, 2, 3)
-            m = mean[:, None, None]
-            i = inv[:, None, None]
-            gm = gamma[:, None, None]
-            cnt = x.shape[0] * x.shape[2] * x.shape[3]
-            xhat = (x - m) * i
-            dxhat = g_out * gm
-            dx = i * (
-                dxhat
-                - dxhat.sum(axis=axes, keepdims=True) / cnt
-                - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True) / cnt
-            )
-            dgamma = (g_out * xhat).sum(axis=axes)
-            dbeta = g_out.sum(axis=axes)
-        else:
-            m = mean[..., None]
-            i = inv[..., None]
-            cnt = x.shape[-1]
-            xhat = (x - m) * i
-            dxhat = g_out * gamma
-            dx = i * (
-                dxhat
-                - dxhat.sum(axis=-1, keepdims=True) / cnt
-                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / cnt
-            )
-            red = tuple(range(x.ndim - 1))
-            dgamma = (g_out * xhat).sum(axis=red)
-            dbeta = g_out.sum(axis=red)
+            gamma = gamma[put]
+        xhat = (x - mean) * inv
+        dxhat = g_out * gamma
+        dx = inv * (
+            dxhat
+            - dxhat.sum(axis=axes, keepdims=True) / cnt
+            - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True) / cnt
+        )
+        red = axes if op == "batchnorm" else tuple(range(x.ndim - 1))  # all but gamma's axis
+        dgamma = (g_out * xhat).sum(axis=red)
+        dbeta = g_out.sum(axis=red)
         return [ctx.q(dx)], {f"{nid}.gamma": ctx.q(dgamma), f"{nid}.beta": ctx.q(dbeta)}
     if op == "relu":
         # masking keeps or zeroes each value, so the result is on the

@@ -2,9 +2,9 @@
 
 The engine carries FP64 tensors as float64 arrays and FP32 and FP16
 tensors as float32 arrays; an FP16 tensor is a float32 array whose every
-element sits exactly on the IEEE binary16 grid.  `DenseTensor` keeps its
-data as float64 whatever the format.  Byte accounting is always done by
-formula from the nominal format, never by measuring the carrier array.
+element sits exactly on the IEEE binary16 grid.  Byte accounting is always
+done by formula from the nominal format, never by measuring the carrier
+array.
 
 `half_round` has two paths with bit-identical results.  The cast path
 (through numpy's float16) handles every input and owns overflow to
@@ -22,7 +22,6 @@ large call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -137,41 +136,3 @@ def tensor_bytes(shape, fmt: NumericFormat) -> int:
             raise ContractError(f"non-positive extent in shape {tuple(shape)}")
         n *= int(extent)
     return n * fmt.element_bytes
-
-
-@dataclass
-class DenseTensor:
-    """A dense tensor with a nominal storage format.
-
-    `data` is flat, float64, and (for FP16) constrained to the binary16 grid.
-    """
-
-    shape: tuple[int, ...]
-    format: NumericFormat
-    data: np.ndarray = field(repr=False)
-
-    def __init__(self, shape, format: NumericFormat, data):
-        self.shape = tuple(int(s) for s in shape)
-        self.format = format
-        flat = np.asarray(data, dtype=np.float64).reshape(-1)
-        n = math.prod(self.shape)
-        if flat.size != n:
-            raise ContractError(
-                f"data length {flat.size} != prod(shape) {n} for shape {self.shape}"
-            )
-        if format is NumericFormat.FP16:
-            rounded = half_round(flat)
-            if not np.array_equal(rounded, flat, equal_nan=True):
-                raise ContractError("FP16 tensor contains values off the binary16 grid")
-        self.data = flat
-
-    @property
-    def numel(self) -> int:
-        return math.prod(self.shape)
-
-    @property
-    def nbytes(self) -> int:
-        return tensor_bytes(self.shape, self.format)
-
-    def as_array(self) -> np.ndarray:
-        return self.data.reshape(self.shape)

@@ -85,8 +85,15 @@ def mark_frontier(points: list[ParetoPoint]) -> list[ParetoPoint]:
 
 
 def sweep(graph: ComputationGraph, spec: SweepSpec, warnings: list[str] | None = None) -> list[ParetoPoint]:
-    """Evaluate every combination; invalid ones are skipped with a warning.
-    Points come back deterministically ordered by (bytes, ratio)."""
+    """Evaluate every combination of the spec on the graph.
+
+    A combination that `total_report` rejects for this graph, such as
+    `residual:1` on a graph without residual blocks, is skipped, with a
+    message appended to `warnings` if it is given.  A value that
+    `TrainingConfig` itself rejects, such as a microbatch that does not
+    divide the minibatch or an unknown optimizer, is bad input: it raises
+    `ConfigurationError` and aborts the whole sweep.  Points come back
+    deterministically ordered by (bytes, ratio)."""
     points = []
     for cfg in spec.configs(graph):
         try:

@@ -12,6 +12,13 @@ at each sample point, and the first maximum is the peak; FLOPs are dot
 products.  The engine walks the same events doing the real tensor math,
 so the schedule it runs is the schedule priced here.
 
+`Plan.__init__` is the one place a strategy kind is lowered: into keep
+flags, the trim variant, recompute segments with their holds and
+triggers, and the exits held from the forward pass or at a block's
+backward.  `_Compiler` turns that into events without reading the
+strategy.  What a stored payload holds is stated once, in
+`_PayloadTable`: `Sizing` prices it and the engine stores it.
+
 Accounting conventions (matching the node storage classes):
   - Each storing node owns a payload entry holding its input tensors plus
     any per-node aux quantities; entries are counted per node, so a tensor
@@ -86,76 +93,15 @@ NONE = CheckpointStrategy("none")
 # Strategy structure
 
 
-def _trim_excluded(graph: ComputationGraph) -> set[str]:
-    """Tensors never stored under recompute-friendly strategies: norm outputs
-    and outputs of ReLUs fed directly by a norm."""
-    out = set()
-    for n in graph.nodes:
-        if n.op in ("batchnorm", "layernorm"):
-            out.add(n.node_id)
-        elif n.op == "relu" and graph.node(n.inputs[0]).op in ("batchnorm", "layernorm"):
-            out.add(n.node_id)
-    return out
-
-
-def _block_spans(graph: ComputationGraph) -> list[tuple[int, int]]:
-    spans = [(graph.index[e], graph.index[x]) for e, x in graph.residual_blocks]
-    spans.sort()
-    return spans
-
-
 def checkpoint_nodes(graph: ComputationGraph, strategy: CheckpointStrategy) -> set[str]:
     """Nodes whose stored payload is retained through the forward pass."""
-    t = graph_tables(graph)
-    storing = [n for i, n in enumerate(graph.nodes) if t.storing[i]]
-    if strategy.kind == "none":
-        return {n.node_id for n in storing}
-    if strategy.kind == "every":
-        m = strategy.m
-        ckpt = set()
-        for pos, n in enumerate(storing, start=1):
-            if pos % m == 0 and pos < len(storing):
-                ckpt.add(n.node_id)
-        return ckpt
-
-    excluded = _trim_excluded(graph) if strategy.kind in ("no_bn", "residual_star") else set()
-
-    def keeps_nothing(n: Node) -> bool:
-        """Under trimming, a node whose whole stored part vanishes."""
-        if n.node_id in excluded and n.op == "relu":
-            return True
-        if graph.storage_class(n) == FULL_INPUT and n.inputs and all(
-            i in excluded for i in n.inputs if graph.out_dtype[i] == "float"
-        ):
-            return True
-        return False
-
-    if strategy.kind == "no_bn":
-        return {n.node_id for n in storing if not keeps_nothing(n)}
-
-    if strategy.kind in ("residual", "residual_star"):
-        spans = _block_spans(graph)
-        if not spans:
-            raise ConfigurationError(f"strategy {strategy} requires residual-block annotations")
-        in_block = set()
-        for lo, hi in spans:
-            in_block.update(range(lo, hi + 1))
-        exits = set(checkpointed_exits(graph, strategy))
-        kept = set()
-        for n in storing:
-            idx = graph.index[n.node_id]
-            if idx not in in_block:
-                if not keeps_nothing(n):
-                    kept.add(n.node_id)
-            elif t.full_or_stats[idx] and any(i in exits for i in n.inputs):
-                kept.add(n.node_id)
-        return kept
-    raise ConfigurationError(f"unhandled strategy {strategy}")
+    keep = plan_for(graph, strategy).keep
+    return {n.node_id for n, k in zip(graph.nodes, keep) if k}
 
 
 def checkpointed_exits(graph: ComputationGraph, strategy: CheckpointStrategy) -> list[str]:
     """Block-exit node ids retained under a residual strategy, in order."""
-    spans = _block_spans(graph)
+    spans = graph_tables(graph).spans
     return [graph.nodes[hi].node_id for k, (lo, hi) in enumerate(spans, start=1)
             if k % strategy.m == 0]
 
@@ -183,24 +129,21 @@ class _GraphTables:
         self.storing = [c != NOTHING for c in classes]
         self.bitmask = [c == BITMASK_INPUT for c in classes]
         self.pass_through = [op in PASS_THROUGH_OPS for op in ops]
-        excluded = _trim_excluded(g)
-        self.excluded_idx = [nd.node_id in excluded for nd in g.nodes]
-        # backward-needs variants: tensor indices the backward kernel reads.
-        # A stored, untrimmed payload covers everything its backward reads,
-        # so only the missing-payload and trimmed-payload variants are listed.
-        self.needs_without_payload = []
-        self.needs_trim_extra = []
-        for i, nd in enumerate(g.nodes):
-            if not self.storing[i]:
-                wo = ()
-            elif ops[i] == "relu":
-                wo = self.in_idx[i]
-            else:
-                wo = tuple(j for j in self.in_idx[i] if not self.is_input[j])
-            self.needs_without_payload.append(wo)
-            self.needs_trim_extra.append(
-                tuple(j for j in wo if self.excluded_idx[j])
-            )
+        norm = [c == CACHED_STATS for c in classes]
+        self.is_norm = np.array(norm)
+        # tensors trimming never stores: norm outputs and the outputs of
+        # ReLUs fed directly by a norm
+        self.excluded_idx = [norm[i] or (self.bitmask[i] and norm[self.in_idx[i][0]])
+                             for i in range(n)]
+        self.spans = sorted((index[e], index[x]) for e, x in g.residual_blocks)
+        # tensor indices the backward kernel reads when the node's payload is
+        # missing; a stored payload covers the rest (see `_PayloadTable.needs`)
+        self.needs_without_payload = [
+            () if not self.storing[i]
+            else self.in_idx[i] if self.bitmask[i]
+            else tuple(j for j in self.in_idx[i] if not self.is_input[j])
+            for i in range(n)
+        ]
         # ancestors of the loss (plus the loss itself)
         self.in_backward = [False] * n
         stack = [index[g.loss_id]]
@@ -226,7 +169,6 @@ class _GraphTables:
         self.loss_idx = index[g.loss_id]
         self.pinned = _vec([i for i, nd in enumerate(g.nodes)
                            if self.is_input[i] and g.consumers[nd.node_id]])
-        self.is_norm = np.array([op in ("batchnorm", "layernorm") for op in ops])
         self.stats_fixed = _vec([2 * nd.p("channels") * 4 if nd.op == "batchnorm" else 0
                                 for nd in g.nodes])
         self.stats_per_example = _vec([2 * 4 if op == "layernorm" else 0 for op in ops])
@@ -322,29 +264,42 @@ def plan_for(graph: ComputationGraph, strategy: CheckpointStrategy) -> Plan:
 
 
 class _PayloadTable:
-    """Where the stored-payload bytes of every node come from under one trim
-    variant: input edges charged at their source's output bytes, and ReLU
-    bitmasks.  Network inputs are pinned once for the whole step and charged
-    zero here."""
+    """What every node's stored payload holds under one trim variant: the
+    input tensors it keeps (`sources`), and whether it keeps a ReLU bitmask
+    of its input instead (`mask`).  The cost model prices these and the
+    engine stores them.  Network inputs among the sources are pinned once
+    for the whole step, so pricing charges them zero."""
 
     def __init__(self, t: _GraphTables, trimmed: bool):
-        dst, src, masks, mask_elems = [], [], [], []
-        for i, storing in enumerate(t.storing):
-            if not storing:
-                continue
+        n = len(t.storing)
+        dropped = t.excluded_idx if trimmed else [False] * n
+        self.sources = sources = [()] * n
+        self.mask = mask = [False] * n
+        self.needs = needs = [()] * n  # what node i's backward reads beside its payload
+        self.holders = holders = [[] for _ in range(n)]  # the payloads holding tensor j
+        dst, src, masks = [], [], []  # the priced input edges and masks
+        for i in range(n):
             if t.bitmask[i]:
-                if not (trimmed and t.excluded_idx[i]):
+                if not dropped[i]:
+                    mask[i] = True
                     masks.append(i)
-                    mask_elems.append(t.elems[t.in_idx[i][0]])
-                continue
-            for j in t.in_idx[i]:
-                if not t.is_input[j] and not (trimmed and t.excluded_idx[j]):
-                    dst.append(i)
-                    src.append(j)
+            elif t.storing[i]:
+                kept = t.in_idx[i]
+                if trimmed:
+                    kept = tuple([j for j in kept if not dropped[j]])
+                sources[i] = kept
+                for j in kept:
+                    holders[j].append(i)
+                    if not t.is_input[j]:
+                        dst.append(i)
+                        src.append(j)
+            if trimmed and t.needs_without_payload[i]:
+                needs[i] = tuple([j for j in t.needs_without_payload[i] if dropped[j]])
         self.dst = np.array(dst, dtype=np.int64)
         self.src = np.array(src, dtype=np.int64)
         self.mask_idx = np.array(masks, dtype=np.int64)
-        self.mask_elems = np.array(mask_elems, dtype=np.int64)  # of the masked input
+        # elements of the masked input
+        self.mask_elems = t.elems[np.array([t.in_idx[i][0] for i in masks], dtype=np.int64)]
 
 
 class Sizing:
@@ -438,95 +393,95 @@ class Plan:
         # No reference to the graph: the graph owns its plans, and without
         # a cycle it is freed as soon as its last user drops it.
         self.strategy = strategy
+        kind, m = strategy.kind, strategy.m
         g = graph
         t = graph_tables(g)
         n = len(g.nodes)
-        self.keep = [False] * n
-        for nid in checkpoint_nodes(g, strategy):
-            self.keep[g.index[nid]] = True
-        self.trimmed = strategy.kind in ("no_bn", "residual_star")
-
-        # segments to materialize during backward
+        if kind in ("residual", "residual_star") and not t.spans:
+            raise ConfigurationError(f"strategy {strategy} requires residual-block annotations")
+        self.trimmed = kind in ("no_bn", "residual_star")
+        self.payload = t.payload_table(self.trimmed)
         self.segments: list[list[int]] = []  # member node indices, topo order
         self.seg_holds: list[list[int]] = []  # interior exits held as raw tensors
         self.trigger: dict[int, int] = {}  # node idx -> segment id
         self.fwd_exit_holds: list[int] = []  # checkpointed exits held from forward
-        self.block_of_exit: dict[int, tuple[int, int]] = {}
-        self.first_conv: dict[tuple[int, int], int | None] = {}
+        self.exit_holds: dict[int, int] = {}  # block exit -> node held at its backward
 
-        if strategy.kind == "every":
-            storing = [i for i in range(n) if t.storing[i] and t.in_backward[i]]
+        storing = [i for i in range(n) if t.storing[i]]
+        dropped = t.excluded_idx if self.trimmed else [False] * n
+
+        def keeps_nothing(i: int) -> bool:
+            """A ReLU whose mask is dropped, or a full-input node whose float
+            inputs are all dropped (without trimming: it has none)."""
+            if t.bitmask[i]:
+                return dropped[i]
+            return (t.full_or_stats[i] and not t.is_norm[i] and bool(t.in_idx[i])
+                    and all(dropped[j] for j in t.in_idx[i] if not t.out_int[j]))
+
+        if kind == "none":
+            keep = set(storing)
+        elif kind == "every":
+            keep = {i for pos, i in enumerate(storing, start=1)
+                    if pos % m == 0 and pos < len(storing)}
+        elif kind == "no_bn":
+            keep = {i for i in storing if not keeps_nothing(i)}
+        else:
+            exits = {g.index[x] for x in checkpointed_exits(g, strategy)}
+            in_block = {i for lo, hi in t.spans for i in range(lo, hi + 1)}
+            keep = {i for i in storing
+                    if (t.full_or_stats[i] and any(j in exits for j in t.in_idx[i])
+                        if i in in_block else not keeps_nothing(i))}
+        self.keep = [i in keep for i in range(n)]
+
+        if kind == "every":
             current: list[int] = []
             for i in storing:
+                if not t.in_backward[i]:
+                    continue
                 if self.keep[i]:
                     if current:
-                        self._push_segment(current, [])
+                        self._push_segment(current, [], current[-1])
                         current = []
                 else:
                     current.append(i)
             if current:
-                self._push_segment(current, [])
-        elif strategy.kind in ("residual", "residual_star"):
-            spans = _block_spans(g)
-            exits = {g.index[x] for x in checkpointed_exits(g, strategy)}
-            star = strategy.kind == "residual_star"
-            for lo, hi in spans:
-                self.block_of_exit[hi] = (lo, hi)
-                fc = None
-                for i in range(lo, hi + 1):
-                    if g.nodes[i].op in ("conv2d", "linear"):
-                        fc = i
-                        break
-                self.first_conv[(lo, hi)] = fc
-            m = strategy.m
-            for s0 in range(0, len(spans), m):
-                chunk = spans[s0 : s0 + m]
-                if star:
-                    # One group per chunk: interior block inputs (the "other
-                    # residual block outputs") persist for the whole segment.
-                    members = [
-                        lo
-                        for lo, hi in chunk
-                        if t.storing[lo] and t.in_backward[lo] and not self.keep[lo]
-                        and t.full_or_stats[lo]
-                    ]
-                    member_set = set(members)
-                    holds = []
-                    for lo, hi in chunk:
-                        if hi in exits or not t.in_backward[hi]:
-                            continue
-                        if not self._captured(t, hi, member_set):
-                            holds.append(hi)
-                    seg = self._push_segment(members, holds)
-                    self.trigger[chunk[-1][1]] = seg
-                else:
-                    # One group per block, materialized lazily when the
-                    # backward pass enters it; the previous block's exit is
-                    # held as the recompute source where nothing captures it.
-                    for bi in range(len(chunk) - 1, -1, -1):
-                        lo, hi = chunk[bi]
-                        members = [
-                            i
-                            for i in range(lo, hi + 1)
-                            if t.storing[i] and t.in_backward[i] and not self.keep[i]
-                        ]
-                        member_set = set(members)
-                        holds = []
-                        if bi > 0:
-                            prev_exit = chunk[bi - 1][1]
-                            if t.in_backward[prev_exit] and not self._captured(
-                                t, prev_exit, member_set
-                            ):
-                                holds.append(prev_exit)
-                        seg = self._push_segment(members, holds)
-                        self.trigger[hi] = seg
-            for e in sorted(exits):
-                if t.in_backward[e] and not self._captured(t, e, set()):
-                    self.fwd_exit_holds.append(e)
-
-        if strategy.kind == "every":
-            for seg, members in enumerate(self.segments):
-                self.trigger[members[-1]] = seg
+                self._push_segment(current, [], current[-1])
+        elif kind == "residual":
+            # One group per block, materialized lazily when the backward
+            # pass enters it; the previous block's exit is held as the
+            # recompute source where nothing captures it.
+            for s0 in range(0, len(t.spans), m):
+                chunk = t.spans[s0 : s0 + m]
+                for bi in range(len(chunk) - 1, -1, -1):
+                    lo, hi = chunk[bi]
+                    members = [i for i in range(lo, hi + 1)
+                               if t.storing[i] and t.in_backward[i] and not self.keep[i]]
+                    prev = chunk[bi - 1][1] if bi > 0 else None
+                    needed = prev is not None and t.in_backward[prev]
+                    holds = [prev] if needed and not self._captured(prev, set(members)) else []
+                    self._push_segment(members, holds, hi)
+        elif kind == "residual_star":
+            # One group per chunk: interior block inputs (the "other residual
+            # block outputs") persist for the whole segment; each block's
+            # first conv or linear is held when the backward pass reaches
+            # the block's exit.
+            for s0 in range(0, len(t.spans), m):
+                chunk = t.spans[s0 : s0 + m]
+                members = [lo for lo, hi in chunk
+                           if t.storing[lo] and t.in_backward[lo] and not self.keep[lo]
+                           and t.full_or_stats[lo]]
+                holds = [hi for lo, hi in chunk
+                         if hi not in exits and t.in_backward[hi]
+                         and not self._captured(hi, set(members))]
+                self._push_segment(members, holds, chunk[-1][1])
+            for lo, hi in t.spans:
+                fc = next((i for i in range(lo, hi + 1)
+                           if g.nodes[i].op in ("conv2d", "linear")), None)
+                if fc is not None:
+                    self.exit_holds[hi] = fc
+        if kind in ("residual", "residual_star"):
+            self.fwd_exit_holds = [e for e in sorted(exits)
+                                   if t.in_backward[e] and not self._captured(e, set())]
 
         s = _Compiler(self, t)
         self.events = np.array(s.events, dtype=np.int32)
@@ -539,18 +494,16 @@ class Plan:
         self.recompute_events = sum(s.recompute)
         self.backprop = np.array(s.backprop, dtype=np.int64)
 
-    def _push_segment(self, members: list[int], holds: list[int]) -> int:
+    def _push_segment(self, members: list[int], holds: list[int], trigger: int):
+        """A segment materialized when the backward pass reaches `trigger`."""
+        self.trigger[trigger] = len(self.segments)
         self.segments.append(members)
         self.seg_holds.append(holds)
-        return len(self.segments) - 1
 
-    def _captured(self, t: _GraphTables, idx: int, extra: set[int]) -> bool:
-        """True if a kept (or to-be-materialized) full/stats payload stores
-        this node's output tensor."""
-        if self.trimmed and t.excluded_idx[idx]:
-            return False
-        return any((self.keep[c] or c in extra) and t.full_or_stats[c]
-                   for c in t.consumer_idx[idx])
+    def _captured(self, idx: int, extra: set[int]) -> bool:
+        """True if a kept (or to-be-materialized) payload stores this node's
+        output tensor."""
+        return any(self.keep[c] or c in extra for c in self.payload.holders[idx])
 
     def evaluate(self, sizing: Sizing) -> ReplayResult:
         """Bytes and FLOPs of the schedule for one sizing."""
@@ -633,9 +586,7 @@ class _Compiler:
         t = self.t
         if t.is_input[i] or i in self.transient or i in self.hold_live:
             return True
-        if self.plan.trimmed and t.excluded_idx[i]:
-            return False
-        return any(self.payload_live[c] and t.full_or_stats[c] for c in t.consumer_idx[i])
+        return any(self.payload_live[c] for c in self.plan.payload.holders[i])
 
     def _ensure_value(self, i: int):
         if self._value_live(i):
@@ -683,7 +634,6 @@ class _Compiler:
 
     def _backward(self):
         t, plan, n = self.t, self.plan, self.n
-        star = plan.strategy.kind == "residual_star"
         seg_done = [False] * len(plan.segments)
         for i in range(n - 1, -1, -1):
             if not t.in_backward[i] or t.is_input[i]:
@@ -692,17 +642,16 @@ class _Compiler:
             if seg >= 0 and not seg_done[seg]:
                 seg_done[seg] = True
                 self._materialize(seg)
-            if star and i in plan.block_of_exit:
-                fc = plan.first_conv.get(plan.block_of_exit[i])
-                if fc is not None and not self._value_live(fc):
-                    self._ensure_value(fc)
-                    self._hold(fc)
-                    self._end_step()
-                    self._sample()
+            fc = plan.exit_holds.get(i)
+            if fc is not None and not self._value_live(fc):
+                self._ensure_value(fc)
+                self._hold(fc)
+                self._end_step()
+                self._sample()
             # A stored payload that is empty (no untrimmed non-input inputs)
             # needs exactly what a missing one needs, so sizes never decide.
             if self.payload_live[i]:
-                needs = t.needs_trim_extra[i] if plan.trimmed else ()
+                needs = plan.payload.needs[i]
             else:
                 needs = t.needs_without_payload[i]
             for j in needs:

@@ -1,4 +1,4 @@
-"""Sparsity masks and flattened CSR storage for convolution weights.
+"""Flattened CSR storage for masked convolution and matrix weights.
 
 A 4-D conv weight of shape (c_o, c_i, k1, k2) is flattened to a matrix of
 shape c_o x (c_i*k1*k2); row i is the row-major flattening of output
@@ -9,41 +9,12 @@ bits each, packed to whole bytes per array; row pointers are 32-bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError
-from .numerics import DenseTensor, NumericFormat
-
-
-@dataclass
-class SparsityMask:
-    shape: tuple[int, ...]
-    bits: np.ndarray = field(repr=False)
-
-    def __init__(self, shape, bits):
-        self.shape = tuple(int(s) for s in shape)
-        arr = np.asarray(bits, dtype=bool).reshape(-1)
-        if arr.size != math.prod(self.shape):
-            raise ContractError("mask bits do not match shape")
-        self.bits = arr
-
-    @property
-    def nnz(self) -> int:
-        return int(self.bits.sum())
-
-    @property
-    def numel(self) -> int:
-        return math.prod(self.shape)
-
-    def as_array(self) -> np.ndarray:
-        return self.bits.reshape(self.shape)
-
-    @staticmethod
-    def full(shape) -> "SparsityMask":
-        return SparsityMask(shape, np.ones(math.prod(tuple(shape)), dtype=bool))
+from .numerics import NumericFormat
 
 
 def col_index_bits(cols: int) -> int:
@@ -100,16 +71,17 @@ def csr_dims(shape: tuple[int, ...]) -> tuple[int, int]:
     raise ContractError(f"CSR encoding expects a 2-D or 4-D shape, got {shape}")
 
 
-def csr_from_dense(weight: DenseTensor, mask: SparsityMask) -> SparseConvCSR:
-    """Encode the masked-true entries of `weight` in flattened CSR form."""
+def csr_from_dense(weight: np.ndarray, mask: np.ndarray, fmt: NumericFormat) -> SparseConvCSR:
+    """Encode the entries of `weight` where the bool `mask` is true in
+    flattened CSR form, with values charged at `fmt`'s element width."""
+    weight, mask = np.asarray(weight), np.asarray(mask, dtype=bool)
     if mask.shape != weight.shape:
         raise ContractError(f"mask shape {mask.shape} != weight shape {weight.shape}")
     rows, cols = csr_dims(weight.shape)
-    w = weight.data.reshape(rows, cols)
-    m = mask.bits.reshape(rows, cols)
-    counts = m.sum(axis=1)
+    w = weight.reshape(rows, cols)
+    m = mask.reshape(rows, cols)
     row_ptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
+    np.cumsum(m.sum(axis=1), out=row_ptr[1:])
     r_idx, c_idx = np.nonzero(m)
     return SparseConvCSR(
         rows=rows,
@@ -117,20 +89,20 @@ def csr_from_dense(weight: DenseTensor, mask: SparsityMask) -> SparseConvCSR:
         values=w[r_idx, c_idx],
         col_indices=c_idx,
         row_ptr=row_ptr,
-        element_bytes=weight.format.element_bytes,
+        element_bytes=fmt.element_bytes,
     )
 
 
-def csr_to_dense(csr: SparseConvCSR, shape, fmt: NumericFormat) -> DenseTensor:
-    """Decode back to a dense tensor; zeros everywhere the CSR has no entry."""
+def csr_to_dense(csr: SparseConvCSR, shape) -> np.ndarray:
+    """Decode back to a dense array; zeros everywhere the CSR has no entry."""
     rows, cols = csr_dims(tuple(shape))
     if (rows, cols) != (csr.rows, csr.cols):
         raise ContractError("target shape inconsistent with CSR dimensions")
-    out = np.zeros((rows, cols), dtype=np.float64)
+    out = np.zeros((rows, cols), dtype=csr.values.dtype)
     for r in range(rows):
         lo, hi = csr.row_ptr[r], csr.row_ptr[r + 1]
         out[r, csr.col_indices[lo:hi]] = csr.values[lo:hi]
-    return DenseTensor(tuple(shape), fmt, out.reshape(-1))
+    return out.reshape(shape)
 
 
 def csr_storage_bytes(csr: SparseConvCSR) -> int:

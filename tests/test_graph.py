@@ -10,7 +10,7 @@ from trainmem.builders import (
     build_wrn,
 )
 from trainmem.errors import ArchSemanticError, ConfigurationError
-from trainmem.graph import CACHED_STATS, ComputationGraph, GraphBuilder, Node
+from trainmem.graph import CACHED_STATS, STORAGE_CLASS, ComputationGraph, GraphBuilder, Node
 
 
 def test_wrn_parameter_count():
@@ -45,7 +45,7 @@ def test_desk_cnn_shapes():
     assert g.out_shape["b2_add"] == (16, 4, 4)
     g2 = build_desk_cnn([8, 8], classes=4, with_batchnorm=False)
     assert all(n.op != "batchnorm" for n in g2.nodes)
-    assert all(g2.storage_class(n) != CACHED_STATS for n in g2.nodes)
+    assert all(STORAGE_CLASS[n.op] != CACHED_STATS for n in g2.nodes)
     with pytest.raises(ConfigurationError):
         build_desk_cnn([])
 

@@ -12,7 +12,7 @@ import pytest
 
 from trainmem import numerics
 from trainmem.errors import ContractError
-from trainmem.numerics import DenseTensor, FlatLayout, NumericFormat, half_round, tensor_bytes
+from trainmem.numerics import FlatLayout, NumericFormat, half_round, tensor_bytes
 from trainmem.verification import decode_binary16, encode_binary16, reference_half_round
 
 
@@ -196,12 +196,3 @@ def test_tensor_bytes():
     assert tensor_bytes([64, 128], NumericFormat.FP16) == 16_384
     with pytest.raises(ContractError):
         tensor_bytes([0, 3], NumericFormat.FP32)
-
-
-def test_dense_tensor_constraints():
-    t = DenseTensor((2, 2), NumericFormat.FP16, half_round(np.array([0.1, 1.0, 3.5, -2.0])))
-    assert t.nbytes == 8
-    with pytest.raises(ContractError):
-        DenseTensor((2, 2), NumericFormat.FP16, np.array([0.1, 1.0, 3.5, -2.0]))
-    with pytest.raises(ContractError):
-        DenseTensor((2, 2), NumericFormat.FP32, np.zeros(3))

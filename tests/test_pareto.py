@@ -5,6 +5,7 @@ import random
 import pytest
 
 from trainmem.builders import build_wrn
+from trainmem.graph import GraphBuilder
 from trainmem.errors import ConfigurationError
 from trainmem.numerics import NumericFormat
 from trainmem.pareto import ParetoPoint, SweepSpec, mark_frontier, sweep
@@ -111,3 +112,32 @@ def test_density_one_is_dense():
     g = build_wrn(16, 1, 10)
     (pt,) = sweep(g, SweepSpec(densities=[1.0], minibatch=20, microbatches=[20]))
     assert pt.config.density == {}
+
+
+def _chain():
+    """A graph without residual-block annotations."""
+    g = GraphBuilder(name="chain")
+    g.add("x", "input", shape=(4,), dtype="float")
+    g.add("y", "input", shape=(), dtype="int")
+    g.add("fc", "linear", "x", d_in=4, d_out=3)
+    g.add("loss", "softmax_xent", ("fc", "y"), classes=3)
+    g.loss("loss")
+    return g.build()
+
+
+def test_combination_the_graph_rejects_is_skipped_with_a_warning():
+    spec = SweepSpec(strategies=[S("none"), S("residual:1")], minibatch=20, microbatches=[20])
+    warnings = []
+    (pt,) = sweep(_chain(), spec, warnings)
+    assert str(pt.config.strategy) == "none"
+    assert len(warnings) == 1 and "residual:1" in warnings[0]
+    assert "residual-block annotations" in warnings[0]
+
+
+@pytest.mark.parametrize("field,value", [("microbatches", [20, 6]), ("optimizers", ["sgd"])])
+def test_value_the_config_rejects_aborts_the_sweep(field, value):
+    spec = SweepSpec(minibatch=20, **{field: value})
+    warnings = []
+    with pytest.raises(ConfigurationError):
+        sweep(_chain(), spec, warnings)
+    assert warnings == []

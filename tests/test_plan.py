@@ -4,13 +4,15 @@ import pytest
 
 from trainmem.builders import build_desk_cnn, build_wrn, random_desk_graph
 from trainmem.errors import ConfigurationError
-from trainmem.graph import NOTHING, GraphBuilder
+from trainmem.graph import NOTHING, STORAGE_CLASS, GraphBuilder
 from trainmem.numerics import NumericFormat
 from trainmem.plan import (
+    HOLD,
     CheckpointStrategy,
     Sizing,
     checkpoint_nodes,
     checkpointed_exits,
+    plan_for,
     replay,
 )
 from trainmem.profiler import TrainingConfig, activation_memory, flops
@@ -43,7 +45,7 @@ def test_every_m_checkpoint_positions():
 def test_none_keeps_all_storing_nodes():
     g = build_desk_cnn([4, 4], 3)
     ck = checkpoint_nodes(g, S("none"))
-    storing = {n.node_id for n in g.nodes if g.storage_class(n) != NOTHING}
+    storing = {n.node_id for n in g.nodes if STORAGE_CLASS[n.op] != NOTHING}
     assert ck == storing
 
 
@@ -58,6 +60,26 @@ def test_residual_requires_annotations():
     g = chain(6)
     with pytest.raises(ConfigurationError):
         checkpoint_nodes(g, S("residual:1"))
+
+
+def test_network_input_block_exit_is_not_held():
+    # A block exit that is a network input is pinned for the whole step and
+    # the kept payload of the conv reading it holds it too: no strategy
+    # charges it again as a hold.
+    b = GraphBuilder(name="pinned-exit")
+    b.add("img", "input", shape=(2, 4, 4), dtype="float")
+    b.add("labels", "input", shape=(), dtype="int")
+    b.add("c1", "conv2d", "img", c_in=2, c_out=2, k1=3, k2=3, stride=1, pad=1)
+    b.add("r1", "relu", "c1")
+    b.add("p", "avgpool", "r1", window=4)
+    b.add("f", "reshape", "p", shape=(2,))
+    b.add("loss", "softmax_xent", ("f", "labels"), classes=2)
+    b.block("img", "img")
+    b.block("c1", "r1")
+    b.loss("loss")
+    g = b.build()
+    for st in ("residual:1", "residual_star:1"):
+        assert [HOLD, g.index["img"]] not in plan_for(g, S(st)).events.tolist(), st
 
 
 def test_chain_nine_vs_twenty():

@@ -5,10 +5,9 @@ import pytest
 
 from trainmem.errors import ContractError
 from trainmem.graph import GraphBuilder
-from trainmem.numerics import DenseTensor, NumericFormat
+from trainmem.numerics import NumericFormat
 from trainmem.profiler import TrainingConfig, _param_bytes
 from trainmem.sparse import (
-    SparsityMask,
     col_index_bits,
     csr_from_dense,
     csr_storage_bytes,
@@ -21,8 +20,7 @@ F16 = NumericFormat.FP16
 
 
 def test_singleton():
-    w = DenseTensor((1, 1, 1, 1), F32, [5.0])
-    csr = csr_from_dense(w, SparsityMask.full((1, 1, 1, 1)))
+    csr = csr_from_dense(np.full((1, 1, 1, 1), 5.0), np.ones((1, 1, 1, 1), bool), F32)
     assert csr.rows == 1 and csr.cols == 1
     assert list(csr.values) == [5.0]
     assert csr.col_index_bits == 0
@@ -30,9 +28,9 @@ def test_singleton():
 
 
 def test_hand_enumerable():
-    w = DenseTensor((2, 1, 1, 2), F32, [1.0, 2.0, 3.0, 4.0])
-    mask = SparsityMask((2, 1, 1, 2), [False, True, True, False])
-    csr = csr_from_dense(w, mask)
+    w = np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 1, 1, 2)
+    mask = np.array([False, True, True, False]).reshape(2, 1, 1, 2)
+    csr = csr_from_dense(w, mask, F32)
     assert list(csr.row_ptr) == [0, 1, 2]
     assert list(csr.col_indices) == [1, 0]
     assert list(csr.values) == [2.0, 3.0]
@@ -48,10 +46,8 @@ def test_round_trip_property():
         shape = (c_o, c_i, k, k)
         data = rng.normal(size=shape)
         bits = rng.random(shape) < rng.uniform(0.05, 0.95)
-        w = DenseTensor(shape, F32, data.reshape(-1))
-        m = SparsityMask(shape, bits.reshape(-1))
-        back = csr_to_dense(csr_from_dense(w, m), shape, F32)
-        assert np.array_equal(back.as_array(), data * bits)
+        back = csr_to_dense(csr_from_dense(data, bits, F32), shape)
+        assert np.array_equal(back, data * bits)
 
 
 def test_round_trip_matrix_case():
@@ -59,16 +55,14 @@ def test_round_trip_matrix_case():
     rng = np.random.default_rng(1)
     data = rng.normal(size=(6, 9))
     bits = rng.random((6, 9)) < 0.4
-    w = DenseTensor((6, 9), F32, data.reshape(-1))
-    csr = csr_from_dense(w, SparsityMask((6, 9), bits.reshape(-1)))
+    csr = csr_from_dense(data, bits, F32)
     assert csr.cols == 9 and csr.col_index_bits == 4
-    assert np.array_equal(csr_to_dense(csr, (6, 9), F32).as_array(), data * bits)
+    assert np.array_equal(csr_to_dense(csr, (6, 9)), data * bits)
 
 
 def test_shape_mismatch():
-    w = DenseTensor((2, 1, 1, 2), F32, np.zeros(4))
     with pytest.raises(ContractError):
-        csr_from_dense(w, SparsityMask.full((2, 1, 2, 2)))
+        csr_from_dense(np.zeros((2, 1, 1, 2)), np.ones((2, 1, 2, 2), bool), F32)
 
 
 def test_storage_bytes_wrn_example():
@@ -84,8 +78,8 @@ def test_storage_bytes_matches_array_path():
     shape = (8, 4, 3, 3)
     data = rng.normal(size=shape)
     bits = rng.random(shape) < 0.3
-    w = DenseTensor(shape, F16, np.asarray(np.float16(data), dtype=np.float64).reshape(-1))
-    csr = csr_from_dense(w, SparsityMask(shape, bits.reshape(-1)))
+    w = np.float16(data).astype(np.float32)  # the FP16 carrier
+    csr = csr_from_dense(w, bits, F16)
     assert csr_storage_bytes(csr) == csr_storage_bytes_from_counts(
         8, 36, csr.nnz, 2
     )
