@@ -252,7 +252,12 @@ def forward_op(node: Node, inputs: list[np.ndarray], params: dict, ctx: QuantCtx
         return out, None
     if op in ("batchnorm", "layernorm"):
         x = inputs[0]
-        axes = (0, 2, 3) if op == "batchnorm" else (-1,)
+        # statistics per channel (batchnorm) or per row (layernorm), reduced
+        # over `axes` and broadcast back by indexing with `put`
+        if op == "batchnorm":
+            axes, put = (0, 2, 3), (slice(None), None, None)
+        else:
+            axes, put = (-1,), (..., None)
         if stats is None:  # as x.mean and x.var compute them, without their wrappers
             cnt = math.prod(x.shape[ax] for ax in axes)
             mean = np.add.reduce(x, axes, keepdims=True) / cnt
@@ -261,12 +266,12 @@ def forward_op(node: Node, inputs: list[np.ndarray], params: dict, ctx: QuantCtx
                                 + np.asarray(NORM_EPS, dtype=x.dtype))
             stats = mean.squeeze(axes), inv.squeeze(axes)
         else:
-            mean, inv = (np.expand_dims(v, axes) for v in stats)
-            xc = x - mean
+            inv = stats[1][put]
+            xc = x - stats[0][put]
         gamma = params[f"{node.node_id}.gamma"]
         beta = params[f"{node.node_id}.beta"]
         if op == "batchnorm":
-            gamma, beta = gamma[:, None, None], beta[:, None, None]
+            gamma, beta = gamma[put], beta[put]
         return ctx.q(gamma * (xc * inv) + beta), stats
     if op == "relu":
         return np.maximum(inputs[0], 0), None

@@ -3,21 +3,30 @@
 `Plan` compiles the schedule once per (graph, strategy): a symbolic run of
 one training step records a flat event list (forward, store statistics or
 payload, hold, recompute, backprop, drop).  What is stored, recomputed or
-dropped never depends on tensor sizes, and every byte and FLOP count is
-linear in the batch, so one list serves every configuration.
-`Plan.evaluate` (and `replay`, which looks the plan up first) prices it
-as vectors: a `Sizing` holds a configuration's sizes, the plan's byte
-deltas gather them, a cumulative sum gives the stored and gradient bytes
-at each sample point, and the first maximum is the peak; FLOPs are dot
-products.  The engine walks the same events doing the real tensor math,
-so the schedule it runs is the schedule priced here.
+dropped never depends on tensor sizes, so one list serves every
+configuration.  The engine walks the same events doing the real tensor
+math, so the schedule it runs is the schedule priced here.
+
+Pricing is linear algebra over a fixed basis.  Every byte slot a schedule
+touches (a node's output, its payload, its statistics) is an exact integer
+linear form in the terms `eb·batch`, `batch`, `eb` and `1` (`eb` is the
+activation element width) plus one `ceil(m·batch/8)` term per distinct
+ReLU-mask size `m`; the graph's tables hold each slot's coefficients.
+`Plan.__init__` runs that basis once through the schedule's byte deltas
+into the coefficients of the stored and the total bytes at every sample
+point.  FLOPs per example are linear too: a dense rate per node, plus each
+conv or linear weight's cost per nonzero times its nonzero count.  A
+`Sizing` holds one configuration's term values and nonzero counts, and
+`Plan.evaluate` (and `replay`, which looks the plan up first) prices the
+schedule with small integer vector-matrix products and an argmax: the
+first maximum of the total bytes is the peak.
 
 `Plan.__init__` is the one place a strategy kind is lowered: into keep
 flags, the trim variant, recompute segments with their holds and
 triggers, and the exits held from the forward pass or at a block's
 backward.  `_Compiler` turns that into events without reading the
 strategy.  What a stored payload holds is stated once, in
-`_PayloadTable`: `Sizing` prices it and the engine stores it.
+`_PayloadTable`: its byte basis prices it and the engine stores it.
 
 Accounting conventions (matching the node storage classes):
   - Each storing node owns a payload entry holding its input tensors plus
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -53,7 +63,7 @@ from .graph import (
     Node,
 )
 from .numerics import NumericFormat
-from .sparse import csr_dims
+from .sparse import col_index_bits, csr_dims
 
 PASS_THROUGH_OPS = ("add", "reshape", "transpose")
 
@@ -111,8 +121,9 @@ def checkpointed_exits(graph: ComputationGraph, strategy: CheckpointStrategy) ->
 
 
 class _GraphTables:
-    """Strategy-independent tables derived from one graph (per-example sizes
-    and FLOPs as int64 vectors), plus the graph's `Plan`s keyed by strategy."""
+    """Strategy-independent tables derived from one graph (its structure,
+    the byte basis, FLOP rates and parameter sizes), plus the graph's
+    `Plan`s keyed by strategy."""
 
     def __init__(self, g: ComputationGraph):
         self.plans: dict[CheckpointStrategy, Plan] = {}
@@ -121,16 +132,15 @@ class _GraphTables:
         ops = [nd.op for nd in g.nodes]
         classes = [STORAGE_CLASS[op] for op in ops]
         self.is_input = [op == "input" for op in ops]
-        self.in_idx = [tuple(index[s] for s in nd.inputs) for nd in g.nodes]
+        self.in_idx = [tuple([index[s] for s in nd.inputs]) for nd in g.nodes]
         self.consumer_idx = [
-            tuple(index[c] for c in g.consumers[nd.node_id]) for nd in g.nodes
+            tuple([index[c] for c in g.consumers[nd.node_id]]) for nd in g.nodes
         ]
         self.full_or_stats = [c in (FULL_INPUT, CACHED_STATS) for c in classes]
         self.storing = [c != NOTHING for c in classes]
         self.bitmask = [c == BITMASK_INPUT for c in classes]
         self.pass_through = [op in PASS_THROUGH_OPS for op in ops]
-        norm = [c == CACHED_STATS for c in classes]
-        self.is_norm = np.array(norm)
+        self.is_norm = norm = [c == CACHED_STATS for c in classes]
         # tensors trimming never stores: norm outputs and the outputs of
         # ReLUs fed directly by a norm
         self.excluded_idx = [norm[i] or (self.bitmask[i] and norm[self.in_idx[i][0]])
@@ -141,7 +151,7 @@ class _GraphTables:
         self.needs_without_payload = [
             () if not self.storing[i]
             else self.in_idx[i] if self.bitmask[i]
-            else tuple(j for j in self.in_idx[i] if not self.is_input[j])
+            else tuple([j for j in self.in_idx[i] if not self.is_input[j]])
             for i in range(n)
         ]
         # ancestors of the loss (plus the loss itself)
@@ -163,55 +173,102 @@ class _GraphTables:
                 if self.in_backward[j] and not self.is_input[j]:
                     self.contribs[j] += 1
 
-        # per-example sizes and FLOPs; `Sizing` scales them by the batch
-        self.elems = _vec([g.out_elements(nd.node_id) for nd in g.nodes])
-        self.out_int = np.array([g.out_dtype[nd.node_id] == "int" for nd in g.nodes])
-        self.loss_idx = index[g.loss_id]
-        self.pinned = _vec([i for i, nd in enumerate(g.nodes)
-                           if self.is_input[i] and g.consumers[nd.node_id]])
-        self.stats_fixed = _vec([2 * nd.p("channels") * 4 if nd.op == "batchnorm" else 0
-                                for nd in g.nodes])
-        self.stats_per_example = _vec([2 * 4 if op == "layernorm" else 0 for op in ops])
-        self.dense_fwd = _vec([g.forward_flops(nd) for nd in g.nodes])
-        self.norm_cached = _vec([g.cached_recompute_flops(nd) if self.is_norm[i] else 0
-                                for i, nd in enumerate(g.nodes)])
-        self.bwd_factor = _vec([g.backward_factor(nd) for nd in g.nodes])
-        # weight tensor name -> (node, forward FLOPs per example per nonzero);
-        # the FLOP model is linear in the nonzero count
-        self.weight_of: dict[str, tuple[int, int]] = {}
-        for i, nd in enumerate(g.nodes):
-            if nd.op in ("conv2d", "linear"):
-                name = g.params_of(nd)[0].name
-                self.weight_of[name] = (i, g.forward_flops(nd, {name: 1}))
-        # parameter elements: batchnorm parameters (which FP16 keeps at
-        # FP32) and all others, plus each sparse-eligible tensor by name:
-        # (group, numel, CSR rows, CSR cols, is a batchnorm parameter)
-        self.norm_param_numel = self.other_param_numel = 0
-        self.sparse_params: dict[str, tuple[str | None, int, int, int, bool]] = {}
-        for nd in g.nodes:
-            norm = nd.op == "batchnorm"
-            for spec in g.params_of(nd):
-                if norm:
-                    self.norm_param_numel += spec.numel
-                else:
-                    self.other_param_numel += spec.numel
-                if spec.sparse:
-                    self.sparse_params[spec.name] = (spec.group, spec.numel,
-                                                     *csr_dims(spec.shape), norm)
-        # payload aux quantities per example: elements at the activation
-        # width, and bytes independent of it
-        self.aux_per_elem = _vec([_aux_elements(g, nd) for nd in g.nodes])
-        self.aux_fixed = _vec([2 * 4 if nd.op == "softmax_xent" and nd.p("d_in") else 0
-                              for nd in g.nodes])  # log-normalizer + target log-prob
+        # The byte basis.  The slots are each node's output, payload and
+        # statistics, then a zero slot.  A slot's bytes are an integer linear
+        # form in the terms eb·batch, batch, eb and 1, plus ceil(m·batch/8)
+        # for each distinct ReLU-mask size m (`mask_sizes`); row k of
+        # `slot_terms` holds slot k's coefficients.  A payload row holds
+        # only the node's aux quantities here; `_PayloadTable` adds its
+        # inputs and mask.  `terms` lists which of the first four terms are
+        # nonzero somewhere in the graph, and the basis keeps only those.
+        elems = [g.out_elements(nd.node_id) for nd in g.nodes]
+        self.out_int = [g.out_dtype[nd.node_id] == "int" for nd in g.nodes]
+        self.loss_idx = loss = index[g.loss_id]
+        float_elems = [0 if i else e for e, i in zip(elems, self.out_int)]
+        loss_scalar = [0] * n
+        if not self.out_int[loss]:
+            float_elems[loss], loss_scalar[loss] = 0, 1  # one scalar, whatever the batch
+        # payload aux quantities: elements at the activation width, and the
+        # log-normalizer and target log-prob of a fused-projection loss
+        aux_elems = [_aux_elements(g, nd) for nd in g.nodes]
+        aux_fixed = [2 * 4 if op == "softmax_xent" and nd.p("d_in") else 0
+                     for nd, op in zip(g.nodes, ops)]
+        stats_per_example = [2 * 4 if op == "layernorm" else 0 for op in ops]
+        stats_fixed = [2 * nd.p("channels") * 4 if op == "batchnorm" else 0
+                       for nd, op in zip(g.nodes, ops)]
+        coefficients = (  # (slot block: output, payload or statistics; term; per-node values)
+            (0, 0, float_elems), (0, 1, [4 * e if i else 0 for e, i in zip(elems, self.out_int)]),
+            (0, 2, loss_scalar), (1, 0, aux_elems), (1, 1, aux_fixed),
+            (2, 1, stats_per_example), (2, 3, stats_fixed))
+        coefficients = [c for c in coefficients if any(c[2])]
+        self.terms = terms = sorted({term for _, term, _ in coefficients})
+        relus = [i for i in range(n) if self.bitmask[i]]
+        sizes = sorted({elems[self.in_idx[i][0]] for i in relus})
+        self.mask_sizes = sizes
+        column = {m: len(terms) + k for k, m in enumerate(sizes)}
+        self.mask_term = {i: column[elems[self.in_idx[i][0]]] for i in relus}  # ReLU -> column
+        self.slot_terms = np.zeros((3 * n + 1, len(terms) + len(sizes)), dtype=np.int64)
+        self.slot_terms[:3 * n].reshape(3, n, -1)[
+            [block for block, _, _ in coefficients], :,
+            [terms.index(term) for _, term, _ in coefficients]] = _vec([v for _, _, v in coefficients])
+        self.pin_terms = self.slot_terms[[i for i, nd in enumerate(g.nodes) if self.is_input[i]
+                                          and g.consumers[nd.node_id]]].sum(axis=0)
         # A generous bound per example on any running byte sum of a
         # schedule: each tensor at 8 bytes per element, counted twice as a
         # hold, twice as a gradient and once in every consumer's payload,
         # plus aux quantities and statistics.
-        self.byte_bound = sum(
-            8 * (int(e) * (4 + len(c)) + int(a)) + int(f) + int(s0) + int(s1)
-            for e, c, a, f, s0, s1 in zip(self.elems, self.consumer_idx, self.aux_per_elem,
-                                           self.aux_fixed, self.stats_fixed,
-                                           self.stats_per_example))
+        self.byte_bound = (8 * sum(map(mul, elems, [4 + len(c) for c in self.consumer_idx]))
+                           + 8 * sum(aux_elems) + sum(aux_fixed)
+                           + sum(stats_fixed) + sum(stats_per_example))
+
+        # FLOPs per example as rates per run of a node, forward, backward
+        # and recompute (a norm re-run from its cached statistics costs the
+        # cheap rate).  Conv and linear weights cost exactly their FLOPs per
+        # nonzero times their nonzero count, so their nodes' rates are kept
+        # per nonzero, by weight, and are zero in the dense rates.
+        weights = [(i, g.params_of(nd)[0]) for i, nd in enumerate(g.nodes)
+                   if nd.op in ("conv2d", "linear")]
+        self.flop_names = [spec.name for _, spec in weights]
+        self.flop_numel = [spec.numel for _, spec in weights]
+        self.flop_node, self.dense_nonzeros = _vec(([i for i, _ in weights], self.flop_numel))
+        per_nnz = [g.forward_flops(g.nodes[i], {spec.name: 1}) for i, spec in weights]
+        bwd_factor = [g.backward_factor(nd) for nd in g.nodes]
+        fwd = [g.forward_flops(nd) for nd in g.nodes]
+        for i, _ in weights:
+            fwd[i] = 0
+        self.dense_flops = _vec((fwd, list(map(mul, fwd, bwd_factor)),
+                                 [g.cached_recompute_flops(nd) if c == CACHED_STATS else f
+                                  for nd, c, f in zip(g.nodes, classes, fwd)]))
+        self.weight_flops = _vec((per_nnz,
+                                  [p * bwd_factor[i] for p, (i, _) in zip(per_nnz, weights)],
+                                  per_nnz))
+        # parameter elements: batchnorm parameters (which FP16 keeps at
+        # FP32) and all others; then each sparse-eligible tensor (never a
+        # batchnorm parameter): its name and elements, also by group, the
+        # bits of one of its CSR column indices, and its CSR fixed bits (the
+        # 32-bit row pointers, plus 7 to round the index bits up to bytes)
+        self.norm_param_numel = self.other_param_numel = 0
+        self.sparse_names: list[str] = []
+        groups: dict[str, tuple[list[str], list[int]]] = {}
+        numel, index_bits, fixed_bits = [], [], []
+        for nd in g.nodes:
+            for spec in g.params_of(nd):
+                if nd.op == "batchnorm":
+                    self.norm_param_numel += spec.numel
+                else:
+                    self.other_param_numel += spec.numel
+                if spec.sparse:
+                    rows, cols = csr_dims(spec.shape)
+                    names, counts = groups.setdefault(spec.group, ([], []))
+                    names.append(spec.name)
+                    counts.append(spec.numel)
+                    self.sparse_names.append(spec.name)
+                    numel.append(spec.numel)
+                    index_bits.append(col_index_bits(cols))
+                    fixed_bits.append((rows + 1) * 4 * 8 + 7)
+        self.sparse_group = {grp: (names, _vec(counts)) for grp, (names, counts) in groups.items()}
+        self.sparse_numel, self.csr_index_bits, self.csr_fixed_bits = _vec(
+            (numel, index_bits, fixed_bits))
         self._payload: dict[bool, _PayloadTable] = {}
 
     def payload_table(self, trimmed: bool) -> _PayloadTable:
@@ -266,9 +323,11 @@ def plan_for(graph: ComputationGraph, strategy: CheckpointStrategy) -> Plan:
 class _PayloadTable:
     """What every node's stored payload holds under one trim variant: the
     input tensors it keeps (`sources`), and whether it keeps a ReLU bitmask
-    of its input instead (`mask`).  The cost model prices these and the
-    engine stores them.  Network inputs among the sources are pinned once
-    for the whole step, so pricing charges them zero."""
+    of its input instead (`mask`).  The engine stores these, and `basis`
+    prices them: the coefficient rows of the byte slots out ‖ payload ‖
+    stats ‖ 0 that a compiled schedule's byte deltas index.  Network inputs
+    among the sources are pinned once for the whole step, so pricing
+    charges them zero."""
 
     def __init__(self, t: _GraphTables, trimmed: bool):
         n = len(t.storing)
@@ -283,29 +342,35 @@ class _PayloadTable:
                 if not dropped[i]:
                     mask[i] = True
                     masks.append(i)
+                else:
+                    needs[i] = t.in_idx[i]  # a ReLU without its mask reads its input
             elif t.storing[i]:
                 kept = t.in_idx[i]
                 if trimmed:
                     kept = tuple([j for j in kept if not dropped[j]])
+                    needs[i] = tuple([j for j in t.needs_without_payload[i] if dropped[j]])
                 sources[i] = kept
                 for j in kept:
                     holders[j].append(i)
                     if not t.is_input[j]:
                         dst.append(i)
                         src.append(j)
-            if trimmed and t.needs_without_payload[i]:
-                needs[i] = tuple([j for j in t.needs_without_payload[i] if dropped[j]])
-        self.dst = np.array(dst, dtype=np.int64)
-        self.src = np.array(src, dtype=np.int64)
-        self.mask_idx = np.array(masks, dtype=np.int64)
-        # elements of the masked input
-        self.mask_elems = t.elems[np.array([t.in_idx[i][0] for i in masks], dtype=np.int64)]
+        self.basis = t.slot_terms.copy()
+        payload = self.basis[n:2 * n]
+        np.add.at(payload, np.array(dst, dtype=np.int64), self.basis[np.array(src, dtype=np.int64)])
+        payload[masks, [t.mask_term[i] for i in masks]] = 1
 
 
 class Sizing:
-    """Byte and FLOP vectors (int64, one entry per node) for one (graph,
-    config) pair: bytes for the batch, FLOPs per example (the batch scales
-    the totals exactly, in Python integers)."""
+    """One (graph, config) pair as the byte basis and the FLOP model see it.
+
+    `terms` holds the basis terms' values at this batch and activation
+    width (int64, in the order of the basis columns); `nonzeros` holds each
+    conv or linear weight's nonzero count, its element count where `nnz`
+    does not name it.  The constructor rejects a batch that could carry a
+    running byte sum past int64, so every byte total is exact; FLOP totals
+    are scaled by the batch in Python integers.
+    """
 
     def __init__(
         self,
@@ -316,43 +381,18 @@ class Sizing:
     ):
         if batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {batch}")
-        t = self._t = graph_tables(graph)
+        t = graph_tables(graph)
         if batch * t.byte_bound >= 2**63:
             raise ConfigurationError(f"batch {batch} puts byte counts beyond the 64-bit range")
         self.batch = batch
-        self.act_format = act_format
         eb = act_format.element_bytes
-        self.out_bytes = t.elems * np.where(t.out_int, 4 * batch, eb * batch)
-        if not t.out_int[t.loss_idx]:
-            self.out_bytes[t.loss_idx] = eb
-        fwd = t.dense_fwd
+        fixed = (eb * batch, batch, eb, 1)
+        self.terms = _vec([fixed[k] for k in t.terms]
+                          + [(m * batch + 7) // 8 for m in t.mask_sizes])
+        self.nonzeros = t.dense_nonzeros
         if nnz:
-            fwd = fwd.copy()
-            for name, count in nnz.items():
-                hit = t.weight_of.get(name)
-                if hit is not None:
-                    fwd[hit[0]] = hit[1] * count
-        self.fwd_flops = fwd
-        self.cached_flops = np.where(t.is_norm, t.norm_cached, fwd)
-        self.bwd_flops = fwd * t.bwd_factor
-        self.stats_bytes = t.stats_fixed + t.stats_per_example * batch
-        self.pin_bytes = int(self.out_bytes[t.pinned].sum())
-        self._sizes: dict[bool, np.ndarray] = {}
-
-    def byte_sizes(self, trimmed: bool) -> np.ndarray:
-        """out bytes ‖ payload bytes ‖ stats bytes ‖ 0: the vector a compiled
-        schedule's byte deltas index, cached per trim variant."""
-        sizes = self._sizes.get(trimmed)
-        if sizes is None:
-            t = self._t
-            p = t.payload_table(trimmed)
-            eb = self.act_format.element_bytes
-            payload = (t.aux_per_elem * eb + t.aux_fixed) * self.batch
-            np.add.at(payload, p.dst, self.out_bytes[p.src])
-            payload[p.mask_idx] += (p.mask_elems * self.batch + 7) // 8
-            sizes = np.concatenate((self.out_bytes, payload, self.stats_bytes, [0]))
-            self._sizes[trimmed] = sizes
-        return sizes
+            self.nonzeros = np.fromiter(map(nnz.get, t.flop_names, t.flop_numel),
+                                        dtype=np.int64, count=len(t.flop_names))
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +422,17 @@ class Plan:
     """The schedule of one (graph, strategy), compiled once.
 
     `events` holds the (opcode, node index) pairs of the step, one row
-    each, in the order they happen.  The byte arrays price the same run: delta
-    k adds `sign * sizes[delta_idx[k]]` to the stored or the gradient bytes,
-    where `sizes` is `Sizing.byte_sizes`; `samples` are the delta counts at
-    which the peak is sampled (the first is the pin-only state before the
-    step), and `end_forward` the count when the forward pass ends.
+    each, in the order they happen.  The byte arrays describe the same run:
+    delta k adds `sign * basis[delta_idx[k]]` to the stored or the gradient
+    bytes, where `basis` is the payload table's; `samples` are the delta
+    counts at which the peak is sampled (the first is the pin-only state
+    before the step), and `end_forward` the count when the forward pass
+    ends.  The constructor sums the deltas once, over the basis: row s of
+    `stored_at` and `total_at` holds the coefficients of the stored and the
+    total (stored plus gradient) bytes at sample s, pins included, and
+    `end_forward_terms` those of the stored bytes at the end of the
+    forward pass.  FLOPs per example (forward, backward, recompute) are
+    `flop_base` plus the weights' nonzero counts times `flop_weights`.
     """
 
     def __init__(self, graph: ComputationGraph, strategy: CheckpointStrategy):
@@ -484,15 +530,26 @@ class Plan:
                                    if t.in_backward[e] and not self._captured(e, set())]
 
         s = _Compiler(self, t)
-        self.events = np.array(s.events, dtype=np.int32)
-        self.delta_idx = np.array(s.delta_idx, dtype=np.int64)
-        self.stored_sign = np.array(s.stored_sign, dtype=np.int64)
-        self.grad_sign = np.array(s.grad_sign, dtype=np.int64)
+        self.events = np.array(s.events, dtype=np.int32).reshape(-1, 2)
+        self.delta_idx, self.stored_sign, self.grad_sign = (
+            np.array(s.deltas, dtype=np.int64).reshape(-1, 3).T)
         self.samples = np.array(s.samples, dtype=np.int64)
         self.end_forward = s.end_forward
-        self.recompute_count = np.array(s.recompute, dtype=np.int64)
+        runs = np.array(([1] * n, s.backprop, s.recompute), dtype=np.int64)
+        _, self.backprop, self.recompute_count = runs
         self.recompute_events = sum(s.recompute)
-        self.backprop = np.array(s.backprop, dtype=np.int64)
+        rows = self.payload.basis[self.delta_idx]
+        stored = rows * self.stored_sign[:, None]
+        stored[0] = t.pin_terms  # the leading delta adds nothing; it carries the pins
+        stored = np.cumsum(stored, axis=0)
+        total = stored + np.cumsum(rows * self.grad_sign[:, None], axis=0)
+        self.stored_at = stored[self.samples]
+        self.total_at = total[self.samples]
+        self.end_forward_terms = self.stored_at[s.samples.index(s.end_forward)]  # a sample point
+        # FLOP rates times how often the step runs each node forward,
+        # backward and recompute
+        self.flop_base = (t.dense_flops * runs).sum(axis=1)
+        self.flop_weights = (t.weight_flops * runs[:, t.flop_node]).T
 
     def _push_segment(self, members: list[int], holds: list[int], trigger: int):
         """A segment materialized when the backward pass reaches `trigger`."""
@@ -506,22 +563,25 @@ class Plan:
         return any(self.keep[c] or c in extra for c in self.payload.holders[idx])
 
     def evaluate(self, sizing: Sizing) -> ReplayResult:
-        """Bytes and FLOPs of the schedule for one sizing."""
-        sizes = sizing.byte_sizes(self.trimmed)[self.delta_idx]
-        stored = np.cumsum(sizes * self.stored_sign)
-        grads = np.cumsum(sizes * self.grad_sign)
-        totals = stored[self.samples] + grads[self.samples]
-        at = self.samples[totals.argmax()]  # the first maximum
-        pin = sizing.pin_bytes
+        """Bytes and FLOPs of the schedule for one sizing: the byte tables
+        times its term values, with the first maximum of the totals as the
+        peak, and the FLOP tables times its nonzero counts."""
+        x = sizing.terms
+        totals = self.total_at @ x
+        k = totals.argmax()
+        peak = int(totals[k])
+        forward = int(self.stored_at[k] @ x)
+        fwd, bwd, rec = (self.flop_base + sizing.nonzeros @ self.flop_weights).tolist()
+        batch = sizing.batch
         return ReplayResult(
-            peak_bytes=pin + int(stored[at] + grads[at]),
-            peak_forward_bytes=pin + int(stored[at]),
-            peak_backward_bytes=int(grads[at]),
-            forward_flops=sizing.batch * int(sizing.fwd_flops.sum()),
-            backward_flops=sizing.batch * int(sizing.bwd_flops @ self.backprop),
-            recompute_flops=sizing.batch * int(sizing.cached_flops @ self.recompute_count),
+            peak_bytes=peak,
+            peak_forward_bytes=forward,
+            peak_backward_bytes=peak - forward,
+            forward_flops=batch * fwd,
+            backward_flops=batch * bwd,
+            recompute_flops=batch * rec,
             recompute_events=self.recompute_events,
-            end_forward_bytes=pin + int(stored[self.end_forward]),
+            end_forward_bytes=int(self.end_forward_terms @ x),
         )
 
 
@@ -538,10 +598,10 @@ class _Compiler:
         self.t = t
         self.plan = plan
         self.n = n
-        self.events: list[tuple[int, int]] = []
-        self.delta_idx = [3 * n]  # a leading zero delta: cumsum[k] follows k real deltas
-        self.stored_sign = [0]
-        self.grad_sign = [0]
+        self.events: list[int] = []  # flat (opcode, node) pairs
+        # flat (slot, stored sign, gradient sign) triples, led by a zero
+        # delta so that a running sum after delta k follows k real deltas
+        self.deltas = [3 * n, 0, 0]
         self.samples = [0]  # the pin-only state before the step
         self.recompute = [0] * n
         self.backprop = [0] * n
@@ -556,37 +616,37 @@ class _Compiler:
     # -- bookkeeping ---------------------------------------------------------
 
     def _stored(self, idx: int, sign: int):
-        self.delta_idx.append(idx)
-        self.stored_sign.append(sign)
-        self.grad_sign.append(0)
+        self.deltas += (idx, sign, 0)
 
     def _grads(self, idx: int, sign: int):
-        self.delta_idx.append(idx)
-        self.stored_sign.append(0)
-        self.grad_sign.append(sign)
+        self.deltas += (idx, 0, sign)
 
     def _sample(self):
-        self.samples.append(len(self.delta_idx) - 1)
+        self.samples.append(len(self.deltas) // 3 - 1)
 
     def _store_payload(self, i: int):
         self.payload_live[i] = True
         self._stored(self.n + i, 1)
-        self.events.append((STORE_PAYLOAD, i))
+        self.events += (STORE_PAYLOAD, i)
 
     def _hold(self, i: int):
         self.hold_live.add(i)
         self._stored(i, 1)
-        self.events.append((HOLD, i))
+        self.events += (HOLD, i)
 
     def _end_step(self):
         self.transient.clear()
-        self.events.append((CLEAR, -1))
+        self.events += (CLEAR, -1)
 
     def _value_live(self, i: int) -> bool:
         t = self.t
         if t.is_input[i] or i in self.transient or i in self.hold_live:
             return True
-        return any(self.payload_live[c] for c in self.plan.payload.holders[i])
+        payload_live = self.payload_live
+        for c in self.plan.payload.holders[i]:
+            if payload_live[c]:
+                return True
+        return False
 
     def _ensure_value(self, i: int):
         if self._value_live(i):
@@ -594,7 +654,7 @@ class _Compiler:
         for j in self.t.in_idx[i]:
             self._ensure_value(j)
         self.recompute[i] += 1
-        self.events.append((RECOMPUTE, i))
+        self.events += (RECOMPUTE, i)
         self.transient.add(i)
 
     def _materialize(self, seg: int):
@@ -618,19 +678,19 @@ class _Compiler:
         t, plan, n = self.t, self.plan, self.n
         fwd_holds = set(plan.fwd_exit_holds)
         for i in range(n):
-            self.events.append((FORWARD, i))
+            self.events += (FORWARD, i)
             if t.in_backward[i]:
                 if t.is_norm[i]:
                     self.stats_live[i] = True
                     self._stored(2 * n + i, 1)
-                    self.events.append((STORE_STATS, i))
+                    self.events += (STORE_STATS, i)
                 if plan.keep[i]:
                     self._store_payload(i)
                 if i in fwd_holds:
                     self._hold(i)
-            self.events.append((FORWARD_DONE, i))
+            self.events += (FORWARD_DONE, i)
         self._sample()  # stored bytes are monotone during forward; one sample suffices
-        self.end_forward = len(self.delta_idx) - 1
+        self.end_forward = len(self.deltas) // 3 - 1
 
     def _backward(self):
         t, plan, n = self.t, self.plan, self.n
@@ -657,21 +717,21 @@ class _Compiler:
             for j in needs:
                 self._ensure_value(j)
             self._sample()  # upstream gradient plus stored state
-            self.events.append((BACKPROP, i))
+            self.events += (BACKPROP, i)
             self.backprop[i] = 1
             self._release_grads(i)
             if self.payload_live[i]:
                 self.payload_live[i] = False
                 self._stored(n + i, -1)
-                self.events.append((DROP_PAYLOAD, i))
+                self.events += (DROP_PAYLOAD, i)
             if self.stats_live[i]:
                 self.stats_live[i] = False
                 self._stored(2 * n + i, -1)
-                self.events.append((DROP_STATS, i))
+                self.events += (DROP_STATS, i)
             if i in self.hold_live:
                 self.hold_live.discard(i)
                 self._stored(i, -1)
-                self.events.append((DROP_HOLD, i))
+                self.events += (DROP_HOLD, i)
             self._end_step()
             self._sample()
 

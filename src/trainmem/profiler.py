@@ -7,20 +7,23 @@ of batchnorm parameters (kept at FP32 under FP16) and of all other
 parameters, priced at the config's width, then corrected for each tensor
 the config sparsifies (its CSR bytes instead of its dense bytes in the
 model, its nonzero values in each optimizer array).  Activation bytes and
-FLOPs come from the graph's compiled schedule (`plan.replay`), evaluated
-at the microbatch for memory and at batch 1 for FLOPs.
+FLOPs come from the graph's compiled schedule (`plan.replay`): each replay
+prices the plan's precomputed byte tables at one batch and element width,
+the microbatch for memory and batch 1 for the FLOPs per example.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .graph import ComputationGraph
 from .numerics import NumericFormat
 from .plan import NONE, CheckpointStrategy, Sizing, graph_tables, replay
 from .plan import plan_for  # noqa: F401  (re-exported; the plan cache lives in plan)
-from .sparse import csr_storage_bytes_from_counts
 
 TOKEN_MICROBATCH_FLOOR = 250
 
@@ -128,9 +131,13 @@ class FlopReport:
 
 def param_nnz(graph: ComputationGraph, density: dict[str, float]) -> dict[str, int]:
     """Nonzeros per sparsified tensor: round(density * numel), half-to-even."""
-    return {name: int(round(density[group] * numel))
-            for name, (group, numel, *_) in graph_tables(graph).sparse_params.items()
-            if group in density and density[group] < 1.0}
+    groups = graph_tables(graph).sparse_group
+    nnz = {}
+    for group, frac in density.items():
+        if frac < 1.0 and group in groups:
+            names, numel = groups[group]
+            nnz.update(zip(names, np.rint(frac * numel).astype(np.int64).tolist()))
+    return nnz
 
 
 def _param_bytes(graph: ComputationGraph, config: TrainingConfig,
@@ -138,20 +145,25 @@ def _param_bytes(graph: ComputationGraph, config: TrainingConfig,
     """(model bytes, optimizer bytes) from the graph's parameter totals.
 
     Every element is stored at the config's precision, except batchnorm
-    parameters under FP16 (FP32).  Each tensor in `nnz` is then corrected
-    from its dense bytes to its CSR bytes in the model and to its nonzero
-    values in each optimizer array.
+    parameters under FP16 (FP32).  The tensors in `nnz` are then corrected
+    from their dense bytes to their CSR bytes in the model (packed column
+    indices, 32-bit row pointers, values) and to their nonzero values in
+    each optimizer array.
     """
     t = graph_tables(graph)
     width = norm_width = config.precision.element_bytes
     if config.precision is NumericFormat.FP16:
         norm_width = NumericFormat.FP32.element_bytes
     model = values = t.other_param_numel * width + t.norm_param_numel * norm_width
-    for name, count in nnz.items():
-        _, numel, rows, cols, norm = t.sparse_params[name]
-        w = norm_width if norm else width
-        model += csr_storage_bytes_from_counts(rows, cols, count, w) - numel * w
-        values -= (numel - count) * w
+    if nnz:
+        # -1 marks a dense tensor; the dot products with `sparsified` drop it
+        counts = np.fromiter(map(nnz.get, t.sparse_names, repeat(-1)),
+                             dtype=np.int64, count=len(t.sparse_names))
+        sparsified = counts >= 0
+        index_and_ptr = (counts * t.csr_index_bits + t.csr_fixed_bits) // 8
+        dropped = int((t.sparse_numel - counts) @ sparsified) * width
+        model += int(index_and_ptr @ sparsified) - dropped
+        values -= dropped
     return model, OPTIMIZER_VALUE_ARRAYS[config.optimizer_kind] * values
 
 

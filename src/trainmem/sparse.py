@@ -108,16 +108,9 @@ def csr_to_dense(csr: SparseConvCSR, shape) -> np.ndarray:
 def csr_storage_bytes(csr: SparseConvCSR) -> int:
     """Storage bytes of one CSR tensor: packed column indices, 32-bit row
     pointers and values.  Gradient and momentum buffers reuse the model's
-    index arrays, so `profiler._param_bytes` charges them values only."""
+    index arrays, so `profiler._param_bytes`, which prices the same formula
+    from nonzero counts, charges them values only."""
     value_bytes = csr.nnz * csr.element_bytes
     index_bytes = (csr.nnz * csr.col_index_bits + 7) // 8
     ptr_bytes = (csr.rows + 1) * 4
-    return index_bytes + ptr_bytes + value_bytes
-
-
-def csr_storage_bytes_from_counts(rows: int, cols: int, nnz: int, element_bytes: int) -> int:
-    """Same formula as `csr_storage_bytes` without materializing arrays."""
-    value_bytes = nnz * element_bytes
-    index_bytes = (nnz * col_index_bits(cols) + 7) // 8
-    ptr_bytes = (rows + 1) * 4
     return index_bytes + ptr_bytes + value_bytes

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from trainmem import profiler, train
+from trainmem import train
 from trainmem.archfile import serialize_arch
 from trainmem.builders import build_desk_cnn
 from trainmem.cli import main, read_kv_file
@@ -122,16 +122,17 @@ def test_train_dsr_logs_constant_nnz(tmp_path, capsys):
 
 
 def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
-    # deliberate fault injection: corrupting the CSR byte formula must trip
-    # the golden-total checks
-    from trainmem import verification
+    # deliberate fault injection: corrupting the CSR byte formula (64 more
+    # bytes per nonzero, as 512 more bits per column index in the graph
+    # tables the check builds) must trip the golden-total checks
+    from trainmem import plan, verification
 
-    original = profiler.csr_storage_bytes_from_counts
+    original = plan.col_index_bits
 
-    def corrupted(rows, cols, nnz, element_bytes):
-        return original(rows, cols, nnz, element_bytes) + 64 * nnz
+    def corrupted(cols):
+        return original(cols) + 512
 
-    monkeypatch.setattr(profiler, "csr_storage_bytes_from_counts", corrupted)
+    monkeypatch.setattr(plan, "col_index_bits", corrupted)
     with pytest.raises(AssertionError):
         verification.check_01_wrn_golden_totals()
 

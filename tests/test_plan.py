@@ -1,13 +1,17 @@
 """Checkpoint sets, the chain formula, and strategy ordering."""
 
+import numpy as np
 import pytest
 
 from trainmem.builders import build_desk_cnn, build_wrn, random_desk_graph
+from trainmem.engine import EngineConfig, init_params, run_step
 from trainmem.errors import ConfigurationError
 from trainmem.graph import NOTHING, STORAGE_CLASS, GraphBuilder
 from trainmem.numerics import NumericFormat
 from trainmem.plan import (
+    BACKPROP,
     HOLD,
+    RECOMPUTE,
     CheckpointStrategy,
     Sizing,
     checkpoint_nodes,
@@ -178,3 +182,42 @@ def test_flops_exact_beyond_64_bits():
 def test_byte_counts_beyond_64_bits_rejected():
     with pytest.raises(ConfigurationError, match="64-bit"):
         Sizing(build_wrn(16, 1, 10), 2**50, NumericFormat.FP32)
+
+
+def _relu_after_relu():
+    # conv -> batchnorm -> relu r1 -> relu r2 -> conv: under trimming r1
+    # drops its mask (it reads a norm) and r2 keeps its own
+    b = GraphBuilder(name="relu-relu")
+    b.add("img", "input", shape=(2, 4, 4), dtype="float")
+    b.add("labels", "input", shape=(), dtype="int")
+    b.add("c1", "conv2d", "img", c_in=2, c_out=2, k1=3, k2=3, stride=1, pad=1)
+    b.add("b1", "batchnorm", "c1", channels=2)
+    b.add("r1", "relu", "b1")
+    b.add("r2", "relu", "r1")
+    b.add("c2", "conv2d", "r2", c_in=2, c_out=2, k1=3, k2=3, stride=1, pad=1)
+    b.add("p", "avgpool", "c2", window=4)
+    b.add("f", "reshape", "p", shape=(2,))
+    b.add("loss", "softmax_xent", ("f", "labels"), classes=2)
+    b.loss("loss")
+    return b.build()
+
+
+def test_relu_keeping_its_mask_recomputes_nothing():
+    # r2's backward reads only its mask, so the only recompute is b1 for
+    # r1's backward, after r2's
+    g = _relu_after_relu()
+    plan = plan_for(g, S("no_bn"))
+    events = plan.events.tolist()
+    before_r2 = events[:events.index([BACKPROP, g.index["r2"]])]
+    assert not [op for op, _ in before_r2 if op == RECOMPUTE]
+    assert plan.recompute_events == 1
+
+    rng = np.random.default_rng(0)
+    batch = {"img": rng.normal(size=(3, 2, 4, 4)), "labels": rng.integers(0, 2, size=3)}
+    params = init_params(g, seed=0)
+    base = run_step(g, params, batch, EngineConfig(strategy=S("none")))
+    trimmed = run_step(g, params, batch, EngineConfig(strategy=S("no_bn")))
+    for name, grad in base.grads.items():
+        assert np.array_equal(grad, trimmed.grads[name]), name
+    assert trimmed.peak_bytes == plan.evaluate(Sizing(g, 3, NumericFormat.FP32)).peak_bytes
+    assert trimmed.recompute_events == 1

@@ -11,7 +11,6 @@ from trainmem.sparse import (
     col_index_bits,
     csr_from_dense,
     csr_storage_bytes,
-    csr_storage_bytes_from_counts,
     csr_to_dense,
 )
 
@@ -65,12 +64,18 @@ def test_shape_mismatch():
         csr_from_dense(np.zeros((2, 1, 1, 2)), np.ones((2, 1, 2, 2), bool), F32)
 
 
+def _model_bytes(rows: int, cols: int, nnz: int, fmt: NumericFormat) -> int:
+    """The cost model's bytes for one sparsified rows x cols weight."""
+    cfg = TrainingConfig(minibatch=1, precision=fmt)
+    return _param_bytes(_one_weight_graph(rows, cols), cfg, {"fc.weight": nnz})[0]
+
+
 def test_storage_bytes_wrn_example():
     # c_o=32, c_i=16, 3x3: cols = 144 so 8 bits per index; with 1383
     # nonzeros at FP16 the formula gives 1383 + 33*4 + 1383*2 bytes
     expected = (1383 * 8 + 7) // 8 + 33 * 4 + 1383 * 2
     assert expected == 1383 + 132 + 2766
-    assert csr_storage_bytes_from_counts(32, 16 * 9, 1383, 2) == expected
+    assert _model_bytes(32, 16 * 9, 1383, F16) == expected
 
 
 def test_storage_bytes_matches_array_path():
@@ -80,9 +85,7 @@ def test_storage_bytes_matches_array_path():
     bits = rng.random(shape) < 0.3
     w = np.float16(data).astype(np.float32)  # the FP16 carrier
     csr = csr_from_dense(w, bits, F16)
-    assert csr_storage_bytes(csr) == csr_storage_bytes_from_counts(
-        8, 36, csr.nnz, 2
-    )
+    assert csr_storage_bytes(csr) == _model_bytes(8, 36, csr.nnz, F16)
 
 
 def _one_weight_graph(rows: int, cols: int):
@@ -108,7 +111,10 @@ def test_sharing_always_strictly_smaller():
         w = fmt.element_bytes
         cfg = TrainingConfig(minibatch=1, precision=fmt)
         model, optimizer = _param_bytes(_one_weight_graph(rows, cols), cfg, {"fc.weight": nnz})
-        assert model == csr_storage_bytes_from_counts(rows, cols, nnz, w)
+        mask = np.zeros(rows * cols, dtype=bool)
+        mask[rng.choice(rows * cols, nnz, replace=False)] = True
+        csr = csr_from_dense(np.ones((rows, cols)), mask.reshape(rows, cols), fmt)
+        assert model == csr_storage_bytes(csr)
         assert optimizer == 2 * nnz * w
         assert nnz * w < model
 
