@@ -7,15 +7,16 @@ One node per line:
 plus `residual_block <entry> <exit>` annotation lines, a final `loss <id>`
 line, optional `batch_unit examples|tokens` and `name <text>` headers,
 blank lines, and `#` comments.  Integer tuples are written `3x32x32`.
-Parsing a serialized graph reproduces it exactly.
+Parsing a serialized graph reproduces it exactly.  The named presets
+come from their builders; `serialize_arch(load_preset(name))` prints one.
 """
 
 from __future__ import annotations
 
 import re
-from importlib import resources
 
-from .errors import ArchSemanticError, ArchSyntaxError
+from .builders import build_dc_transformer_cost, build_desk_cnn, build_wrn
+from .errors import ArchSemanticError, ArchSyntaxError, ConfigurationError
 from .graph import ComputationGraph, Node
 
 _NODE_RE = re.compile(
@@ -125,22 +126,36 @@ def serialize_arch(graph: ComputationGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-PRESET_NAMES = ("wrn-28-2", "dc-transformer-iwslt", "desk-cnn")
+PRESETS = {
+    "wrn-28-2": lambda: build_wrn(28, 2, 10),
+    "dc-transformer-iwslt": build_dc_transformer_cost,
+    "desk-cnn": lambda: build_desk_cnn([8, 8], 4),
+}
 
 
 def load_preset(name: str) -> ComputationGraph:
-    fname = f"{name}.arch"
-    ref = resources.files("trainmem.presets") / fname
-    if not ref.is_file():
-        raise ArchSemanticError(
-            f"preset '{name}' not found (expected packaged file {fname})"
-        )
-    return parse_arch(ref.read_text(), name=name)
+    """The preset's graph from its builder, named after the preset."""
+    if name not in PRESETS:
+        raise ArchSemanticError(f"preset '{name}' not found (presets: {', '.join(PRESETS)})")
+    graph = PRESETS[name]()
+    graph.name = name
+    return graph
+
+
+def read_text(path: str, hint: str = "") -> str:
+    """A UTF-8 file's text; a file that cannot be read or decoded is a
+    ConfigurationError naming it, with `hint` appended."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        reason = getattr(e, "strerror", None) or e
+        raise ConfigurationError(f"cannot read '{path}': {reason}{hint}") from None
 
 
 def load_arch(path_or_preset: str) -> ComputationGraph:
-    """Load an architecture from a file path, or by preset name."""
-    if path_or_preset in PRESET_NAMES:
+    """Load an architecture by preset name, or from a file path."""
+    if path_or_preset in PRESETS:
         return load_preset(path_or_preset)
-    with open(path_or_preset, "r", encoding="utf-8") as fh:
-        return parse_arch(fh.read(), name=path_or_preset)
+    text = read_text(path_or_preset, f" (presets: {', '.join(PRESETS)})")
+    return parse_arch(text, name=path_or_preset)

@@ -6,9 +6,12 @@ run desk-scale training demonstrations, and execute the acceptance suite.
     trainmem train   --arch desk-cnn --config train.cfg --seed 0
     trainmem verify
 
+`--arch` takes a preset name (`archfile.PRESETS`) or an `.arch` file path.
 Config files are flat `key = value` text; an unknown or repeated key is
-an error.  Set TRAINMEM_LOG=debug|info for verbosity.  Outputs are
-deterministic given a seed and inputs.
+an error, and a key a file leaves out takes its dataclass's default.  Bad
+input, an unreadable file included, ends with `error: ...` and exit 2.
+Set TRAINMEM_LOG=debug|info for verbosity.  Outputs are deterministic
+given a seed and inputs.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 
-from .archfile import load_arch
+from .archfile import load_arch, read_text
 from .errors import ConfigurationError, TrainmemError
 from .numerics import NumericFormat
 from .pareto import SweepSpec, sweep
@@ -29,37 +33,32 @@ from .train import TrainSettings, TrainingDiverged, metrics_to_jsonl, train_desk
 
 log = logging.getLogger("trainmem")
 
-PROFILE_KEYS = ("density", "precision", "minibatch", "microbatch", "strategy", "optimizer",
-                "batch_unit")
-SWEEP_KEYS = ("arch", "densities", "precisions", "minibatch", "microbatches", "strategies",
-              "optimizers", "batch_unit")
-TRAIN_KEYS = ("steps", "minibatch", "microbatch", "lr", "density", "precision", "strategy",
-              "optimizer", "exec_mode", "accumulator_width", "rewire_every", "log_every")
 
-
-def read_kv_file(path: str, keys: tuple[str, ...]) -> dict[str, str]:
+def read_kv_file(path: str, keys) -> dict[str, str]:
     """The `key = value` lines of a config file; a key outside `keys`, or
     one given twice, is an error."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, val = line.split("=", 1)
-            key = key.strip()
-            if key not in keys:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in out:
-                raise ConfigurationError(f"{path}:{lineno}: repeated key {key!r}")
-            out[key] = val.strip()
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        key, val = line.split("=", 1)
+        key = key.strip()
+        if key not in keys:
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigurationError(f"{path}:{lineno}: repeated key {key!r}")
+        out[key] = val.strip()
     return out
 
 
-def _number(key: str, text, kind=int):
-    """`kind(text)`, or a ConfigurationError naming the config key."""
+def _convert(key: str, text: str, kind):
+    """`kind(text)`, or a comma list of `kind[0]` if `kind` is a list; a
+    value `kind` rejects is a ConfigurationError naming the config key."""
+    if isinstance(kind, list):
+        return [_convert(key, x.strip(), kind[0]) for x in text.split(",") if x.strip()]
     try:
         return kind(text)
     except ValueError:
@@ -67,40 +66,54 @@ def _number(key: str, text, kind=int):
         raise ConfigurationError(f"{key} must be {noun}, got {text!r}") from None
 
 
-def _parse_density(text: str) -> dict[str, float]:
+def _density(text: str) -> dict[str, float]:
+    """`frac` or `group=frac; ...`; a bare fraction is keyed `*` until the
+    graph names its first sparsifiable group."""
     density = {}
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         group, frac = part.split("=", 1) if "=" in part else ("*", part)
-        density[group.strip()] = _number("density", frac, float)
+        density[group.strip()] = _convert("density", frac, float)
     return {k: v for k, v in density.items() if v != 1.0}  # exactly 1.0 means dense
 
 
-def config_from_kv(kv: dict[str, str], graph) -> TrainingConfig:
-    density = _parse_density(kv.get("density", ""))
+# Each command's config keys and how each value converts.  A key the file
+# leaves out is not passed, so the dataclass it feeds supplies the default.
+_precision, _strategy = NumericFormat.parse, CheckpointStrategy.parse
+PROFILE_KEYS = {"density": _density, "precision": _precision, "minibatch": int,
+                "microbatch": int, "strategy": _strategy, "optimizer": str, "batch_unit": str}
+SWEEP_KEYS = {"arch": str, "densities": [float],
+              "precisions": [partial(_precision, key="precisions")], "minibatch": int,
+              "microbatches": [int], "strategies": [_strategy], "optimizers": [str],
+              "batch_unit": str}
+TRAIN_KEYS = {"steps": int, "minibatch": int, "microbatch": int, "lr": float, "density": float,
+              "precision": _precision, "strategy": _strategy, "optimizer": str,
+              "exec_mode": str, "accumulator_width": int, "rewire_every": int,
+              "log_every": int}
+
+
+def read_settings(path: str | None, kinds: dict) -> dict:
+    """The keys a config file sets, each converted to its kind; no file
+    sets none."""
+    if not path:
+        return {}
+    return {k: _convert(k, v, kinds[k]) for k, v in read_kv_file(path, kinds).items()}
+
+
+def cmd_profile(args) -> int:
+    graph = load_arch(args.arch)
+    settings = read_settings(args.config, PROFILE_KEYS)
+    density = settings.get("density", {})
     if "*" in density:
         groups = graph.sparsifiable_groups()
         if not groups:
             raise TrainmemError("density given but the graph has no sparsifiable group")
         density[groups[0]] = density.pop("*")
-    minibatch = _number("minibatch", kv.get("minibatch", 100))
-    return TrainingConfig(
-        density=density,
-        precision=NumericFormat.parse(kv.get("precision", "fp32")),
-        minibatch=minibatch,
-        microbatch=_number("microbatch", kv.get("microbatch", minibatch)),
-        strategy=CheckpointStrategy.parse(kv.get("strategy", "none")),
-        optimizer_kind=kv.get("optimizer", "sgd_nesterov"),
-        batch_unit=kv.get("batch_unit", graph.batch_unit),
-    )
-
-
-def cmd_profile(args) -> int:
-    graph = load_arch(args.arch)
-    kv = read_kv_file(args.config, PROFILE_KEYS) if args.config else {}
-    config = config_from_kv(kv, graph)
+    if "optimizer" in settings:
+        settings["optimizer_kind"] = settings.pop("optimizer")
+    config = TrainingConfig(**{"batch_unit": graph.batch_unit, **settings})
     mem, fl = total_report(graph, config)
     payload = {"arch": graph.name, **mem.to_dict(), **fl.to_dict()}
     csv_text = CSV_HEADER + "\n" + report_to_csv_row(graph.name, config, mem, fl) + "\n"
@@ -119,21 +132,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    kv = read_kv_file(args.sweep, SWEEP_KEYS)
-    graph = load_arch(kv.get("arch", args.arch or "wrn-28-2"))
-
-    def split(key, default, conv):
-        return [_number(key, x.strip(), conv) for x in kv.get(key, default).split(",") if x.strip()]
-
-    spec = SweepSpec(
-        densities=split("densities", "1.0", float),
-        precisions=split("precisions", "fp32", lambda x: NumericFormat.parse(x, "precisions")),
-        microbatches=split("microbatches", kv.get("minibatch", "100"), int),
-        strategies=split("strategies", "none", CheckpointStrategy.parse),
-        optimizers=split("optimizers", "sgd_nesterov", str),
-        minibatch=_number("minibatch", kv.get("minibatch", 100)),
-        batch_unit=kv.get("batch_unit", graph.batch_unit),
-    )
+    settings = read_settings(args.sweep, SWEEP_KEYS)
+    graph = load_arch(settings.pop("arch", args.arch or "wrn-28-2"))
+    spec = SweepSpec(**{"batch_unit": graph.batch_unit, **settings})
     warnings: list[str] = []
     points = sweep(graph, spec, warnings)
     for w in warnings:
@@ -154,23 +155,7 @@ def cmd_pareto(args) -> int:
 
 def cmd_train(args) -> int:
     graph = load_arch(args.arch)
-    kv = read_kv_file(args.config, TRAIN_KEYS) if args.config else {}
-    minibatch = _number("minibatch", kv.get("minibatch", 32))
-    settings = TrainSettings(
-        steps=_number("steps", kv.get("steps", 200)),
-        minibatch=minibatch,
-        microbatch=_number("microbatch", kv.get("microbatch", minibatch)),
-        lr=_number("lr", kv.get("lr", 0.05), float),
-        density=_number("density", kv.get("density", 1.0), float),
-        precision=NumericFormat.parse(kv.get("precision", "fp32")),
-        strategy=CheckpointStrategy.parse(kv.get("strategy", "none")),
-        optimizer=kv.get("optimizer", "sgd_nesterov"),
-        exec_mode=kv.get("exec_mode", "sequential"),
-        accumulator_width=_number("accumulator_width", kv.get("accumulator_width", 32)),
-        seed=args.seed,
-        rewire_every=_number("rewire_every", kv.get("rewire_every", 0)),
-        log_every=_number("log_every", kv.get("log_every", 20)),
-    )
+    settings = TrainSettings(**read_settings(args.config, TRAIN_KEYS), seed=args.seed)
     try:
         result = train_desk(graph, settings)
     except TrainingDiverged as e:
@@ -231,10 +216,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TrainmemError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except FileNotFoundError as e:
+    except (TrainmemError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -151,10 +151,7 @@ class _Step:
         """Node i's output, and its statistics if they are new."""
         node = self.g.nodes[i]
         if node.op == "input":
-            try:
-                return self.batch[node.node_id], None
-            except KeyError:
-                raise ContractError(f"batch is missing input '{node.node_id}'") from None
+            return self.batch.get(node.node_id), None  # None: absent and never read
         ins = [self._get(j) for j in self.t.in_idx[i]]
         out, stats = forward_op(node, ins, self.params, self.ctx,
                                 stats=self.stats.get(i))
@@ -249,6 +246,22 @@ class _Step:
         return values
 
 
+def prepare_inputs(graph: ComputationGraph, batch: dict, ctx: QuantCtx) -> dict[str, np.ndarray]:
+    """The batch's graph inputs as int64 or carrier arrays.  An input that
+    some node reads must be in the batch; an absent one no node reads gets
+    no value."""
+    prepared = {}
+    for node in graph.nodes:
+        nid = node.node_id
+        if node.op == "input" and nid in batch:
+            arr = np.asarray(batch[nid])
+            is_int = graph.out_dtype[nid] == "int"
+            prepared[nid] = arr.astype(np.int64) if is_int else ctx.asarray(arr)
+        elif node.op == "input" and graph.consumers[nid]:
+            raise ConfigurationError(f"batch is missing input '{nid}'")
+    return prepared
+
+
 def _infer_batch(graph: ComputationGraph, batch: dict) -> int:
     for node in graph.nodes:
         if node.op == "input" and node.node_id in batch:
@@ -275,19 +288,7 @@ def run_step(
 ) -> StepResult:
     """One forward/backward pass; gradients plus observed peak stored bytes."""
     require_executable(graph)
-    ctx = config.ctx()
-    prepared = {}
-    for node in graph.nodes:
-        if node.op == "input":
-            if node.node_id not in batch:
-                if graph.consumers[node.node_id]:
-                    raise ConfigurationError(f"batch is missing input '{node.node_id}'")
-                continue
-            arr = np.asarray(batch[node.node_id])
-            if graph.out_dtype[node.node_id] == "int":
-                prepared[node.node_id] = arr.astype(np.int64)
-            else:
-                prepared[node.node_id] = ctx.asarray(arr)
+    prepared = prepare_inputs(graph, batch, config.ctx())
     b = _infer_batch(graph, prepared)
     nnz = None
     if masks:

@@ -17,13 +17,15 @@ from .profiler import FlopReport, MemoryReport, TrainingConfig, total_report
 class SweepSpec:
     densities: list[float] = field(default_factory=lambda: [1.0])
     precisions: list[NumericFormat] = field(default_factory=lambda: [NumericFormat.FP32])
-    microbatches: list[int] = field(default_factory=lambda: [100])
+    microbatches: list[int] | None = None  # None: [minibatch]
     strategies: list[CheckpointStrategy] = field(default_factory=lambda: [NONE])
     optimizers: list[str] = field(default_factory=lambda: ["sgd_nesterov"])
     minibatch: int = 100
     batch_unit: str = "examples"
 
     def __post_init__(self):
+        if self.microbatches is None:
+            self.microbatches = [self.minibatch]
         for name in ("densities", "precisions", "microbatches", "strategies", "optimizers"):
             if not getattr(self, name):
                 raise ConfigurationError(f"sweep list '{name}' is empty")

@@ -170,6 +170,7 @@ def _param_bytes(graph: ComputationGraph, config: TrainingConfig,
 def model_memory(graph: ComputationGraph, config: TrainingConfig) -> int:
     """Bytes to store the parameters; sparsified tensors in CSR form (the
     model owns the index arrays)."""
+    config.validate_for(graph)
     return _param_bytes(graph, config, param_nnz(graph, config.density))[0]
 
 
@@ -177,6 +178,7 @@ def optimizer_memory(graph: ComputationGraph, config: TrainingConfig) -> int:
     """Gradient plus momentum buffers: two value arrays for SGD with
     Nesterov momentum, three for Adam.  Sparse buffers store values only;
     the index arrays are shared with the model."""
+    config.validate_for(graph)
     return _param_bytes(graph, config, param_nnz(graph, config.density))[1]
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EngineConfig, init_params, require_executable, run_microbatched, run_step
+from .engine import (EngineConfig, init_params, prepare_inputs, require_executable,
+                     run_microbatched, run_step)
 from .errors import ConfigurationError, TrainmemError, UnsupportedOperationError
 from .graph import ComputationGraph
 from .kernels import NORM_EPS, forward_op
@@ -58,15 +59,11 @@ def forward_eval(graph: ComputationGraph, params, batch, config: EngineConfig):
     """Forward-only pass; returns (logit array, loss).  Norm nodes use the
     running statistics kept in the parameter store."""
     ctx = config.ctx()
-    values = {}
+    values = prepare_inputs(graph, batch, ctx)
     logits_src = graph.node(graph.loss_id).inputs[0]
     logits = None
     for node in graph.nodes:
         if node.op == "input":
-            arr = np.asarray(batch[node.node_id])
-            values[node.node_id] = (
-                arr.astype(np.int64) if graph.out_dtype[node.node_id] == "int" else ctx.asarray(arr)
-            )
             continue
         stats = None
         if node.op in ("batchnorm", "layernorm"):

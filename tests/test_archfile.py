@@ -2,37 +2,44 @@
 
 import pytest
 
-from trainmem.archfile import load_preset, parse_arch, serialize_arch
-from trainmem.builders import build_dc_transformer_cost, build_desk_cnn, build_wrn
-from trainmem.errors import ArchSemanticError, ArchSyntaxError
+from trainmem.archfile import PRESETS, load_arch, load_preset, parse_arch, serialize_arch
+from trainmem.errors import ArchSemanticError, ArchSyntaxError, ConfigurationError
 
 
-def test_round_trip_desk():
-    g = build_desk_cnn([8, 8], 4)
-    text = serialize_arch(g)
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_presets_round_trip_through_arch_text(name):
+    preset = load_preset(name)
+    text = serialize_arch(preset)
     back = parse_arch(text)
     assert serialize_arch(back) == text
-    assert back.out_shape == g.out_shape
-    assert back.residual_blocks == g.residual_blocks
-    assert back.total_param_count() == g.total_param_count()
+    assert back.out_shape == preset.out_shape
+    assert ([back.params_of(n) for n in back.nodes]
+            == [preset.params_of(n) for n in preset.nodes])
+    assert back.residual_blocks == preset.residual_blocks
+    assert back.batch_unit == preset.batch_unit
 
 
-@pytest.mark.parametrize("name,builder", [
-    ("wrn-28-2", lambda: build_wrn(28, 2, 10)),
-    ("dc-transformer-iwslt", build_dc_transformer_cost),
-    ("desk-cnn", lambda: build_desk_cnn([8, 8], 4)),
-])
-def test_presets_match_builders(name, builder):
-    preset = load_preset(name)
-    built = builder()
-    assert preset.total_param_count() == built.total_param_count()
-    assert len(preset.residual_blocks) == len(built.residual_blocks)
-    assert preset.batch_unit == built.batch_unit
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_preset_keeps_its_name(name):
+    assert load_preset(name).name == name
+    assert load_arch(name).name == name
+    assert serialize_arch(load_preset(name)).startswith(f"name {name}\n")
 
 
 def test_missing_preset():
-    with pytest.raises(ArchSemanticError, match="not found"):
+    with pytest.raises(ArchSemanticError, match="not found .*wrn-28-2, dc-transformer-iwslt"):
         load_preset("wrn-999")
+
+
+def test_unreadable_arch_file_is_configuration_error(tmp_path):
+    with pytest.raises(ConfigurationError, match="wrn-999.*No such file.*presets: wrn-28-2"):
+        load_arch(str(tmp_path / "wrn-999"))
+    with pytest.raises(ConfigurationError, match="Is a directory"):
+        load_arch(str(tmp_path))
+    latin = tmp_path / "latin.arch"
+    latin.write_bytes("name caf\xe9\n".encode("latin-1"))
+    with pytest.raises(ConfigurationError, match="latin.arch.*utf-8"):
+        load_arch(str(latin))
 
 
 def test_cycle_names_back_edge():

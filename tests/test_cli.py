@@ -190,6 +190,8 @@ def test_bad_precision_and_config_line_are_configuration_errors(tmp_path):
     cfg.write_text("minibatch = 4\nmicrobatch\n")
     with pytest.raises(ConfigurationError, match=":2: expected key = value"):
         read_kv_file(str(cfg), ("minibatch", "microbatch"))
+    with pytest.raises(ConfigurationError, match="cannot read .*Is a directory"):
+        read_kv_file(str(tmp_path), ("minibatch", "microbatch"))
 
 
 @pytest.mark.parametrize("command,arch,config", [
@@ -241,3 +243,49 @@ def test_train_rejects_a_loss_other_than_softmax_xent(tmp_path, capsys):
     code, _, err = run_cli(["train", "--arch", str(arch), "--out", str(tmp_path / "o")], capsys)
     assert code == 2
     assert err.startswith("error: ") and "softmax_xent" in err, err
+
+
+def test_unreadable_files_are_typed_errors(tmp_path, capsys):
+    latin = tmp_path / "latin.arch"
+    latin.write_bytes("name caf\xe9\n".encode("latin-1"))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("minibatch = 10\n")
+    bad_cfg = tmp_path / "latin.cfg"
+    bad_cfg.write_bytes("optimizer = caf\xe9\n".encode("latin-1"))
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for args, named in (
+        (["profile", "--arch", str(folder)], "folder"),
+        (["profile", "--arch", str(latin)], "latin.arch"),
+        (["profile", "--arch", "wrn-28-2", "--config", str(folder)], "folder"),
+        (["profile", "--arch", "wrn-28-2", "--config", str(bad_cfg)], "latin.cfg"),
+        (["train", "--arch", "desk-cnn", "--config", str(folder)], "folder"),
+        (["pareto", "--sweep", str(folder)], "folder"),
+        (["profile", "--arch", "wrn-28-2", "--config", str(cfg),
+          "--out", str(tmp_path / "absent" / "o")], "absent"),
+        (["pareto", "--sweep", str(cfg), "--out", str(folder)], "folder"),
+    ):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert err.startswith("error: ") and named in err, err
+    _, _, err = run_cli(["profile", "--arch", str(folder)], capsys)
+    assert "presets: wrn-28-2, dc-transformer-iwslt, desk-cnn" in err
+
+
+def test_keys_a_file_leaves_out_take_the_library_defaults(tmp_path, capsys):
+    def only_row(out):
+        header, row = (line.split(",") for line in out.splitlines())
+        return dict(zip(header, row))
+
+    code, out, _ = run_cli(["profile", "--arch", "wrn-28-2", "--format", "csv"], capsys)
+    assert code == 0
+    row = only_row(out)
+    assert (row["minibatch"], row["microbatch"], row["precision"], row["strategy"],
+            row["optimizer"], row["density"]) == ("100", "100", "fp32", "none",
+                                                  "sgd_nesterov", "dense")
+    sweep_file = tmp_path / "sweep.cfg"
+    sweep_file.write_text("minibatch = 20\n")
+    code, out, _ = run_cli(["pareto", "--sweep", str(sweep_file)], capsys)
+    assert code == 0
+    row = only_row(out)
+    assert (row["arch"], row["minibatch"], row["microbatch"]) == ("wrn-28-2", "20", "20")

@@ -6,12 +6,13 @@ import pytest
 
 from trainmem.builders import build_desk_cnn, random_desk_graph
 from trainmem.engine import EngineConfig, init_params, run_microbatched, run_step
-from trainmem.errors import ContractError, UnsupportedOperationError
+from trainmem.errors import ConfigurationError, ContractError, UnsupportedOperationError
 from trainmem.graph import GraphBuilder
 from trainmem.kernels import QuantCtx, backward_op, forward_op
 from trainmem.numerics import NumericFormat, half_round
 from trainmem.plan import (HOLD, STORE_PAYLOAD, STORE_STATS, CheckpointStrategy, graph_tables,
                            plan_for)
+from trainmem.train import forward_eval
 
 S = CheckpointStrategy.parse
 FP16, FP32, FP64 = NumericFormat.FP16, NumericFormat.FP32, NumericFormat.FP64
@@ -277,3 +278,37 @@ def test_observed_peak_matches_profiler_for_random_graphs():
             r = run_step(g, params, batch, EngineConfig(strategy=S(st)))
             cfg = TrainingConfig(minibatch=3, microbatch=3, strategy=S(st))
             assert activation_memory(g, cfg) == (r.peak_forward_bytes, r.peak_backward_bytes)
+
+
+def test_unread_input_may_be_left_out_of_the_batch():
+    b = GraphBuilder()
+    b.add("x", "input", shape=(5,), dtype="float")
+    b.add("unused", "input", shape=(2,), dtype="float")
+    b.add("y", "input", shape=(), dtype="int")
+    b.add("l", "linear", "x", d_in=5, d_out=3)
+    b.add("loss", "softmax_xent", ("l", "y"), classes=3)
+    b.loss("loss")
+    g = b.build()
+    params = init_params(g, seed=4)
+    rng = np.random.default_rng(4)
+    full = {"x": rng.normal(size=(6, 5)), "unused": rng.normal(size=(6, 2)),
+            "y": rng.integers(0, 3, 6)}
+    bare = {"x": full["x"], "y": full["y"]}
+    for precision in (FP32, FP16):
+        cfg = EngineConfig(precision=precision)
+        for step in (lambda batch: run_step(g, params, batch, cfg),
+                     lambda batch: run_microbatched(g, params, batch, 2, cfg)):
+            with_unused, without = step(full), step(bare)
+            assert with_unused.loss == without.loss
+            assert with_unused.grads.keys() == without.grads.keys()
+            for k, v in with_unused.grads.items():
+                assert np.array_equal(v, without.grads[k]), k
+        (logits_a, loss_a), (logits_b, loss_b) = (forward_eval(g, params, batch, cfg)
+                                                  for batch in (full, bare))
+        assert loss_a == loss_b and np.array_equal(logits_a, logits_b)
+    missing = {"y": full["y"]}
+    for call in (lambda: run_step(g, params, missing, EngineConfig()),
+                 lambda: run_microbatched(g, params, missing, 2, EngineConfig()),
+                 lambda: forward_eval(g, params, missing, EngineConfig())):
+        with pytest.raises(ConfigurationError, match="batch is missing input 'x'"):
+            call()

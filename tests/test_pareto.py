@@ -141,3 +141,8 @@ def test_value_the_config_rejects_aborts_the_sweep(field, value):
     with pytest.raises(ConfigurationError):
         sweep(_chain(), spec, warnings)
     assert warnings == []
+
+
+def test_microbatches_default_to_the_minibatch():
+    assert SweepSpec(minibatch=20).microbatches == [20]
+    assert SweepSpec().microbatches == [100]

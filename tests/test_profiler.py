@@ -239,3 +239,12 @@ def test_profiled_graph_is_freed():
     del g
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("fn", [model_memory, optimizer_memory])
+def test_parameter_memory_validates_the_config(fn):
+    g = build_wrn(16, 1, 10)
+    with pytest.raises(ConfigurationError, match="no sparsifiable group 'nope'"):
+        fn(g, TrainingConfig(density={"nope": 0.5}))
+    with pytest.raises(ConfigurationError, match="batch unit"):
+        fn(g, TrainingConfig(minibatch=4000, microbatch=4000, batch_unit="tokens"))
