@@ -29,7 +29,7 @@ from .numerics import NumericFormat
 from .pareto import SweepSpec, sweep
 from .plan import CheckpointStrategy
 from .profiler import CSV_HEADER, TrainingConfig, report_to_csv_row, total_report
-from .train import TrainSettings, TrainingDiverged, metrics_to_jsonl, train_desk
+from .train import TrainSettings, TrainingDiverged, check_trainable, metrics_to_jsonl, train_desk
 
 log = logging.getLogger("trainmem")
 
@@ -156,16 +156,16 @@ def cmd_pareto(args) -> int:
 def cmd_train(args) -> int:
     graph = load_arch(args.arch)
     settings = TrainSettings(**read_settings(args.config, TRAIN_KEYS), seed=args.seed)
-    try:
-        result = train_desk(graph, settings)
-    except TrainingDiverged as e:
-        sys.stderr.write(f"training diverged: {e}\n")
-        return 2
-    out = args.out or "train"
-    with open(out + ".metrics.jsonl", "w") as fh:
-        fh.write(metrics_to_jsonl(result))
-    with open(out + ".rewire.jsonl", "w") as fh:
-        fh.write("\n".join(result.rewire_log) + ("\n" if result.rewire_log else ""))
+    check_trainable(graph)
+    out = args.out or "train"  # opened before training, so a bad path fails first
+    with open(out + ".metrics.jsonl", "w") as metrics, open(out + ".rewire.jsonl", "w") as rewire:
+        try:
+            result = train_desk(graph, settings)
+        except TrainingDiverged as e:
+            sys.stderr.write(f"training diverged: {e}\n")
+            return 2
+        metrics.write(metrics_to_jsonl(result))
+        rewire.write("\n".join(result.rewire_log) + ("\n" if result.rewire_log else ""))
     summary = {
         "final_accuracy": round(result.final_accuracy, 6),
         "steps_skipped": result.steps_skipped,

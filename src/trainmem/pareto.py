@@ -1,16 +1,22 @@
-"""Configuration sweeps and Pareto frontiers over (total memory, FLOPs ratio)."""
+"""Configuration sweeps and Pareto frontiers over (total memory, FLOPs ratio);
+`sweep` prices a grid with one `Plan.evaluate_many` per checkpoint strategy."""
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, product
 
 from .errors import ConfigurationError
 from .graph import ComputationGraph
 from .numerics import NumericFormat
-from .plan import NONE, CheckpointStrategy
-from .profiler import FlopReport, MemoryReport, TrainingConfig, total_report
+from .plan import NONE, CheckpointStrategy, Sizing, plan_for
+from .profiler import FlopReport, MemoryReport, TrainingConfig, _param_bytes, param_nnz
+
+log = logging.getLogger(__name__)
+
+AXES = ("densities", "precisions", "microbatches", "strategies", "optimizers")  # outermost first
 
 
 @dataclass
@@ -26,7 +32,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.microbatches is None:
             self.microbatches = [self.minibatch]
-        for name in ("densities", "precisions", "microbatches", "strategies", "optimizers"):
+        for name in AXES:
             if not getattr(self, name):
                 raise ConfigurationError(f"sweep list '{name}' is empty")
         for d in self.densities:
@@ -35,21 +41,10 @@ class SweepSpec:
 
     def configs(self, graph: ComputationGraph):
         group = (graph.sparsifiable_groups() or [None])[0]
-        for d in self.densities:
-            for p in self.precisions:
-                for mb in self.microbatches:
-                    for st in self.strategies:
-                        for opt in self.optimizers:
-                            density = {} if d == 1.0 else {group: d}
-                            yield TrainingConfig(
-                                density=density,
-                                precision=p,
-                                minibatch=self.minibatch,
-                                microbatch=mb,
-                                strategy=st,
-                                optimizer_kind=opt,
-                                batch_unit=self.batch_unit,
-                            )
+        for d, p, mb, st, opt in product(*[getattr(self, name) for name in AXES]):
+            yield TrainingConfig(density={} if d == 1.0 else {group: d}, precision=p,
+                                 minibatch=self.minibatch, microbatch=mb, strategy=st,
+                                 optimizer_kind=opt, batch_unit=self.batch_unit)
 
 
 @dataclass
@@ -87,23 +82,59 @@ def mark_frontier(points: list[ParetoPoint]) -> list[ParetoPoint]:
 
 
 def sweep(graph: ComputationGraph, spec: SweepSpec, warnings: list[str] | None = None) -> list[ParetoPoint]:
-    """Evaluate every combination of the spec on the graph.
+    """Evaluate every combination of the spec on the graph, equal to
+    `total_report` on each config, one strategy group at a time: nonzero
+    counts per density, parameter bytes per (density, precision,
+    optimizer), a `Sizing` per (density, precision, microbatch), and one
+    `Plan.evaluate_many` per strategy.
 
-    A combination that `total_report` rejects for this graph, such as
-    `residual:1` on a graph without residual blocks, is skipped, with a
-    message appended to `warnings` if it is given.  A value that
-    `TrainingConfig` itself rejects, such as a microbatch that does not
-    divide the minibatch or an unknown optimizer, is bad input: it raises
-    `ConfigurationError` and aborts the whole sweep.  Points come back
-    deterministically ordered by (bytes, ratio)."""
-    points = []
-    for cfg in spec.configs(graph):
+    A spec the graph rejects as a whole (its batch unit, or a density below
+    1 without a sparsifiable group) or a value `TrainingConfig` rejects
+    raises `ConfigurationError`.  A config only its strategy or microbatch
+    rules out (`residual:1` without residual blocks, a batch past the
+    64-bit guard) is skipped, with one message per config in config order
+    appended to `warnings` if given.  Points sort by (bytes, ratio, strategy)."""
+    configs = list(spec.configs(graph))
+    for cfg in {bool(c.density): c for c in configs}.values():
+        cfg.validate_for(graph)  # covers the spec: one batch unit, one sparsified group
+    # each config's positions in the spec's lists, in the order of `configs`
+    index = list(product(*[range(len(getattr(spec, name))) for name in AXES]))
+    nnz, params, rows, sizings = {}, {}, {}, []
+    for cfg, (d, p, mb, _, opt) in zip(configs, index):
+        if d not in nnz:
+            nnz[d] = param_nnz(graph, cfg.density)
+        if (d, p, opt) not in params:
+            params[d, p, opt] = _param_bytes(graph, cfg, nnz[d])
+        if (d, p, mb) not in rows:
+            try:
+                sizings.append(Sizing(graph, cfg.microbatch, cfg.precision, nnz[d]))
+                rows[d, p, mb] = len(sizings) - 1
+            except ConfigurationError as e:
+                rows[d, p, mb] = e
+    groups = []  # per strategy: (recompute events, peaks, forward parts, FLOPs), or its error
+    for st in spec.strategies if sizings else ():
         try:
-            mem, fl = total_report(graph, cfg)
+            plan = plan_for(graph, st)
         except ConfigurationError as e:
-            if warnings is not None:
-                warnings.append(f"skipped {cfg.strategy}/{cfg.precision.name}: {e}")
+            groups.append(e)
             continue
-        points.append(ParetoPoint(cfg, mem, fl))
+        peak, forward, _, flops = plan.evaluate_many(sizings)
+        groups.append((plan.recompute_events, peak.tolist(), forward.tolist(), flops.tolist()))
+    points = []
+    for cfg, (d, p, mb, st, opt) in zip(configs, index):
+        row = rows[d, p, mb]
+        # the sizing's error comes first, as in `total_report`
+        group = groups[st] if isinstance(row, int) else row
+        if isinstance(group, ConfigurationError):
+            if warnings is not None:
+                warnings.append(f"skipped {cfg.strategy}/{cfg.precision.name}: {group}")
+            continue
+        events, peak, forward, flops = group
+        memory = MemoryReport(*params[d, p, opt], forward[row], peak[row] - forward[row])
+        scaled = FlopReport(*[x * cfg.minibatch for x in flops[row]], events)
+        points.append(ParetoPoint(cfg, memory, scaled))
+    log.info("sweep of %s: %d points priced in %d strategy groups, %d configs skipped",
+             graph.name, len(points), sum(isinstance(g, tuple) for g in groups),
+             len(configs) - len(points))
     points.sort(key=lambda p: (p.total_bytes, p.flops_ratio, str(p.config.strategy)))
     return mark_frontier(points)

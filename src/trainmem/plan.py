@@ -19,7 +19,8 @@ conv or linear weight's cost per nonzero times its nonzero count.  A
 `Sizing` holds one configuration's term values and nonzero counts, and
 `Plan.evaluate` (and `replay`, which looks the plan up first) prices the
 schedule with small integer vector-matrix products and an argmax: the
-first maximum of the total bytes is the peak.
+first maximum of the total bytes is the peak.  `Plan.evaluate_many`
+prices k sizings at once, with one matrix product and a row-wise argmax.
 
 `Plan.__init__` is the one place a strategy kind is lowered: into keep
 flags, the trim variant, recompute segments with their holds and
@@ -583,6 +584,18 @@ class Plan:
             recompute_events=self.recompute_events,
             end_forward_bytes=int(self.end_forward_terms @ x),
         )
+
+    def evaluate_many(self, sizings: list[Sizing]):
+        """`evaluate` for k sizings, as int64 arrays: the peaks, their forward
+        parts and the end-of-forward bytes (k each), and the (k, 3) forward,
+        backward and recompute FLOPs per example, unscaled by any batch."""
+        x = np.stack([s.terms for s in sizings])
+        totals = x @ self.total_at.T
+        k = totals.argmax(axis=1)  # the first maximum of each row
+        peak = totals[np.arange(len(k)), k]
+        forward = np.einsum("ij,ij->i", self.stored_at[k], x)
+        flops = np.stack([s.nonzeros for s in sizings]) @ self.flop_weights + self.flop_base
+        return peak, forward, x @ self.end_forward_terms, flops
 
 
 class _Compiler:

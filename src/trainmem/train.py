@@ -132,13 +132,8 @@ def _accuracy(graph, params, images, labels, config) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
-def train_desk(
-    graph: ComputationGraph,
-    settings: TrainSettings,
-    on_after_backward=None,
-) -> TrainResult:
-    """Train on the synthetic task, with as many classes as the graph's
-    softmax_xent loss; deterministic given the seed."""
+def check_trainable(graph: ComputationGraph):
+    """The loss node of a graph `train_desk` can train; any other raises."""
     require_executable(graph)
     if "img" not in graph.index:
         raise UnsupportedOperationError(f"graph '{graph.name}' has no 'img' input to train on")
@@ -147,6 +142,17 @@ def train_desk(
         raise UnsupportedOperationError(
             f"graph '{graph.name}' has loss '{loss.node_id}' ({loss.op}); "
             "training needs a softmax_xent loss")
+    return loss
+
+
+def train_desk(
+    graph: ComputationGraph,
+    settings: TrainSettings,
+    on_after_backward=None,
+) -> TrainResult:
+    """Train on the synthetic task, with as many classes as the graph's
+    softmax_xent loss; deterministic given the seed."""
+    loss = check_trainable(graph)
     input_shape = graph.out_shape["img"]
     images, labels = make_synthetic_task(
         TASK_SIZE, loss.p("classes"), input_shape, seed=1234 + settings.seed

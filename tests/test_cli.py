@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from trainmem import train
+from trainmem import cli, train
 from trainmem.archfile import serialize_arch
 from trainmem.builders import build_desk_cnn
 from trainmem.cli import main, read_kv_file
@@ -167,6 +167,8 @@ def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
     ("train", "desk-cnn", "stpes = 5\n", "c.cfg:1: unknown key 'stpes'"),
     ("train", "desk-cnn", "classes = 3\n", "c.cfg:1: unknown key 'classes'"),
     ("pareto", "wrn-28-2", "densites = 0.5\n", "c.cfg:1: unknown key 'densites'"),
+    ("pareto", "wrn-28-2", "batch_unit = tokens\nminibatch = 4000\n",
+     "config batch unit 'tokens' does not match graph batch unit 'examples'"),
     ("profile", "wrn-28-2", "precision = fp16\nprecision = fp32\n",
      "c.cfg:2: repeated key 'precision'"),
 ])
@@ -270,6 +272,17 @@ def test_unreadable_files_are_typed_errors(tmp_path, capsys):
         assert err.startswith("error: ") and named in err, err
     _, _, err = run_cli(["profile", "--arch", str(folder)], capsys)
     assert "presets: wrn-28-2, dc-transformer-iwslt, desk-cnn" in err
+
+
+def test_train_checks_its_outputs_before_training(tmp_path, capsys, monkeypatch):
+    def untrainable(*args, **kwargs):
+        raise AssertionError("train_desk ran before --out was checked")
+
+    monkeypatch.setattr(cli, "train_desk", untrainable)
+    code, _, err = run_cli(["train", "--arch", "desk-cnn",
+                            "--out", str(tmp_path / "absent" / "o")], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "absent" in err, err
 
 
 def test_keys_a_file_leaves_out_take_the_library_defaults(tmp_path, capsys):

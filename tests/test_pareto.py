@@ -1,16 +1,19 @@
-"""Sweeps and frontier flags, cross-checked against a quadratic-scan oracle."""
+"""Sweeps and frontier flags, cross-checked against a quadratic-scan oracle
+and against one `total_report` per config."""
 
+import logging
 import random
 
 import pytest
 
-from trainmem.builders import build_wrn
+from trainmem import pareto, plan, profiler
+from trainmem.builders import build_wrn, random_desk_graph
 from trainmem.graph import GraphBuilder
 from trainmem.errors import ConfigurationError
 from trainmem.numerics import NumericFormat
 from trainmem.pareto import ParetoPoint, SweepSpec, mark_frontier, sweep
-from trainmem.plan import CheckpointStrategy
-from trainmem.profiler import FlopReport, MemoryReport
+from trainmem.plan import CheckpointStrategy, graph_tables
+from trainmem.profiler import FlopReport, MemoryReport, total_report
 
 S = CheckpointStrategy.parse
 
@@ -146,3 +149,94 @@ def test_value_the_config_rejects_aborts_the_sweep(field, value):
 def test_microbatches_default_to_the_minibatch():
     assert SweepSpec(minibatch=20).microbatches == [20]
     assert SweepSpec().microbatches == [100]
+
+
+def test_spec_wide_mismatch_is_a_typed_error():
+    g = build_wrn(16, 1, 10)
+    warnings = []
+    with pytest.raises(ConfigurationError, match="batch unit 'tokens'"):
+        sweep(g, SweepSpec(minibatch=4000, batch_unit="tokens"), warnings)
+    with pytest.raises(ConfigurationError, match="sparsifiable group"):
+        sweep(_chain(), SweepSpec(densities=[1.0, 0.5], minibatch=20), warnings)
+    assert warnings == []
+
+
+STRATEGIES = ("none", "no_bn", "every:2", "every:4", "residual:1", "residual:2",
+              "residual_star:1", "residual_star:2")
+
+
+def reference_sweep(graph, spec):
+    """The sweep as one `total_report` per config: (points, warnings)."""
+    points, warnings = [], []
+    for cfg in spec.configs(graph):
+        try:
+            mem, fl = total_report(graph, cfg)
+        except ConfigurationError as e:
+            warnings.append(f"skipped {cfg.strategy}/{cfg.precision.name}: {e}")
+            continue
+        points.append(ParetoPoint(cfg, mem, fl))
+    points.sort(key=lambda p: (p.total_bytes, p.flops_ratio, str(p.config.strategy)))
+    return mark_frontier(points), warnings
+
+
+def _cases():
+    for seed in range(8):
+        yield random_desk_graph(seed), SweepSpec(
+            densities=[1.0, 0.3], precisions=list(NumericFormat), microbatches=[8, 2],
+            strategies=[S(s) for s in STRATEGIES], optimizers=["sgd_nesterov", "adam"],
+            minibatch=8)
+    # a strategy the graph cannot run, and a microbatch past the 64-bit guard
+    g = _chain()
+    past = (2**63 - 1) // graph_tables(g).byte_bound + 1
+    yield g, SweepSpec(precisions=[NumericFormat.FP16, NumericFormat.FP32],
+                       microbatches=[past, 1], strategies=[S("residual:1"), S("none")],
+                       minibatch=past)
+
+
+def test_sweep_equals_per_config_reports():
+    skipped = 0
+    for graph, spec in _cases():
+        warnings = []
+        points = sweep(graph, spec, warnings)
+        want, want_warnings = reference_sweep(graph, spec)
+        for p in points:
+            assert (p.memory, p.flops) == total_report(graph, p.config), p.config
+        assert [(p.config, p.on_frontier) for p in points] == [
+            (p.config, p.on_frontier) for p in want]
+        assert warnings == want_warnings
+        skipped += len(warnings)
+    assert skipped == 6  # residual:1 at either batch, none past the guard
+
+
+def test_sweep_prices_each_strategy_group_once(monkeypatch):
+    calls = {"total_report": 0, "replay": 0, "Plan": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (profiler, pareto):
+        monkeypatch.setattr(mod, "total_report", counted("total_report", total_report),
+                            raising=False)
+    for mod in (plan, profiler, pareto):
+        monkeypatch.setattr(mod, "replay", counted("replay", plan.replay), raising=False)
+    monkeypatch.setattr(plan.Plan, "__init__", counted("Plan", plan.Plan.__init__))
+    g, spec = next(_cases())
+    points = sweep(g, spec)
+    assert len(points) == 8 * 2 * 3 * 2 * 2
+    assert calls == {"total_report": 0, "replay": 0, "Plan": len(STRATEGIES)}
+    sweep(g, spec)
+    assert calls["Plan"] == len(STRATEGIES)  # the graph keeps its plans
+
+
+def test_sweep_logs_one_line(caplog):
+    caplog.set_level(logging.INFO, logger="trainmem")
+    spec = SweepSpec(strategies=[S("none"), S("residual:1"), S("every:2")],
+                     microbatches=[20, 10], minibatch=20)
+    sweep(_chain(), spec)
+    (record,) = [r for r in caplog.records if r.name == "trainmem.pareto"]
+    assert record.levelno == logging.INFO
+    assert record.getMessage() == (
+        "sweep of chain: 4 points priced in 2 strategy groups, 2 configs skipped")

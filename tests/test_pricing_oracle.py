@@ -1,4 +1,5 @@
-"""`Plan.evaluate` against an explicit per-slot byte vector.
+"""`Plan.evaluate` and `Plan.evaluate_many` against an explicit per-slot
+byte vector.
 
 The oracle prices a compiled schedule the direct way: it writes out the
 bytes of every slot the schedule's deltas index (each node's output, its
@@ -100,6 +101,15 @@ def evaluated(plan, sizing) -> list[int]:
             r.backward_flops, r.recompute_flops, r.recompute_events, r.end_forward_bytes]
 
 
+def evaluated_many(plan, sizings) -> list[list[int]]:
+    """`evaluate_many`'s rows in the fields of `evaluated`, FLOPs scaled by
+    each sizing's batch in Python integers."""
+    peak, forward, end, flops = plan.evaluate_many(sizings)
+    return [[p, f, p - f, *(s.batch * x for x in fl), plan.recompute_events, e]
+            for s, p, f, e, fl in zip(sizings, peak.tolist(), forward.tolist(), end.tolist(),
+                                      flops.tolist())]
+
+
 def _plans(g):
     for st in STRATEGIES:
         try:
@@ -115,11 +125,15 @@ def test_random_graphs_match_the_oracle(seed):
     for density in (1.0, 0.3):
         nnz = param_nnz(g, {"conv": density} if density < 1.0 else {})
         for st, plan in _plans(g):
+            sizings, wants = [], []
             for batch in (1, 3, 8, 250):
                 for fmt in FORMATS:
                     want = oracle(g, plan, batch, fmt, nnz)
-                    assert evaluated(plan, Sizing(g, batch, fmt, nnz)) == want, (st, batch, fmt)
+                    sizings.append(Sizing(g, batch, fmt, nnz))
+                    wants.append(want)
+                    assert evaluated(plan, sizings[-1]) == want, (st, batch, fmt)
                     checked += 1
+            assert evaluated_many(plan, sizings) == wants, st
     assert checked >= 2 * 6 * 4 * 3  # none, no_bn and every:m apply to every graph
 
 
@@ -153,10 +167,14 @@ def test_odd_mask_sizes_match_the_oracle():
     plans = list(_plans(g))
     assert len(plans) == len(STRATEGIES)
     for st, plan in plans:
+        sizings, wants = [], []
         for batch in range(1, 10):
             for fmt in FORMATS:
                 want = oracle(g, plan, batch, fmt, nnz)
-                assert evaluated(plan, Sizing(g, batch, fmt, nnz)) == want, (st, batch, fmt)
+                sizings.append(Sizing(g, batch, fmt, nnz))
+                wants.append(want)
+                assert evaluated(plan, sizings[-1]) == want, (st, batch, fmt)
+        assert evaluated_many(plan, sizings) == wants, st
 
 
 @pytest.mark.parametrize("name", ["wrn-28-2", "dc-t"])
@@ -170,7 +188,9 @@ def test_presets_match_the_oracle(name):
     assert len(plans) == len(STRATEGIES)
     for st, plan in plans:
         want = oracle(g, plan, batch, NumericFormat.FP16, nnz)
-        assert evaluated(plan, Sizing(g, batch, NumericFormat.FP16, nnz)) == want, st
+        sizing = Sizing(g, batch, NumericFormat.FP16, nnz)
+        assert evaluated(plan, sizing) == want, st
+        assert evaluated_many(plan, [sizing]) == [want], st
 
 
 def test_largest_batch_is_exact():
@@ -180,7 +200,12 @@ def test_largest_batch_is_exact():
     batch = (2**63 - 1) // graph_tables(g).byte_bound
     for st, plan in _plans(g):
         want = oracle(g, plan, batch, NumericFormat.FP64, {})
-        assert evaluated(plan, Sizing(g, batch, NumericFormat.FP64)) == want, st
+        sizing = Sizing(g, batch, NumericFormat.FP64)
+        assert evaluated(plan, sizing) == want, st
         assert want[0] > 2**53
+        # stacked under a batch-1 row, so that each row keeps its own argmax
+        small = Sizing(g, 1, NumericFormat.FP16)
+        assert evaluated_many(plan, [small, sizing]) == [
+            oracle(g, plan, 1, NumericFormat.FP16, {}), want], st
     with pytest.raises(ConfigurationError, match="64-bit"):
         Sizing(g, batch + 1, NumericFormat.FP64)
