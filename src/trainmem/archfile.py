@@ -23,6 +23,7 @@ _NODE_RE = re.compile(
     r"^(?P<id>[A-Za-z_][\w.]*)\s*=\s*(?P<kind>[A-Za-z_]\w*)\s*\((?P<params>[^)]*)\)"
     r"\s*(?:<-\s*(?P<inputs>[\w.,\s]+))?$"
 )
+_NAME_RE = re.compile(r"[A-Za-z_][\w.]*")
 
 
 def _format_value(v) -> str:
@@ -37,23 +38,27 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _parse_value(text: str, line: int, col: int):
-    text = text.strip()
+def _is_int(text: str) -> bool:
+    """`text` matches `-?\\d+` (`isdecimal` is the regex's `\\d`)."""
+    return text.removeprefix("-").isdecimal()
+
+
+def _parse_value(text: str):
+    """The value `text` spells (an int, an int tuple, a float or a name),
+    or None if it spells none."""
+    if _is_int(text):
+        return int(text)
     if text == "scalar":
         return ()
-    if re.fullmatch(r"-?\d+", text):
-        return int(text)
-    if re.fullmatch(r"-?\d+d", text):
+    if text.endswith("d") and _is_int(text[:-1]):
         return (int(text[:-1]),)
-    if re.fullmatch(r"-?\d+(x-?\d+)+", text):
-        return tuple(int(x) for x in text.split("x"))
+    parts = text.split("x")
+    if len(parts) > 1 and all(map(_is_int, parts)):
+        return tuple(map(int, parts))
     try:
         return float(text)
     except ValueError:
-        pass
-    if re.fullmatch(r"[A-Za-z_][\w.]*", text):
-        return text
-    raise ArchSyntaxError(f"cannot parse value {text!r}", line, col)
+        return text if _NAME_RE.fullmatch(text) else None
 
 
 def parse_arch(text: str, name: str = "arch") -> ComputationGraph:
@@ -63,9 +68,9 @@ def parse_arch(text: str, name: str = "arch") -> ComputationGraph:
     batch_unit = "examples"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
         stripped = line.strip()
+        if not stripped:
+            continue
         m = _NODE_RE.match(stripped)
         if m is None:
             if stripped.startswith("name "):
@@ -91,20 +96,22 @@ def parse_arch(text: str, name: str = "arch") -> ComputationGraph:
                 continue
             col = len(line) - len(line.lstrip()) + 1
             raise ArchSyntaxError(f"unparseable node line {stripped!r}", lineno, col)
+        node_id, kind, body, inputs = m.groups()
         params = {}
-        body = m.group("params").strip()
+        body = body.strip()
         if body:
             for item in body.split(","):
-                if "=" not in item:
-                    col = line.find(item) + 1
+                key, eq, val = item.partition("=")
+                if not eq:
                     raise ArchSyntaxError(f"parameter {item.strip()!r} lacks '='",
-                                          lineno, col)
-                key, val = item.split("=", 1)
-                params[key.strip()] = _parse_value(val, lineno, line.find(val) + 1)
-        inputs = ()
-        if m.group("inputs"):
-            inputs = tuple(x.strip() for x in m.group("inputs").split(",") if x.strip())
-        nodes.append(Node(m.group("id"), m.group("kind"), inputs, params))
+                                          lineno, line.find(item) + 1)
+                value = _parse_value(val.strip())
+                if value is None:  # columns are found only for an error
+                    raise ArchSyntaxError(f"cannot parse value {val.strip()!r}",
+                                          lineno, line.find(val) + 1)
+                params[key.strip()] = value
+        inputs = tuple([x for x in map(str.strip, inputs.split(",")) if x]) if inputs else ()
+        nodes.append(Node(node_id, kind, inputs, params))
     if loss_id is None:
         raise ArchSemanticError("file defines no loss node")
     return ComputationGraph(nodes, loss_id, blocks, batch_unit, name)

@@ -12,6 +12,9 @@ an error, and a key a file leaves out takes its dataclass's default.  Bad
 input, an unreadable file included, ends with `error: ...` and exit 2.
 Set TRAINMEM_LOG=debug|info for verbosity.  Outputs are deterministic
 given a seed and inputs.
+
+A call builds the parser of only the subcommand it runs and keeps nothing
+between calls; `--help` prints this text up to this paragraph.
 """
 
 from __future__ import annotations
@@ -182,37 +185,45 @@ def cmd_verify(args) -> int:
     return 0 if run_all() else 1
 
 
+# Each subcommand's help, handler and arguments (flag, keyword arguments).
+COMMANDS = {
+    "profile": ("memory/FLOP report for one configuration", cmd_profile, [
+        ("--arch", dict(required=True, help="arch file path or preset name")),
+        ("--config", dict(help="flat key=value training configuration")),
+        ("--out", dict(help="output path prefix (.json/.csv)")),
+        ("--format", dict(choices=("json", "csv"), default="json"))]),
+    "pareto": ("sweep a configuration grid, flag the frontier", cmd_pareto, [
+        ("--sweep", dict(required=True, help="sweep spec (key=value with comma lists)")),
+        ("--arch", dict(help="arch override if the sweep file names none")),
+        ("--out", dict(help="frontier CSV path"))]),
+    "train": ("desk-scale training demonstration", cmd_train, [
+        ("--arch", dict(required=True)),
+        ("--config", dict(help="flat key=value training settings")),
+        ("--out", dict(help="output prefix for metrics/rewire logs")),
+        ("--seed", dict(type=int, default=0))]),
+    "verify": ("run the acceptance suite", cmd_verify, []),
+}
+
+
 def main(argv=None) -> int:
     level = os.environ.get("TRAINMEM_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = argparse.ArgumentParser(prog="trainmem", description=__doc__,
+    argv = sys.argv[1:] if argv is None else argv
+    about = __doc__ and __doc__.rsplit("\n\n", 1)[0]  # None under -OO, as before
+    parser = argparse.ArgumentParser(prog="trainmem", description=about,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("profile", help="memory/FLOP report for one configuration")
-    p.add_argument("--arch", required=True, help="arch file path or preset name")
-    p.add_argument("--config", help="flat key=value training configuration")
-    p.add_argument("--out", help="output path prefix (.json/.csv)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=cmd_profile)
-
-    p = sub.add_parser("pareto", help="sweep a configuration grid, flag the frontier")
-    p.add_argument("--sweep", required=True, help="sweep spec (key=value with comma lists)")
-    p.add_argument("--arch", help="arch override if the sweep file names none")
-    p.add_argument("--out", help="frontier CSV path")
-    p.set_defaults(fn=cmd_pareto)
-
-    p = sub.add_parser("train", help="desk-scale training demonstration")
-    p.add_argument("--arch", required=True)
-    p.add_argument("--config", help="flat key=value training settings")
-    p.add_argument("--out", help="output prefix for metrics/rewire logs")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    p.set_defaults(fn=cmd_verify)
-
+    # A named subcommand gets the only subparser, and a metavar naming all
+    # four; a given `prog` spares argparse formatting a usage line for it.
+    names = [argv[0]] if argv and argv[0] in COMMANDS else list(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog, metavar=(
+        "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None))
+    for name in names:
+        help_text, fn, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

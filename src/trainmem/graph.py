@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral
 
 from .errors import ArchSemanticError, ConfigurationError
+
+_INTEGRAL = (int, Integral)  # a plain int matches without the ABC's slower check
 
 # Storage classes
 FULL_INPUT = "full_input"
@@ -51,7 +52,7 @@ class ParamSpec:
     sparse: bool = False
     group: str | None = None
 
-    @cached_property
+    @property
     def numel(self) -> int:
         return math.prod(self.shape)
 
@@ -231,141 +232,145 @@ class ComputationGraph:
 
 def _build_params(node: Node) -> list[ParamSpec]:
     """The parameter tensors a node owns."""
-    nid = node.node_id
-    if node.p("tied"):
+    nid, p = node.node_id, node.params.get
+    if p("tied"):
         return []  # parameters shared with (owned by) another node
-    sparse = bool(node.p("sparse", 0))
-    group = node.p("group")
+    sparse = bool(p("sparse", 0))
+    group = p("group")
     if node.op == "conv2d":
-        shape = (node.p("c_out"), node.p("c_in"), node.p("k1"), node.p("k2"))
+        shape = (p("c_out"), p("c_in"), p("k1"), p("k2"))
         return [ParamSpec(f"{nid}.weight", shape, "weight", sparse, group)]
     if node.op == "linear":
         specs = [
-            ParamSpec(f"{nid}.weight", (node.p("d_out"), node.p("d_in")), "weight", sparse, group)
+            ParamSpec(f"{nid}.weight", (p("d_out"), p("d_in")), "weight", sparse, group)
         ]
-        if node.p("bias", 1):
-            specs.append(ParamSpec(f"{nid}.bias", (node.p("d_out"),), "bias"))
+        if p("bias", 1):
+            specs.append(ParamSpec(f"{nid}.bias", (p("d_out"),), "bias"))
         return specs
     if node.op == "embedding":
         return [
-            ParamSpec(f"{nid}.weight", (node.p("vocab"), node.p("d")), "weight", sparse, group)
+            ParamSpec(f"{nid}.weight", (p("vocab"), p("d")), "weight", sparse, group)
         ]
     if node.op in ("batchnorm", "layernorm"):
-        c = node.p("channels" if node.op == "batchnorm" else "dim")
+        c = p("channels" if node.op == "batchnorm" else "dim")
         return [ParamSpec(f"{nid}.gamma", (c,), "norm"),
                 ParamSpec(f"{nid}.beta", (c,), "norm")]
     return []
 
 
+def _need(nid: str, shapes, k: int, rank: int | None = None):
+    if len(shapes) != k:
+        raise ArchSemanticError(f"expects {k} inputs, got {len(shapes)}", nid)
+    if rank is not None and len(shapes[0]) != rank:
+        raise ArchSemanticError(f"expects a rank-{rank} input, got shape {shapes[0]}", nid)
+
+
+def _int_param(node: Node, key: str, lo: int = 1, default=None) -> int:
+    """An integer parameter, at least `lo`."""
+    v = node.params.get(key, default)
+    if not isinstance(v, _INTEGRAL) or v < lo:
+        raise ArchSemanticError(f"parameter '{key}' must be an integer >= {lo}, got {v!r}",
+                                node.node_id)
+    return v
+
+
+def _ints_param(node: Node, key: str, lo: int, default=None) -> tuple:
+    """A tuple parameter of integers, each at least `lo` (an int is a 1-tuple)."""
+    v = node.params.get(key, default)
+    t = (v,) if isinstance(v, _INTEGRAL) else v
+    if not isinstance(t, tuple) or not all(isinstance(x, _INTEGRAL) and x >= lo for x in t):
+        raise ArchSemanticError(f"parameter '{key}' must be integers >= {lo}, got {v!r}",
+                                node.node_id)
+    return t
+
+
 def _infer_node_shape(node: Node, shapes, dtypes):
     op = node.op
     nid = node.node_id
-
-    def need(k: int, rank: int | None = None):
-        if len(shapes) != k:
-            raise ArchSemanticError(f"expects {k} inputs, got {len(shapes)}", nid)
-        if rank is not None and len(shapes[0]) != rank:
-            raise ArchSemanticError(f"expects a rank-{rank} input, got shape {shapes[0]}", nid)
-
-    def int_param(key: str, lo: int = 1, default=None) -> int:
-        """An integer parameter, at least `lo`."""
-        v = node.p(key, default)
-        if not isinstance(v, Integral) or v < lo:
-            raise ArchSemanticError(f"parameter '{key}' must be an integer >= {lo}, got {v!r}", nid)
-        return v
-
-    def ints_param(key: str, lo: int, default=None) -> tuple:
-        """A tuple parameter of integers, each at least `lo` (an int is a 1-tuple)."""
-        v = node.p(key, default)
-        t = (v,) if isinstance(v, Integral) else v
-        if not isinstance(t, tuple) or not all(isinstance(x, Integral) and x >= lo for x in t):
-            raise ArchSemanticError(f"parameter '{key}' must be integers >= {lo}, got {v!r}", nid)
-        return t
-
     if op == "input":
-        return ints_param("shape", 1, ()), node.p("dtype", "float")
+        return _ints_param(node, "shape", 1, ()), node.p("dtype", "float")
     if op == "conv2d":
-        need(1, 3)
+        _need(nid, shapes, 1, 3)
         c, h, w = shapes[0]
-        if c != int_param("c_in"):
+        if c != _int_param(node, "c_in"):
             raise ArchSemanticError(f"c_in {node.p('c_in')} != input channels {c}", nid)
-        s, p = int_param("stride", 1, 1), int_param("pad", 0, 0)
-        h2 = (h + 2 * p - int_param("k1")) // s + 1
-        w2 = (w + 2 * p - int_param("k2")) // s + 1
+        s, p = _int_param(node, "stride", 1, 1), _int_param(node, "pad", 0, 0)
+        h2 = (h + 2 * p - _int_param(node, "k1")) // s + 1
+        w2 = (w + 2 * p - _int_param(node, "k2")) // s + 1
         if h2 <= 0 or w2 <= 0:
             raise ArchSemanticError("non-positive spatial output", nid)
-        return (int_param("c_out"), h2, w2), "float"
+        return (_int_param(node, "c_out"), h2, w2), "float"
     if op == "linear":
-        need(1)
-        if not shapes[0] or shapes[0][-1] != int_param("d_in"):
+        _need(nid, shapes, 1)
+        if not shapes[0] or shapes[0][-1] != _int_param(node, "d_in"):
             raise ArchSemanticError(f"d_in {node.p('d_in')} != input dim {shapes[0]}", nid)
-        return shapes[0][:-1] + (int_param("d_out"),), "float"
+        return shapes[0][:-1] + (_int_param(node, "d_out"),), "float"
     if op == "batchnorm":
-        need(1, 3)
-        if shapes[0][0] != int_param("channels"):
+        _need(nid, shapes, 1, 3)
+        if shapes[0][0] != _int_param(node, "channels"):
             raise ArchSemanticError("channel mismatch", nid)
         return shapes[0], "float"
     if op == "layernorm":
-        need(1)
-        if not shapes[0] or shapes[0][-1] != int_param("dim"):
+        _need(nid, shapes, 1)
+        if not shapes[0] or shapes[0][-1] != _int_param(node, "dim"):
             raise ArchSemanticError("dim mismatch", nid)
         return shapes[0], "float"
     if op == "relu":
-        need(1)
+        _need(nid, shapes, 1)
         return shapes[0], "float"
     if op == "glu":
-        need(1)
+        _need(nid, shapes, 1)
         if not shapes[0] or shapes[0][-1] % 2:
             raise ArchSemanticError("glu input dim must be even", nid)
         return shapes[0][:-1] + (shapes[0][-1] // 2,), "float"
     if op == "add":
-        need(2)
+        _need(nid, shapes, 2)
         if shapes[0] != shapes[1]:
             raise ArchSemanticError(f"add of mismatched shapes {shapes[0]} vs {shapes[1]}", nid)
         return shapes[0], "float"
     if op == "reshape":
-        need(1)
-        target = ints_param("shape", 1)
+        _need(nid, shapes, 1)
+        target = _ints_param(node, "shape", 1)
         if math.prod(target) != math.prod(shapes[0]):
             raise ArchSemanticError("reshape changes element count", nid)
         return target, "float"
     if op == "transpose":
-        need(1)
-        perm = ints_param("perm", 0)
+        _need(nid, shapes, 1)
+        perm = _ints_param(node, "perm", 0)
         if sorted(perm) != list(range(len(shapes[0]))):
             raise ArchSemanticError("invalid permutation", nid)
         return tuple(shapes[0][i] for i in perm), "float"
     if op == "avgpool":
-        need(1, 3)
+        _need(nid, shapes, 1, 3)
         c, h, w = shapes[0]
-        win = int_param("window")
+        win = _int_param(node, "window")
         if h % win or w % win:
             raise ArchSemanticError("window must divide spatial extents", nid)
         return (c, h // win, w // win), "float"
     if op == "pad_channels":
-        need(1, 3)
+        _need(nid, shapes, 1, 3)
         c, h, w = shapes[0]
-        return (c + int_param("extra", 0), h, w), "float"
+        return (c + _int_param(node, "extra", 0), h, w), "float"
     if op == "embedding":
-        need(1)
-        int_param("vocab")
+        _need(nid, shapes, 1)
+        _int_param(node, "vocab")
         if dtypes[0] != "int":
             raise ArchSemanticError("embedding input must be integer indices", nid)
-        return shapes[0] + (int_param("d"),), "float"
+        return shapes[0] + (_int_param(node, "d"),), "float"
     if op == "softmax_xent":
-        need(2)
+        _need(nid, shapes, 2)
         if dtypes[1] != "int":
             raise ArchSemanticError("second input (targets) must be integer", nid)
-        d_in, classes = int_param("d_in", 0, 0), int_param("classes")
+        d_in, classes = _int_param(node, "d_in", 0, 0), _int_param(node, "classes")
         expected = (d_in,) if d_in else (classes,)
         if shapes[0] != expected:
             raise ArchSemanticError(f"logit shape {shapes[0]} != expected {expected}", nid)
         return (), "float"
     if op == "dynamic_conv_cost":
         conv = node.p("mix", "conv") == "conv"
-        need(2 if conv else 3)
+        _need(nid, shapes, 2 if conv else 3)
         for key in ("heads", "span", "kernel") if conv else ("heads", "span"):
-            int_param(key)
+            _int_param(node, key)
         return shapes[0], "float"
     raise ArchSemanticError(f"unknown kind '{op}'", nid)
 

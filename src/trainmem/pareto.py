@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import groupby, product
+from itertools import product
 
 from .errors import ConfigurationError
 from .graph import ComputationGraph
@@ -67,17 +67,18 @@ def mark_frontier(points: list[ParetoPoint]) -> list[ParetoPoint]:
     """Flag the points no other point dominates (no more bytes, no higher
     FLOPs ratio, and less of one); identical points are all on the frontier.
 
-    One scan in byte order: a point is dominated by an earlier group (fewer
-    bytes) with a ratio no higher, or by its own group with a lower ratio.
+    One scan in (bytes, ratio) order, as `sweep` returns them: a point is
+    dominated by an earlier byte group with a ratio no higher, or by the
+    first point of its own group with a lower ratio.
     """
-    best = math.inf  # the lowest ratio among points with fewer bytes
-    for _, group in groupby(sorted(points, key=lambda p: p.total_bytes),
-                            key=lambda p: p.total_bytes):
-        group = [(p, p.flops_ratio) for p in group]
-        low = min(r for _, r in group)
-        for p, r in group:
-            p.on_frontier = best > r and low == r
-        best = min(best, low)
+    keys = [(p.memory.total_bytes, p.flops.ratio_to_baseline) for p in points]
+    best = low = math.inf  # lowest ratio with fewer bytes; lowest in this byte group
+    group = None
+    for i in sorted(range(len(points)), key=keys.__getitem__):
+        nbytes, ratio = keys[i]
+        if nbytes != group:
+            best, low, group = min(best, low), ratio, nbytes
+        points[i].on_frontier = best > ratio and ratio == low
     return points
 
 

@@ -234,9 +234,7 @@ class _GraphTables:
         self.flop_node, self.dense_nonzeros = _vec(([i for i, _ in weights], self.flop_numel))
         per_nnz = [g.forward_flops(g.nodes[i], {spec.name: 1}) for i, spec in weights]
         bwd_factor = [g.backward_factor(nd) for nd in g.nodes]
-        fwd = [g.forward_flops(nd) for nd in g.nodes]
-        for i, _ in weights:
-            fwd[i] = 0
+        fwd = [0 if nd.op in ("conv2d", "linear") else g.forward_flops(nd) for nd in g.nodes]
         self.dense_flops = _vec((fwd, list(map(mul, fwd, bwd_factor)),
                                  [g.cached_recompute_flops(nd) if c == CACHED_STATS else f
                                   for nd, c, f in zip(g.nodes, classes, fwd)]))
@@ -532,20 +530,20 @@ class Plan:
 
         s = _Compiler(self, t)
         self.events = np.array(s.events, dtype=np.int32).reshape(-1, 2)
-        self.delta_idx, self.stored_sign, self.grad_sign = (
-            np.array(s.deltas, dtype=np.int64).reshape(-1, 3).T)
+        deltas = np.array(s.deltas, dtype=np.int64).reshape(-1, 3)
+        self.delta_idx, self.stored_sign, self.grad_sign = deltas.T
         self.samples = np.array(s.samples, dtype=np.int64)
         self.end_forward = s.end_forward
         runs = np.array(([1] * n, s.backprop, s.recompute), dtype=np.int64)
         _, self.backprop, self.recompute_count = runs
         self.recompute_events = sum(s.recompute)
-        rows = self.payload.basis[self.delta_idx]
-        stored = rows * self.stored_sign[:, None]
-        stored[0] = t.pin_terms  # the leading delta adds nothing; it carries the pins
-        stored = np.cumsum(stored, axis=0)
-        total = stored + np.cumsum(rows * self.grad_sign[:, None], axis=0)
-        self.stored_at = stored[self.samples]
-        self.total_at = total[self.samples]
+        # (delta, stored or gradient, term); the leading delta adds nothing,
+        # so it carries the pins
+        signed = self.payload.basis[self.delta_idx, None, :] * deltas[:, 1:, None]
+        signed[0, 0] = t.pin_terms
+        at = signed.cumsum(axis=0)[self.samples]
+        self.stored_at = at[:, 0]
+        self.total_at = at[:, 0] + at[:, 1]
         self.end_forward_terms = self.stored_at[s.samples.index(s.end_forward)]  # a sample point
         # FLOP rates times how often the step runs each node forward,
         # backward and recompute

@@ -71,7 +71,8 @@ class TrainingConfig:
             )
         for group in self.density:
             if group not in graph.sparsifiable_groups():
-                raise ConfigurationError(f"graph has no sparsifiable group '{group}'")
+                named = f" '{group}'" if graph.sparsifiable_groups() else ""
+                raise ConfigurationError(f"graph has no sparsifiable group{named}")
 
 
 @dataclass

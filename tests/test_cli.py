@@ -1,12 +1,19 @@
 """CLI subcommands: profile, pareto, train, verify, plus failure modes."""
 
+import argparse
+import contextlib
+import gc
+import io
 import json
+import os
+import weakref
+from pathlib import Path
 
 import pytest
 
-from trainmem import cli, train
+from trainmem import cli, graph, train
 from trainmem.archfile import serialize_arch
-from trainmem.builders import build_desk_cnn
+from trainmem.builders import build_desk_cnn, random_desk_graph
 from trainmem.cli import main, read_kv_file
 from trainmem.errors import ConfigurationError
 from trainmem.numerics import NumericFormat
@@ -302,3 +309,73 @@ def test_keys_a_file_leaves_out_take_the_library_defaults(tmp_path, capsys):
     assert code == 0
     row = only_row(out)
     assert (row["arch"], row["minibatch"], row["microbatch"]) == ("wrn-28-2", "20", "20")
+
+
+def test_no_graph_outlives_a_profile_call(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("density = 0.5\nstrategy = residual_star:2\nmicrobatch = 10\n")
+    archs = [tmp_path / f"g{seed}.arch" for seed in range(50)]
+    for seed, arch in enumerate(archs):
+        arch.write_text(serialize_arch(random_desk_graph(seed)))
+    built = []
+    init = graph.ComputationGraph.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(graph.ComputationGraph, "__init__", tracked)
+    for arch in archs:
+        assert main(["profile", "--arch", str(arch), "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert len(built) == 50
+    assert [ref for ref in built if ref() is not None] == []
+
+
+# Inputs argparse answers itself (help, usage and argument errors), and the
+# exit code, stdout and stderr of each, pinned in CLI_TEXT at 80 columns.
+CLI_TEXT = Path(__file__).parent / "data" / "cli_text.json"
+CLI_TEXT_CASES = (
+    [], ["--help"], ["profile", "-h"], ["pareto", "-h"], ["train", "-h"], ["verify", "-h"],
+    ["bogus"], ["profile"], ["profile", "--arch", "wrn-28-2", "--format", "xml"],
+    ["train", "--arch", "desk-cnn", "--seed", "z"], ["profile", "--arch", "wrn-28-2", "extra"],
+)
+
+
+def cli_text(argv) -> list:
+    """[exit code, stdout, stderr] of one `main(argv)` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return [code, out.getvalue(), err.getvalue()]
+
+
+@pytest.mark.parametrize("argv", CLI_TEXT_CASES, ids=" ".join)
+def test_help_usage_and_argument_errors_are_pinned(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = json.loads(CLI_TEXT.read_text(encoding="utf-8"))
+    assert cli_text(argv) == expected[" ".join(argv)]
+
+
+def test_a_profile_call_builds_only_its_own_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["profile", "--arch", "desk-cnn"]) == 0
+    assert built == ["trainmem", "trainmem profile"]
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    texts = {" ".join(argv): cli_text(argv) for argv in CLI_TEXT_CASES}
+    CLI_TEXT.write_text(json.dumps(texts, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(texts)} cases to {CLI_TEXT}")

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from trainmem import pareto, plan, profiler
+from trainmem import cli, pareto, plan, profiler
+from trainmem.archfile import serialize_arch
 from trainmem.builders import build_wrn, random_desk_graph
 from trainmem.graph import GraphBuilder
 from trainmem.errors import ConfigurationError
@@ -159,6 +160,18 @@ def test_spec_wide_mismatch_is_a_typed_error():
     with pytest.raises(ConfigurationError, match="sparsifiable group"):
         sweep(_chain(), SweepSpec(densities=[1.0, 0.5], minibatch=20), warnings)
     assert warnings == []
+
+
+def test_density_below_one_without_a_sparsifiable_group_says_so(tmp_path, capsys):
+    with pytest.raises(ConfigurationError) as err:
+        sweep(_chain(), SweepSpec(densities=[1.0, 0.5], minibatch=20))
+    assert str(err.value) == "graph has no sparsifiable group"
+    arch = tmp_path / "chain.arch"
+    arch.write_text(serialize_arch(_chain()))
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text("densities = 1.0, 0.5\nminibatch = 20\n")
+    assert cli.main(["pareto", "--sweep", str(spec), "--arch", str(arch)]) == 2
+    assert capsys.readouterr().err == "error: graph has no sparsifiable group\n"
 
 
 STRATEGIES = ("none", "no_bn", "every:2", "every:4", "residual:1", "residual:2",
