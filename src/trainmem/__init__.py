@@ -9,19 +9,10 @@ claims are machine-checkable.
 
 from .builders import build_dc_transformer_cost, build_desk_cnn, build_wrn
 from .engine import EngineConfig, run_microbatched, run_step
-from .numerics import NumericFormat, half_round, tensor_bytes
-from .plan import CheckpointStrategy, checkpoint_nodes
-from .profiler import (
-    FlopReport,
-    MemoryReport,
-    TrainingConfig,
-    activation_memory,
-    flops,
-    model_memory,
-    optimizer_memory,
-    total_report,
-)
-from .sparse import SparseConvCSR, csr_from_dense, csr_storage_bytes, csr_to_dense
+from .numerics import NumericFormat, half_round
+from .plan import CheckpointStrategy
+from .profiler import (FlopReport, MemoryReport, TrainingConfig, activation_memory, flops,
+                       model_memory, optimizer_memory, total_report)
 
 __all__ = [
     "CheckpointStrategy",
@@ -29,23 +20,17 @@ __all__ = [
     "FlopReport",
     "MemoryReport",
     "NumericFormat",
-    "SparseConvCSR",
     "TrainingConfig",
     "activation_memory",
     "build_dc_transformer_cost",
     "build_desk_cnn",
     "build_wrn",
-    "checkpoint_nodes",
-    "csr_from_dense",
-    "csr_storage_bytes",
-    "csr_to_dense",
     "flops",
     "half_round",
     "model_memory",
     "optimizer_memory",
     "run_microbatched",
     "run_step",
-    "tensor_bytes",
     "total_report",
 ]
 

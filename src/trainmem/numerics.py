@@ -127,12 +127,3 @@ class FlatLayout:
         """One value per array, repeated over that array's elements."""
         return np.repeat(np.asarray(values, dtype=dtype), np.diff(self.offsets))
 
-
-def tensor_bytes(shape, fmt: NumericFormat) -> int:
-    """Dense storage bytes: product of extents times the element width."""
-    n = 1
-    for extent in shape:
-        if extent <= 0:
-            raise ContractError(f"non-positive extent in shape {tuple(shape)}")
-        n *= int(extent)
-    return n * fmt.element_bytes

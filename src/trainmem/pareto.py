@@ -40,9 +40,11 @@ class SweepSpec:
                 raise ConfigurationError(f"densities must be in (0, 1], got {d:g}")
 
     def configs(self, graph: ComputationGraph):
-        group = (graph.sparsifiable_groups() or [None])[0]
+        groups = graph.sparsifiable_groups()
+        if not groups and min(self.densities) < 1.0:
+            raise ConfigurationError("graph has no sparsifiable group")
         for d, p, mb, st, opt in product(*[getattr(self, name) for name in AXES]):
-            yield TrainingConfig(density={} if d == 1.0 else {group: d}, precision=p,
+            yield TrainingConfig(density={} if d == 1.0 else {groups[0]: d}, precision=p,
                                  minibatch=self.minibatch, microbatch=mb, strategy=st,
                                  optimizer_kind=opt, batch_unit=self.batch_unit)
 

@@ -64,7 +64,7 @@ from .graph import (
     Node,
 )
 from .numerics import NumericFormat
-from .sparse import col_index_bits, csr_dims
+from .sparse import csr_bits
 
 PASS_THROUGH_OPS = ("add", "reshape", "transpose")
 
@@ -102,12 +102,6 @@ NONE = CheckpointStrategy("none")
 
 # ---------------------------------------------------------------------------
 # Strategy structure
-
-
-def checkpoint_nodes(graph: ComputationGraph, strategy: CheckpointStrategy) -> set[str]:
-    """Nodes whose stored payload is retained through the forward pass."""
-    keep = plan_for(graph, strategy).keep
-    return {n.node_id for n, k in zip(graph.nodes, keep) if k}
 
 
 def checkpointed_exits(graph: ComputationGraph, strategy: CheckpointStrategy) -> list[str]:
@@ -241,15 +235,13 @@ class _GraphTables:
         self.weight_flops = _vec((per_nnz,
                                   [p * bwd_factor[i] for p, (i, _) in zip(per_nnz, weights)],
                                   per_nnz))
-        # parameter elements: batchnorm parameters (which FP16 keeps at
-        # FP32) and all others; then each sparse-eligible tensor (never a
-        # batchnorm parameter): its name and elements, also by group, the
-        # bits of one of its CSR column indices, and its CSR fixed bits (the
-        # 32-bit row pointers, plus 7 to round the index bits up to bytes)
+        # parameter elements: batchnorm ones (FP16 keeps them at FP32) and
+        # all others; then each sparse-eligible tensor (never batchnorm):
+        # its name and elements, also by group, and its `sparse.csr_bits`
         self.norm_param_numel = self.other_param_numel = 0
         self.sparse_names: list[str] = []
         groups: dict[str, tuple[list[str], list[int]]] = {}
-        numel, index_bits, fixed_bits = [], [], []
+        numel, bits = [], []
         for nd in g.nodes:
             for spec in g.params_of(nd):
                 if nd.op == "batchnorm":
@@ -257,17 +249,15 @@ class _GraphTables:
                 else:
                     self.other_param_numel += spec.numel
                 if spec.sparse:
-                    rows, cols = csr_dims(spec.shape)
                     names, counts = groups.setdefault(spec.group, ([], []))
                     names.append(spec.name)
                     counts.append(spec.numel)
                     self.sparse_names.append(spec.name)
                     numel.append(spec.numel)
-                    index_bits.append(col_index_bits(cols))
-                    fixed_bits.append((rows + 1) * 4 * 8 + 7)
+                    bits.append(csr_bits(spec.shape))
         self.sparse_group = {grp: (names, _vec(counts)) for grp, (names, counts) in groups.items()}
-        self.sparse_numel, self.csr_index_bits, self.csr_fixed_bits = _vec(
-            (numel, index_bits, fixed_bits))
+        self.sparse_numel = _vec(numel)
+        self.csr_index_bits, self.csr_fixed_bits = _vec(bits).reshape(-1, 2).T
         self._payload: dict[bool, _PayloadTable] = {}
 
     def payload_table(self, trimmed: bool) -> _PayloadTable:

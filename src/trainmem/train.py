@@ -37,7 +37,7 @@ TASK_SIZE = 256  # examples in the synthetic task
 
 
 class TrainingDiverged(TrainmemError):
-    """Loss went non-finite with the loss scaler already at its minimum."""
+    """Loss went non-finite: at once in FP32/FP64, at minimum loss scale in FP16."""
 
 
 def make_synthetic_task(
@@ -109,6 +109,8 @@ class TrainSettings:
             raise ConfigurationError(f"minibatch {self.minibatch} exceeds task_size {TASK_SIZE}")
         if self.minibatch % self.microbatch:
             raise ConfigurationError("microbatch must divide minibatch")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigurationError(f"lr must be finite and > 0, got {self.lr:g}")
         if not 0.0 < self.density <= 1.0:
             raise ConfigurationError("density must be in (0, 1]")
         if self.optimizer not in OPTIMIZER_VALUE_ARRAYS:
@@ -199,6 +201,8 @@ def train_desk(
         else:
             res = run_microbatched(graph, params, batch, settings.microbatch,
                                    engine_cfg, masks=masks)
+        if not fp16 and not np.isfinite(res.loss):
+            raise TrainingDiverged(f"non-finite loss at step {step} in {settings.precision.name}")
         peak_bytes = max(peak_bytes, res.peak_bytes)
         grads = res.grads
         if on_after_backward is not None:

@@ -132,14 +132,14 @@ def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
     # deliberate fault injection: corrupting the CSR byte formula (64 more
     # bytes per nonzero, as 512 more bits per column index in the graph
     # tables the check builds) must trip the golden-total checks
-    from trainmem import plan, verification
+    from trainmem import sparse, verification
 
-    original = plan.col_index_bits
+    original = sparse.col_index_bits
 
     def corrupted(cols):
         return original(cols) + 512
 
-    monkeypatch.setattr(plan, "col_index_bits", corrupted)
+    monkeypatch.setattr(sparse, "col_index_bits", corrupted)
     with pytest.raises(AssertionError):
         verification.check_01_wrn_golden_totals()
 
@@ -160,6 +160,10 @@ def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
     ("train", "desk-cnn", "log_every = 0\n", "log_every"),
     ("train", "desk-cnn", "density = 1.5\n", "density"),
     ("train", "desk-cnn", "optimizer = rmsprop\n", "optimizer"),
+    ("train", "desk-cnn", "lr = nan\n", "lr must be finite and > 0, got nan"),
+    ("train", "desk-cnn", "lr = inf\n", "lr must be finite and > 0, got inf"),
+    ("train", "desk-cnn", "lr = -1\n", "lr must be finite and > 0, got -1"),
+    ("train", "desk-cnn", "lr = 0\n", "lr must be finite and > 0, got 0"),
     ("train", "desk-cnn", "rewire_every = -3\n", "rewire_every must be >= 0"),
     ("train --seed=-1", "desk-cnn", "steps = 1\n", "seed must be >= 0"),
     ("train", "dc-transformer-iwslt", "steps = 1\n", "cost-model-only"),
@@ -279,6 +283,16 @@ def test_unreadable_files_are_typed_errors(tmp_path, capsys):
         assert err.startswith("error: ") and named in err, err
     _, _, err = run_cli(["profile", "--arch", str(folder)], capsys)
     assert "presets: wrn-28-2, dc-transformer-iwslt, desk-cnn" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_that_diverges_in_fp32_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("steps = 20\nminibatch = 8\nlr = 1e6\n")
+    code, out, err = run_cli(["train", "--arch", "desk-cnn", "--config", str(cfg),
+                              "--out", str(tmp_path / "o")], capsys)
+    assert code == 2 and out == ""
+    assert err == "training diverged: non-finite loss at step 6 in FP32\n"
 
 
 def test_train_checks_its_outputs_before_training(tmp_path, capsys, monkeypatch):

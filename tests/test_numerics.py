@@ -12,7 +12,7 @@ import pytest
 
 from trainmem import numerics
 from trainmem.errors import ContractError
-from trainmem.numerics import FlatLayout, NumericFormat, half_round, tensor_bytes
+from trainmem.numerics import FlatLayout, NumericFormat, half_round
 from trainmem.verification import decode_binary16, encode_binary16, reference_half_round
 
 
@@ -189,10 +189,3 @@ def test_half_round_array_shape():
     assert out.shape == (3, 4)
     assert isinstance(half_round(2.5), float)
 
-
-def test_tensor_bytes():
-    assert tensor_bytes([1], NumericFormat.FP32) == 4
-    assert tensor_bytes([1460000], NumericFormat.FP32) == 5_840_000
-    assert tensor_bytes([64, 128], NumericFormat.FP16) == 16_384
-    with pytest.raises(ContractError):
-        tensor_bytes([0, 3], NumericFormat.FP32)

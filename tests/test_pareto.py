@@ -174,6 +174,13 @@ def test_density_below_one_without_a_sparsifiable_group_says_so(tmp_path, capsys
     assert capsys.readouterr().err == "error: graph has no sparsifiable group\n"
 
 
+
+def test_configs_reject_a_density_below_one_without_a_sparsifiable_group():
+    with pytest.raises(ConfigurationError, match="^graph has no sparsifiable group$"):
+        list(SweepSpec(densities=[1.0, 0.5], minibatch=20).configs(_chain()))
+    assert [c.density for c in SweepSpec(minibatch=20).configs(_chain())] == [{}]
+
+
 STRATEGIES = ("none", "no_bn", "every:2", "every:4", "residual:1", "residual:2",
               "residual_star:1", "residual_star:2")
 

@@ -14,7 +14,6 @@ from trainmem.plan import (
     RECOMPUTE,
     CheckpointStrategy,
     Sizing,
-    checkpoint_nodes,
     checkpointed_exits,
     plan_for,
     replay,
@@ -38,9 +37,14 @@ def chain(length, staged=False):
     return g.build()
 
 
+def kept(g, strategy):
+    """Nodes whose stored payload the plan retains through the forward pass."""
+    return {n.node_id for n, k in zip(g.nodes, plan_for(g, strategy).keep) if k}
+
+
 def test_every_m_checkpoint_positions():
     g = chain(20)
-    ck = checkpoint_nodes(g, S("every:4"))
+    ck = kept(g, S("every:4"))
     positions = sorted(int(c[1:]) for c in ck if c.startswith("n"))
     assert positions == [4, 8, 12, 16]
     assert "loss" not in ck
@@ -48,7 +52,7 @@ def test_every_m_checkpoint_positions():
 
 def test_none_keeps_all_storing_nodes():
     g = build_desk_cnn([4, 4], 3)
-    ck = checkpoint_nodes(g, S("none"))
+    ck = kept(g, S("none"))
     storing = {n.node_id for n in g.nodes if STORAGE_CLASS[n.op] != NOTHING}
     assert ck == storing
 
@@ -63,7 +67,7 @@ def test_wrn_residual2_checkpoints_six_exits():
 def test_residual_requires_annotations():
     g = chain(6)
     with pytest.raises(ConfigurationError):
-        checkpoint_nodes(g, S("residual:1"))
+        plan_for(g, S("residual:1"))
 
 
 def test_network_input_block_exit_is_not_held():

@@ -1,4 +1,6 @@
-"""CSR flattening, round-trips, and the storage-byte formula."""
+"""The CSR byte format, checked against a real encoding of the mask."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,61 +9,33 @@ from trainmem.errors import ContractError
 from trainmem.graph import GraphBuilder
 from trainmem.numerics import NumericFormat
 from trainmem.profiler import TrainingConfig, _param_bytes
-from trainmem.sparse import (
-    col_index_bits,
-    csr_from_dense,
-    csr_storage_bytes,
-    csr_to_dense,
-)
+from trainmem.sparse import col_index_bits, csr_bits
 
 F32 = NumericFormat.FP32
 F16 = NumericFormat.FP16
 
 
+def _csr_bytes(mask: np.ndarray, fmt: NumericFormat) -> int:
+    """Bytes of a real CSR encoding of the true entries of `mask`, flattened
+    to (first axis) x (the rest): values at `fmt`'s width, column indices
+    packed at ceil(log2(cols)) bits each, rows + 1 int32 row pointers."""
+    m = mask.reshape(mask.shape[0], -1)
+    rows, cols = m.shape
+    r_idx, c_idx = np.nonzero(m)
+    row_ptr = np.searchsorted(r_idx, np.arange(rows + 1)).astype(np.int32)
+    decoded = np.zeros_like(m)
+    for r in range(rows):
+        decoded[r, c_idx[row_ptr[r]:row_ptr[r + 1]]] = True
+    assert np.array_equal(decoded, m)
+    width = math.ceil(math.log2(cols))
+    index = np.packbits((c_idx[:, None] >> np.arange(width)) & 1)
+    values = m[r_idx, c_idx].astype({F16: np.float16, F32: np.float32}[fmt])
+    return values.nbytes + index.nbytes + row_ptr.nbytes
+
+
 def test_singleton():
-    csr = csr_from_dense(np.full((1, 1, 1, 1), 5.0), np.ones((1, 1, 1, 1), bool), F32)
-    assert csr.rows == 1 and csr.cols == 1
-    assert list(csr.values) == [5.0]
-    assert csr.col_index_bits == 0
-    assert csr_storage_bytes(csr) == 0 + 8 + 4  # no index bits, 2 ptrs, 1 value
-
-
-def test_hand_enumerable():
-    w = np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 1, 1, 2)
-    mask = np.array([False, True, True, False]).reshape(2, 1, 1, 2)
-    csr = csr_from_dense(w, mask, F32)
-    assert list(csr.row_ptr) == [0, 1, 2]
-    assert list(csr.col_indices) == [1, 0]
-    assert list(csr.values) == [2.0, 3.0]
-
-
-def test_round_trip_property():
-    # oracle: elementwise masked copy
-    rng = np.random.default_rng(42)
-    for trial in range(1000):
-        c_o = int(rng.integers(1, 6))
-        c_i = int(rng.integers(1, 5))
-        k = int(rng.integers(1, 4))
-        shape = (c_o, c_i, k, k)
-        data = rng.normal(size=shape)
-        bits = rng.random(shape) < rng.uniform(0.05, 0.95)
-        back = csr_to_dense(csr_from_dense(data, bits, F32), shape)
-        assert np.array_equal(back, data * bits)
-
-
-def test_round_trip_matrix_case():
-    # fully-connected weights reuse the conv CSR with k1 = k2 = 1
-    rng = np.random.default_rng(1)
-    data = rng.normal(size=(6, 9))
-    bits = rng.random((6, 9)) < 0.4
-    csr = csr_from_dense(data, bits, F32)
-    assert csr.cols == 9 and csr.col_index_bits == 4
-    assert np.array_equal(csr_to_dense(csr, (6, 9)), data * bits)
-
-
-def test_shape_mismatch():
-    with pytest.raises(ContractError):
-        csr_from_dense(np.zeros((2, 1, 1, 2)), np.ones((2, 1, 2, 2), bool), F32)
+    assert _model_bytes(1, 1, 1, F32) == 0 + 8 + 4  # no index bits, 2 ptrs, 1 value
+    assert _csr_bytes(np.ones((1, 1, 1, 1), bool), F32) == 12
 
 
 def _model_bytes(rows: int, cols: int, nnz: int, fmt: NumericFormat) -> int:
@@ -79,13 +53,8 @@ def test_storage_bytes_wrn_example():
 
 
 def test_storage_bytes_matches_array_path():
-    rng = np.random.default_rng(5)
-    shape = (8, 4, 3, 3)
-    data = rng.normal(size=shape)
-    bits = rng.random(shape) < 0.3
-    w = np.float16(data).astype(np.float32)  # the FP16 carrier
-    csr = csr_from_dense(w, bits, F16)
-    assert csr_storage_bytes(csr) == _model_bytes(8, 36, csr.nnz, F16)
+    mask = np.random.default_rng(5).random((8, 4, 3, 3)) < 0.3
+    assert _csr_bytes(mask, F16) == _model_bytes(8, 36, int(mask.sum()), F16)
 
 
 def _one_weight_graph(rows: int, cols: int):
@@ -113,8 +82,7 @@ def test_sharing_always_strictly_smaller():
         model, optimizer = _param_bytes(_one_weight_graph(rows, cols), cfg, {"fc.weight": nnz})
         mask = np.zeros(rows * cols, dtype=bool)
         mask[rng.choice(rows * cols, nnz, replace=False)] = True
-        csr = csr_from_dense(np.ones((rows, cols)), mask.reshape(rows, cols), fmt)
-        assert model == csr_storage_bytes(csr)
+        assert model == _csr_bytes(mask.reshape(rows, cols), fmt)
         assert optimizer == 2 * nnz * w
         assert nnz * w < model
 
@@ -124,3 +92,11 @@ def test_col_index_bits():
     assert col_index_bits(2) == 1
     assert col_index_bits(144) == 8
     assert col_index_bits(1152) == 11
+
+
+def test_csr_bits():
+    # WRN's 32 x 16 x 3 x 3 conv: 8-bit indices, 33 row pointers plus 7
+    assert csr_bits((32, 16, 3, 3)) == (8, 33 * 32 + 7)
+    assert csr_bits((6, 9)) == (4, 7 * 32 + 7)
+    with pytest.raises(ContractError):
+        csr_bits((2, 3, 4))

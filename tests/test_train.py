@@ -10,7 +10,8 @@ from trainmem.builders import build_desk_cnn
 from trainmem.errors import ConfigurationError
 from trainmem.numerics import NumericFormat
 from trainmem.plan import CheckpointStrategy
-from trainmem.train import TrainSettings, make_synthetic_task, metrics_to_jsonl, train_desk
+from trainmem.train import (TrainingDiverged, TrainSettings, make_synthetic_task, metrics_to_jsonl,
+                            train_desk)
 
 S = CheckpointStrategy.parse
 
@@ -79,6 +80,17 @@ def test_final_accuracy_reuses_last_logged_evaluation(monkeypatch):
 def test_steps_must_be_positive(steps):
     with pytest.raises(ConfigurationError, match="steps must be >= 1"):
         TrainSettings(steps=steps)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("precision,step", [(NumericFormat.FP32, 6), (NumericFormat.FP64, 33)])
+def test_non_fp16_divergence_stops_at_the_first_non_finite_loss(precision, step):
+    # no loss scaler can recover a non-finite loss outside FP16
+    seen = []
+    settings = TrainSettings(steps=50, minibatch=8, lr=1e6, precision=precision, log_every=50)
+    with pytest.raises(TrainingDiverged, match=f"non-finite loss at step {step} in {precision.name}"):
+        train_desk(build_desk_cnn([4, 4], 4), settings, lambda i, grads: seen.append(i))
+    assert seen == list(range(1, step))
 
 
 def test_fp16_training_runs_with_scaling():
