@@ -1,12 +1,17 @@
 """Desk training runs: smoke behavior, determinism across strategies, DSR."""
 
+import dataclasses
+import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trainmem.archfile import load_arch
-from trainmem.builders import build_desk_cnn
+from trainmem.builders import build_desk_cnn, random_desk_graph
+from trainmem.engine import EngineConfig, init_params, run_microbatched
 from trainmem.errors import ConfigurationError
 from trainmem.numerics import NumericFormat
 from trainmem.plan import CheckpointStrategy
@@ -121,3 +126,107 @@ def test_microbatched_training_updates_running_stats():
     assert means
     for name, mean in means.items():
         assert np.any(mean != 0.0), name
+
+
+# SHA-256 digests of short training runs and of microbatched engine calls,
+# pinned in TRAIN_DIGEST: a change to the engine, kernels or optimizer that
+# moves any bit of their results changes a digest.
+TRAIN_DIGEST = Path(__file__).parent / "data" / "train_digest.json"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+DIGEST_STEPS = 12
+DIGEST_SEEDS = (0, 5)
+# engine configurations of the microbatched cases, by name
+DIGEST_ENGINES = {
+    "fp32": dict(precision=NumericFormat.FP32),
+    "fp16-acc16": dict(precision=NumericFormat.FP16, accumulator_width=16),
+    "fp16-acc32": dict(precision=NumericFormat.FP16),
+    "fp16-joint": dict(precision=NumericFormat.FP16, exec_mode="joint"),
+    "fp64": dict(precision=NumericFormat.FP64),
+}
+DIGEST_STRATEGIES = ("none", "every:2", "residual_star:1")
+
+
+def _digest(*parts) -> str:
+    """SHA-256 over parts: arrays by dtype, shape and bytes, dicts by sorted
+    key, everything else by its JSON text."""
+    h = hashlib.sha256()
+
+    def feed(x):
+        if isinstance(x, dict):
+            for k in sorted(x):
+                h.update(repr(k).encode())
+                feed(x[k])
+        elif isinstance(x, np.ndarray):
+            h.update(f"{x.dtype.str}{x.shape}".encode())
+            h.update(np.ascontiguousarray(x).tobytes())
+        else:
+            h.update(json.dumps(x, sort_keys=True).encode())
+
+    for part in parts:
+        feed(part)
+    return h.hexdigest()
+
+
+def _bench_train_settings():
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return workloads.TRAIN_SETTINGS, workloads.train_settings
+
+
+def train_digests() -> dict[str, str]:
+    """One digest per case: the benchmark's six train settings x two seeds
+    (final parameters, logged metrics, scale trace, rewire log and peak),
+    and `run_microbatched` on random desk graphs (gradients, loss, peaks and
+    recompute totals)."""
+    digests = {}
+    settings, make = _bench_train_settings()
+    g = load_arch("desk-cnn")
+    for workload, names in settings.items():
+        for name in names:
+            for seed in DIGEST_SEEDS:
+                s = make(workload, name, seed, steps=DIGEST_STEPS)
+                s = dataclasses.replace(s, log_every=4,
+                                        rewire_every=min(s.rewire_every, 5))
+                r = train_desk(g, s)
+                digests[f"train {workload} {name} seed {seed}"] = _digest(
+                    r.params, r.metrics, r.scale_trace, r.rewire_log,
+                    r.peak_activation_bytes, r.steps_skipped)
+    for seed in range(6):
+        g = random_desk_graph(seed)
+        rng = np.random.default_rng(seed)
+        batch = {"img": rng.normal(size=(8,) + g.out_shape["img"]),
+                 "labels": rng.integers(0, g.node("loss").p("classes"), 8)}
+        strategy = S(DIGEST_STRATEGIES[seed % len(DIGEST_STRATEGIES)])
+        for engine, kw in DIGEST_ENGINES.items():
+            params = init_params(g, seed=seed, precision=kw["precision"])
+            masks = None
+            if seed % 2:
+                masks = {"b1_conv1.weight": rng.random(params["b1_conv1.weight"].shape) < 0.5}
+            for mb in (8, 2):
+                cfg = EngineConfig(strategy=strategy, loss_scale=8.0, **kw)
+                r = run_microbatched(g, params, batch, mb, cfg, masks=masks)
+                digests[f"microbatched graph {seed} {engine} mb {mb}"] = _digest(
+                    r.grads, r.loss, r.peak_bytes, r.peak_forward_bytes,
+                    r.peak_backward_bytes, r.recompute_events, r.recompute_flops)
+    return digests
+
+
+def test_training_and_microbatched_numerics_match_recorded_digests():
+    """Bit identity of training and microbatched gradients against
+    TRAIN_DIGEST.  Regenerate it (`PYTHONPATH=src python3
+    tests/test_train.py`) only for a change meant to move the numerics, and
+    say in the change which results moved and why."""
+    expected = json.loads(TRAIN_DIGEST.read_text(encoding="utf-8"))
+    got = train_digests()
+    assert list(got) == list(expected)
+    moved = [case for case in got if got[case] != expected[case]]
+    assert moved == []
+
+
+if __name__ == "__main__":
+    digests = train_digests()
+    TRAIN_DIGEST.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} cases to {TRAIN_DIGEST}")
