@@ -160,15 +160,18 @@ def cmd_train(args) -> int:
     graph = load_arch(args.arch)
     settings = TrainSettings(**read_settings(args.config, TRAIN_KEYS), seed=args.seed)
     check_trainable(graph)
-    out = args.out or "train"  # opened before training, so a bad path fails first
-    with open(out + ".metrics.jsonl", "w") as metrics, open(out + ".rewire.jsonl", "w") as rewire:
-        try:
+    out = args.out or "train"
+    paths = (out + ".metrics.jsonl", out + ".rewire.jsonl")
+    try:  # opened before training, so a bad path fails first
+        with open(paths[0], "w") as metrics, open(paths[1], "w") as rewire:
             result = train_desk(graph, settings)
-        except TrainingDiverged as e:
-            sys.stderr.write(f"training diverged: {e}\n")
-            return 2
-        metrics.write(metrics_to_jsonl(result))
-        rewire.write("\n".join(result.rewire_log) + ("\n" if result.rewire_log else ""))
+            metrics.write(metrics_to_jsonl(result))
+            rewire.write("\n".join(result.rewire_log) + ("\n" if result.rewire_log else ""))
+    except TrainingDiverged as e:  # no output file is left behind, empty
+        for path in paths:
+            os.remove(path)
+        sys.stderr.write(f"error: training diverged: {e}\n")
+        return 2
     summary = {
         "final_accuracy": round(result.final_accuracy, 6),
         "steps_skipped": result.steps_skipped,

@@ -8,13 +8,13 @@ a value still needed raises `ContractError`.  Its peak byte counts and
 recompute totals are `Plan.evaluate` on that same plan, so they equal the
 profiler's predictions for the same configuration.
 
-Sequential microbatching runs each microbatch through `run_step` and
-accumulates weighted gradients at the configured accumulator width.  Joint
-mode (simulated microbatching) normalizes each microbatch group
-independently; it is evaluated group-wise with the accumulator forced to
-32 bits, which is numerically identical to running the groups jointly
-because examples only couple through the per-group normalization
-statistics.
+Sequential microbatching converts the whole minibatch once, walks the
+schedule once per microbatch and accumulates weighted gradients at the
+configured accumulator width in one packed buffer.  Joint mode (simulated
+microbatching) normalizes each microbatch group independently; it is
+evaluated group-wise with the accumulator forced to 32 bits, which is
+numerically identical to running the groups jointly because examples only
+couple through the per-group normalization statistics.
 """
 
 from __future__ import annotations
@@ -63,6 +63,15 @@ class StepResult:
     recompute_events: int
     recompute_flops: int
     batch_stats: dict[str, tuple] = field(default_factory=dict)
+    packed: tuple[FlatLayout, np.ndarray] | None = None  # grads' flat buffer, once packed
+
+    def packed_grads(self) -> tuple[FlatLayout, np.ndarray]:
+        """`grads` as one flat buffer and its layout; `grads` are views of a
+        buffer the step packed itself, and are packed here otherwise."""
+        if self.packed is None:
+            layout = FlatLayout(self.grads)
+            self.packed = layout, layout.pack(self.grads)
+        return self.packed
 
 
 class _Step:
@@ -279,6 +288,26 @@ def require_executable(graph: ComputationGraph):
             )
 
 
+def _prepare(graph: ComputationGraph, batch: dict, config: EngineConfig, masks):
+    """A call's work that every microbatch shares: the executable check,
+    the graph inputs in their carrier and each mask's nonzero count."""
+    require_executable(graph)
+    nnz = {name: int(m.sum()) for name, m in masks.items()} if masks else None
+    return prepare_inputs(graph, batch, config.ctx()), nnz
+
+
+def _walk(graph, params, masks, inputs, config: EngineConfig, plan: Plan) -> _Step:
+    """One walk of the plan; every parameter but the running statistics
+    gets a gradient, zero where the walk reached none."""
+    step = _Step(graph, params, masks, inputs, config)
+    step.run(plan)
+    grads = step.param_grads
+    for name in params:
+        if name not in grads and not name.endswith(("running_mean", "running_var")):
+            grads.setdefault(name, np.zeros_like(params[name]))
+    return step
+
+
 def run_step(
     graph: ComputationGraph,
     params: dict[str, np.ndarray],
@@ -287,24 +316,14 @@ def run_step(
     masks: dict[str, np.ndarray] | None = None,
 ) -> StepResult:
     """One forward/backward pass; gradients plus observed peak stored bytes."""
-    require_executable(graph)
-    prepared = prepare_inputs(graph, batch, config.ctx())
-    b = _infer_batch(graph, prepared)
-    nnz = None
-    if masks:
-        nnz = {name: int(m.sum()) for name, m in masks.items()}
-    sizing = Sizing(graph, b, config.precision, nnz)
+    prepared, nnz = _prepare(graph, batch, config, masks)
+    sizing = Sizing(graph, _infer_batch(graph, prepared), config.precision, nnz)
     plan = plan_for(graph, config.strategy)
-    step = _Step(graph, params, masks, prepared, config)
-    step.run(plan)
+    step = _walk(graph, params, masks, prepared, config, plan)
     result = plan.evaluate(sizing)
-    grads = step.param_grads
-    for name in params:
-        if name not in grads and not name.endswith(("running_mean", "running_var")):
-            grads.setdefault(name, np.zeros_like(params[name]))
     return StepResult(
         loss=step.loss,
-        grads=grads,
+        grads=step.param_grads,
         peak_bytes=result.peak_bytes,
         peak_forward_bytes=result.peak_forward_bytes,
         peak_backward_bytes=result.peak_backward_bytes,
@@ -327,7 +346,9 @@ def run_microbatched(
 
     Sequential mode accumulates at the configured accumulator width; joint
     mode (simulated microbatching) forces a 32-bit accumulator and differs
-    from sequential only in that width.
+    from sequential only in that width.  The inputs are converted and the
+    plan priced once: equal-size groups have equal peaks, which joint mode
+    holds all at once.  `grads` are views of the packed accumulator.
     """
     n = _infer_batch(graph, batch)
     if n % microbatch_size != 0:
@@ -335,37 +356,30 @@ def run_microbatched(
     groups = n // microbatch_size
     if groups == 1:
         return run_step(graph, params, batch, config, masks)
+    prepared, nnz = _prepare(graph, batch, config, masks)
+    plan = plan_for(graph, config.strategy)
     ctx = config.ctx()
     weight = microbatch_size / n
     layout = acc = None  # gradients packed into one flat buffer
     losses = []
     stats = {}
-    peaks = []
-    rec_events = 0
-    rec_flops = 0
     for gi in range(groups):
         sl = slice(gi * microbatch_size, (gi + 1) * microbatch_size)
-        sub = {k: v[sl] for k, v in batch.items()}
-        step = run_step(graph, params, sub, config, masks)
+        step = _walk(graph, params, masks, {k: v[sl] for k, v in prepared.items()}, config, plan)
         losses.append(step.loss)
         stats[gi] = step.batch_stats
-        peaks.append((step.peak_bytes, step.peak_forward_bytes, step.peak_backward_bytes))
-        rec_events += step.recompute_events
-        rec_flops += step.recompute_flops
         if layout is None:
-            layout = FlatLayout(step.grads)
-        update = ctx.q(layout.pack(step.grads) * weight)
+            layout = FlatLayout(step.param_grads)
+        update = ctx.q(layout.pack(step.param_grads) * weight)
         acc = update if acc is None else ctx.accumulate(acc, update)
-    loss = float(np.mean(losses))
-    if config.exec_mode == "joint":
-        # simulated microbatching holds every group at once
-        peak = tuple(sum(axis) for axis in zip(*peaks))
-    else:
-        peak = max(peaks)
-    return StepResult(loss=loss, grads=layout.unpack(acc), peak_bytes=peak[0],
-                      peak_forward_bytes=peak[1], peak_backward_bytes=peak[2],
-                      recompute_events=rec_events, recompute_flops=rec_flops,
-                      batch_stats={"groups": stats})
+    r = plan.evaluate(Sizing(graph, microbatch_size, config.precision, nnz))
+    k = groups if config.exec_mode == "joint" else 1  # groups held at once
+    return StepResult(loss=float(np.mean(losses)), grads=layout.unpack(acc),
+                      peak_bytes=k * r.peak_bytes, peak_forward_bytes=k * r.peak_forward_bytes,
+                      peak_backward_bytes=k * r.peak_backward_bytes,
+                      recompute_events=groups * r.recompute_events,
+                      recompute_flops=groups * r.recompute_flops,
+                      batch_stats={"groups": stats}, packed=(layout, acc))
 
 
 def init_params(

@@ -396,9 +396,10 @@ def backward_op(
     if op == "avgpool":
         wdw = node.p("window")
         b, c, h2, w2 = g_out.shape
-        g = g_out * np.asarray(1.0 / (wdw * wdw), dtype=g_out.dtype)
+        # rounded before it is spread: rounding commutes with the copy
+        g = ctx.q(g_out * np.asarray(1.0 / (wdw * wdw), dtype=g_out.dtype))
         up = np.broadcast_to(g[:, :, :, None, :, None], (b, c, h2, wdw, w2, wdw))
-        return [ctx.q(up.reshape(b, c, h2 * wdw, w2 * wdw))], {}
+        return [up.reshape(b, c, h2 * wdw, w2 * wdw)], {}
     if op == "pad_channels":
         extra = node.p("extra")
         return [g_out[:, : g_out.shape[1] - extra]], {}

@@ -21,7 +21,7 @@ large call.
 
 from __future__ import annotations
 
-import math
+import itertools
 from enum import Enum
 
 import numpy as np
@@ -104,24 +104,26 @@ class FlatLayout:
     """
 
     def __init__(self, arrays: dict):
+        values = [np.asarray(a) for a in arrays.values()]
         self.names = list(arrays)
-        self.shapes = [np.shape(a) for a in arrays.values()]
-        self.offsets = np.cumsum([0] + [math.prod(s) for s in self.shapes])
-        self.size = int(self.offsets[-1])
+        self.shapes = [a.shape for a in values]
+        bounds = list(itertools.accumulate([a.size for a in values], initial=0))
+        self.offsets = np.array(bounds, dtype=np.int64)
+        self.size = bounds[-1]
+        # (name, shape, start, stop) of each array, in Python ints
+        self._spans = list(zip(self.names, self.shapes, bounds, bounds[1:]))
 
     def pack(self, arrays: dict, dtype=None) -> np.ndarray:
         parts = []
-        for name, shape in zip(self.names, self.shapes):
+        for name, shape, _, _ in self._spans:
             a = np.asarray(arrays[name])
             if a.shape != shape:
                 raise ContractError(f"shape {a.shape} of '{name}' is not {shape}")
-            parts.append(a.reshape(-1))
+            parts.append(a.ravel())
         return np.concatenate(parts or [np.zeros(0)], dtype=dtype)
 
     def unpack(self, flat: np.ndarray) -> dict:
-        o = self.offsets
-        return {name: flat[o[i]:o[i + 1]].reshape(shape)
-                for i, (name, shape) in enumerate(zip(self.names, self.shapes))}
+        return {name: flat[i:j].reshape(shape) for name, shape, i, j in self._spans}
 
     def spread(self, values, dtype) -> np.ndarray:
         """One value per array, repeated over that array's elements."""

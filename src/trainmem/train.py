@@ -18,7 +18,7 @@ from .engine import (EngineConfig, init_params, prepare_inputs, require_executab
 from .errors import ConfigurationError, TrainmemError, UnsupportedOperationError
 from .graph import ComputationGraph
 from .kernels import NORM_EPS, forward_op
-from .numerics import FlatLayout, NumericFormat, half_round
+from .numerics import NumericFormat, half_round
 from .optim import (
     LossScaler,
     SGDState,
@@ -208,9 +208,8 @@ def train_desk(
         if on_after_backward is not None:
             on_after_backward(step, grads)
         skip = False
-        if fp16:
-            layout = FlatLayout(grads)
-            flat = layout.pack(grads)
+        if fp16:  # `flat` has the hook's in-place changes: `grads` are its views, or packed now
+            layout, flat = res.packed_grads()
             scaler, skip = loss_scale_update(scaler, grads_nonfinite(flat))
             scale_trace.append(scaler.scale)
             if not skip and engine_cfg.loss_scale != 1.0:

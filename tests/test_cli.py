@@ -292,7 +292,8 @@ def test_train_that_diverges_in_fp32_exits_2(tmp_path, capsys):
     code, out, err = run_cli(["train", "--arch", "desk-cnn", "--config", str(cfg),
                               "--out", str(tmp_path / "o")], capsys)
     assert code == 2 and out == ""
-    assert err == "training diverged: non-finite loss at step 6 in FP32\n"
+    assert err == "error: training diverged: non-finite loss at step 6 in FP32\n"
+    assert list(tmp_path.iterdir()) == [cfg]  # no empty metrics or rewire log is left
 
 
 def test_train_checks_its_outputs_before_training(tmp_path, capsys, monkeypatch):
