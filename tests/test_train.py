@@ -188,6 +188,7 @@ def train_digests() -> dict[str, str]:
         for name in names:
             for seed in DIGEST_SEEDS:
                 s = make(workload, name, seed, steps=DIGEST_STEPS)
+                # logged every 4 steps, and rewired every 5 where the setting rewires
                 s = dataclasses.replace(s, log_every=4,
                                         rewire_every=min(s.rewire_every, 5))
                 r = train_desk(g, s)
