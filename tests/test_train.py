@@ -178,8 +178,8 @@ def _bench_train_settings():
 
 def train_digests() -> dict[str, str]:
     """One digest per case: the benchmark's six train settings x two seeds
-    (final parameters, logged metrics, scale trace, rewire log and peak),
-    and `run_microbatched` on random desk graphs (gradients, loss, peaks and
+    and FP16 with one group per step x two seeds (final parameters, logged
+    metrics, scale trace, rewire log and peak), and `run_microbatched` on random desk graphs (gradients, loss, peaks and
     recompute totals)."""
     digests = {}
     settings, make = _bench_train_settings()
@@ -195,6 +195,13 @@ def train_digests() -> dict[str, str]:
                 digests[f"train {workload} {name} seed {seed}"] = _digest(
                     r.params, r.metrics, r.scale_trace, r.rewire_log,
                     r.peak_activation_bytes, r.steps_skipped)
+    for seed in DIGEST_SEEDS:  # FP16 without microbatching, which no bench setting runs
+        s = make("train-fp16", "mb8-none", seed, steps=DIGEST_STEPS)
+        s = dataclasses.replace(s, microbatch=s.minibatch, log_every=4)
+        r = train_desk(g, s)
+        digests[f"train fp16 mb{s.minibatch} seed {seed}"] = _digest(
+            r.params, r.metrics, r.scale_trace, r.rewire_log,
+            r.peak_activation_bytes, r.steps_skipped)
     for seed in range(6):
         g = random_desk_graph(seed)
         rng = np.random.default_rng(seed)
