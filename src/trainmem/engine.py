@@ -1,25 +1,28 @@
 """Desk-scale reverse-mode engine walking the compiled schedule.
 
-`run_step` takes the `Plan` the cost model prices for the graph and
-checkpoint strategy and walks its events in one loop, branching on the
-opcode: forward, store statistics or payload, hold, recompute, backprop,
-drop.  It keeps its own value reference counts, so a schedule that frees
-a value still needed raises `ContractError`.  Its peak byte counts and
-recompute totals are `Plan.evaluate` on that same plan, so they equal the
-profiler's predictions for the same configuration.
+`run_step` is the one step entry.  It takes the `Plan` the cost model
+prices for the graph and checkpoint strategy and walks its events in one
+loop per microbatch group, branching on the opcode: forward, store
+statistics or payload, hold, recompute, backprop, drop.  It keeps its own
+value reference counts, so a schedule that frees a value still needed
+raises `ContractError`.  Its peak byte counts and recompute totals are
+`Plan.evaluate` on that same plan, so they equal the profiler's
+predictions for the same configuration.
 
-Sequential microbatching converts the whole minibatch once, walks the
-schedule once per microbatch and accumulates weighted gradients at the
-configured accumulator width in one packed buffer.  Joint mode (simulated
-microbatching) normalizes each microbatch group independently; it is
-evaluated group-wise with the accumulator forced to 32 bits, which is
-numerically identical to running the groups jointly because examples only
-couple through the per-group normalization statistics.
+A step's gradients are views of one flat buffer.  Sequential
+microbatching splits the minibatch into k groups, walks the schedule once
+per group and accumulates the weighted gradients at the configured
+accumulator width; one group (the default) is the k = 1 case, whose
+walk's buffer is the result.  Joint mode (simulated microbatching)
+normalizes each microbatch group independently; it is evaluated
+group-wise with the accumulator forced to 32 bits, which is numerically
+identical to running the groups jointly because examples only couple
+through the per-group normalization statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,31 +59,26 @@ class EngineConfig:
 @dataclass
 class StepResult:
     loss: float
-    grads: dict[str, np.ndarray]
+    layout: FlatLayout  # `params` without the running statistics, in `params` order
+    flat: np.ndarray  # every parameter gradient, laid out by `layout`, in the carrier
+    grads: dict[str, np.ndarray]  # views of `flat`
     peak_bytes: int
     peak_forward_bytes: int
     peak_backward_bytes: int
     recompute_events: int
     recompute_flops: int
-    batch_stats: dict[str, tuple] = field(default_factory=dict)
-    packed: tuple[FlatLayout, np.ndarray] | None = None  # grads' flat buffer, once packed
-
-    def packed_grads(self) -> tuple[FlatLayout, np.ndarray]:
-        """`grads` as one flat buffer and its layout; `grads` are views of a
-        buffer the step packed itself, and are packed here otherwise."""
-        if self.packed is None:
-            layout = FlatLayout(self.grads)
-            self.packed = layout, layout.pack(self.grads)
-        return self.packed
+    batch_stats: list[dict[str, tuple]]  # one dict per microbatch group
 
 
 class _Step:
-    """One forward/backward step: walks a compiled schedule's events and does
+    """One forward/backward walk: walks a compiled schedule's events and does
     the real tensor math.  Its own reference counts decide when a value is
     freed, so a schedule that drops a value it still needs fails here with a
-    `ContractError` instead of computing with stale data."""
+    `ContractError` instead of computing with stale data.  It assigns each
+    parameter gradient to its entry of `param_grads`, views of a zeroed
+    buffer."""
 
-    def __init__(self, graph, params, masks, batch, config: EngineConfig):
+    def __init__(self, graph, params, masks, batch, config: EngineConfig, param_grads):
         self.g = graph
         self.t = t = graph_tables(graph)
         self.params = params
@@ -89,7 +87,7 @@ class _Step:
         self.config = config
         self.ctx = config.ctx()
         self.loss = None
-        self.param_grads: dict[str, np.ndarray] = {}
+        self.param_grads: dict[str, np.ndarray] = param_grads
         self.batch_stats: dict[str, tuple] = {}
         self.values: dict[int, np.ndarray] = {}
         self.retain = [0] * len(graph.nodes)  # payloads and holds keeping a value
@@ -196,14 +194,9 @@ class _Step:
             contributions, param_grads = backward_op(
                 node, upstream, values, self.params, self.ctx, loss_scale=scale
             )
-        for name, pg in param_grads.items():
+        for name, pg in param_grads.items():  # one node per parameter, one backprop per walk
             mask = self.masks.get(name)
-            if mask is not None:
-                pg = pg * mask
-            if name in self.param_grads:
-                self.param_grads[name] += pg
-            else:
-                self.param_grads[name] = pg
+            self.param_grads[name][...] = pg if mask is None else pg * mask
         # distribute activation gradients, mirroring the schedule's buffers
         pass_through = t.pass_through[i]
         for pos, j in enumerate(t.in_idx[i]):
@@ -288,98 +281,66 @@ def require_executable(graph: ComputationGraph):
             )
 
 
-def _prepare(graph: ComputationGraph, batch: dict, config: EngineConfig, masks):
-    """A call's work that every microbatch shares: the executable check,
-    the graph inputs in their carrier and each mask's nonzero count."""
-    require_executable(graph)
-    nnz = {name: int(m.sum()) for name, m in masks.items()} if masks else None
-    return prepare_inputs(graph, batch, config.ctx()), nnz
-
-
-def _walk(graph, params, masks, inputs, config: EngineConfig, plan: Plan) -> _Step:
-    """One walk of the plan; every parameter but the running statistics
-    gets a gradient, zero where the walk reached none."""
-    step = _Step(graph, params, masks, inputs, config)
-    step.run(plan)
-    grads = step.param_grads
-    for name in params:
-        if name not in grads and not name.endswith(("running_mean", "running_var")):
-            grads.setdefault(name, np.zeros_like(params[name]))
-    return step
-
-
 def run_step(
     graph: ComputationGraph,
     params: dict[str, np.ndarray],
     batch: dict[str, np.ndarray],
     config: EngineConfig,
     masks: dict[str, np.ndarray] | None = None,
+    microbatch: int | None = None,
 ) -> StepResult:
-    """One forward/backward pass; gradients plus observed peak stored bytes."""
-    prepared, nnz = _prepare(graph, batch, config, masks)
-    sizing = Sizing(graph, _infer_batch(graph, prepared), config.precision, nnz)
-    plan = plan_for(graph, config.strategy)
-    step = _walk(graph, params, masks, prepared, config, plan)
-    result = plan.evaluate(sizing)
-    return StepResult(
-        loss=step.loss,
-        grads=step.param_grads,
-        peak_bytes=result.peak_bytes,
-        peak_forward_bytes=result.peak_forward_bytes,
-        peak_backward_bytes=result.peak_backward_bytes,
-        recompute_events=result.recompute_events,
-        recompute_flops=result.recompute_flops,
-        batch_stats=step.batch_stats,
-    )
+    """One forward/backward pass in groups of `microbatch` examples (default:
+    one group of all): gradients in one flat buffer, and the observed peak
+    stored bytes.  Parameters are untouched (the optimizer steps after this).
 
-
-def run_microbatched(
-    graph: ComputationGraph,
-    params: dict[str, np.ndarray],
-    batch: dict[str, np.ndarray],
-    microbatch_size: int,
-    config: EngineConfig,
-    masks: dict[str, np.ndarray] | None = None,
-) -> StepResult:
-    """Split the minibatch into microbatches and accumulate weighted
-    gradients; parameters are untouched (the optimizer steps after this).
-
-    Sequential mode accumulates at the configured accumulator width; joint
-    mode (simulated microbatching) forces a 32-bit accumulator and differs
-    from sequential only in that width.  The inputs are converted and the
-    plan priced once: equal-size groups have equal peaks, which joint mode
-    holds all at once.  `grads` are views of the packed accumulator.
+    The inputs are converted and the plan sized and priced once per call:
+    equal-size groups have equal peaks, held one at a time or, in joint
+    mode, all at once.  One group's gradients are its walk's buffer as it
+    is; more groups accumulate weighted gradients at the accumulator width.
     """
+    if microbatch is not None and microbatch < 1:
+        raise ConfigurationError(f"microbatch must be >= 1, got {microbatch}")
+    require_executable(graph)
     n = _infer_batch(graph, batch)
-    if n % microbatch_size != 0:
+    mb = n if microbatch is None else microbatch
+    if n % mb:
         raise ConfigurationError("microbatch size must divide the minibatch size")
-    groups = n // microbatch_size
-    if groups == 1:
-        return run_step(graph, params, batch, config, masks)
-    prepared, nnz = _prepare(graph, batch, config, masks)
-    plan = plan_for(graph, config.strategy)
+    groups = n // mb
+    nnz = {name: int(m.sum()) for name, m in masks.items()} if masks else None
     ctx = config.ctx()
-    weight = microbatch_size / n
-    layout = acc = None  # gradients packed into one flat buffer
-    losses = []
-    stats = {}
+    prepared = prepare_inputs(graph, batch, ctx)
+    plan = plan_for(graph, config.strategy)
+    layout = FlatLayout({name: p for name, p in params.items()
+                         if not name.endswith(("running_mean", "running_var"))})
+    flat = np.empty(layout.size, ctx.dtype)
+    grads = layout.unpack(flat)
+    acc, losses, batch_stats = None, [], []
     for gi in range(groups):
-        sl = slice(gi * microbatch_size, (gi + 1) * microbatch_size)
-        step = _walk(graph, params, masks, {k: v[sl] for k, v in prepared.items()}, config, plan)
+        flat.fill(0)  # a parameter the walk reaches no gradient for stays zero
+        sl = slice(gi * mb, (gi + 1) * mb)
+        step = _Step(graph, params, masks, {k: v[sl] for k, v in prepared.items()}, config, grads)
+        step.run(plan)
         losses.append(step.loss)
-        stats[gi] = step.batch_stats
-        if layout is None:
-            layout = FlatLayout(step.param_grads)
-        update = ctx.q(layout.pack(step.param_grads) * weight)
-        acc = update if acc is None else ctx.accumulate(acc, update)
-    r = plan.evaluate(Sizing(graph, microbatch_size, config.precision, nnz))
+        batch_stats.append(step.batch_stats)
+        if groups > 1:
+            update = ctx.q(flat * (mb / n))
+            acc = update if acc is None else ctx.accumulate(acc, update)
+    loss = step.loss
+    if groups > 1:
+        loss, flat, grads = float(np.mean(losses)), acc, layout.unpack(acc)
+    r = plan.evaluate(Sizing(graph, mb, config.precision, nnz))
     k = groups if config.exec_mode == "joint" else 1  # groups held at once
-    return StepResult(loss=float(np.mean(losses)), grads=layout.unpack(acc),
+    return StepResult(loss=loss, layout=layout, flat=flat, grads=grads,
                       peak_bytes=k * r.peak_bytes, peak_forward_bytes=k * r.peak_forward_bytes,
                       peak_backward_bytes=k * r.peak_backward_bytes,
                       recompute_events=groups * r.recompute_events,
-                      recompute_flops=groups * r.recompute_flops,
-                      batch_stats={"groups": stats}, packed=(layout, acc))
+                      recompute_flops=groups * r.recompute_flops, batch_stats=batch_stats)
+
+
+def run_microbatched(graph, params, batch, microbatch_size: int, config: EngineConfig,
+                     masks=None) -> StepResult:
+    """`run_step` in groups of `microbatch_size` examples."""
+    return run_step(graph, params, batch, config, masks, microbatch=microbatch_size)
 
 
 def init_params(

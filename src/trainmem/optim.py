@@ -4,7 +4,7 @@ per-tensor momentum rescaling.
 There is never a persistent FP32 master copy of FP16 weights; the FP16
 path updates transient FP32 copies and rounds the results straight back to
 the binary16 grid.  Microbatch gradients are accumulated by
-`engine.run_microbatched`, not here.
+`engine.run_step`, not here.
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (EngineConfig, init_params, prepare_inputs, require_executable,
-                     run_microbatched, run_step)
+from .engine import EngineConfig, init_params, prepare_inputs, require_executable, run_step
 from .errors import ConfigurationError, TrainmemError, UnsupportedOperationError
 from .graph import ComputationGraph
 from .kernels import NORM_EPS, forward_op
@@ -195,12 +194,10 @@ def train_desk(
         idx = rng.choice(images.shape[0], size=settings.minibatch, replace=False)
         batch = {"img": images[idx], "labels": labels[idx]}
         engine_cfg.loss_scale = scaler.scale if fp16 else 1.0
-        if settings.microbatch == settings.minibatch:
-            res = run_step(graph, params, batch, engine_cfg, masks=masks)
-            _update_running_stats(graph, params, res.batch_stats)
-        else:
-            res = run_microbatched(graph, params, batch, settings.microbatch,
-                                   engine_cfg, masks=masks)
+        res = run_step(graph, params, batch, engine_cfg, masks=masks,
+                       microbatch=settings.microbatch)
+        if len(res.batch_stats) == 1:  # microbatched runs keep their initial statistics
+            _update_running_stats(graph, params, res.batch_stats[0])
         if not fp16 and not np.isfinite(res.loss):
             raise TrainingDiverged(f"non-finite loss at step {step} in {settings.precision.name}")
         peak_bytes = max(peak_bytes, res.peak_bytes)
@@ -208,12 +205,11 @@ def train_desk(
         if on_after_backward is not None:
             on_after_backward(step, grads)
         skip = False
-        if fp16:  # `flat` has the hook's in-place changes: `grads` are its views, or packed now
-            layout, flat = res.packed_grads()
-            scaler, skip = loss_scale_update(scaler, grads_nonfinite(flat))
+        if fp16:  # `res.flat` has the hook's in-place changes: `grads` are its views
+            scaler, skip = loss_scale_update(scaler, grads_nonfinite(res.flat))
             scale_trace.append(scaler.scale)
             if not skip and engine_cfg.loss_scale != 1.0:
-                grads = layout.unpack(half_round(flat * (1.0 / engine_cfg.loss_scale)))
+                grads = res.layout.unpack(half_round(res.flat * (1.0 / engine_cfg.loss_scale)))
         if skip:
             skipped += 1
             if not np.isfinite(res.loss) and scaler.scale <= scaler.min_scale:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .builders import build_dc_transformer_cost, build_desk_cnn, build_wrn, random_desk_graph
-from .engine import EngineConfig, init_params, run_microbatched, run_step
+from .engine import EngineConfig, init_params, run_step
 from .graph import GraphBuilder
 from .numerics import NumericFormat, half_round
 from .optim import LossScaler, SGDState, loss_scale_update, sgd_nesterov_step
@@ -213,7 +213,7 @@ def check_07_microbatch_equivalence() -> str:
     cfg = EngineConfig(precision=FP64)
     full = run_step(g, params, batch, cfg)
     for mb in (1, 2, 3, 4, 6, 12):
-        r = run_microbatched(g, params, batch, mb, cfg)
+        r = run_step(g, params, batch, cfg, microbatch=mb)
         for k in full.grads:
             denom = np.max(np.abs(full.grads[k]))
             if denom == 0:
@@ -223,8 +223,8 @@ def check_07_microbatch_equivalence() -> str:
     g2 = build_desk_cnn([4, 6], 3, with_batchnorm=True, input_shape=(2, 8, 8))
     p2 = init_params(g2, seed=5)
     b2 = {"img": rng.normal(size=(8, 2, 8, 8)), "labels": rng.integers(0, 3, size=8)}
-    seq = run_microbatched(g2, p2, b2, 2, EngineConfig(precision=FP32, exec_mode="sequential"))
-    joint = run_microbatched(g2, p2, b2, 2, EngineConfig(precision=FP32, exec_mode="joint"))
+    seq = run_step(g2, p2, b2, EngineConfig(precision=FP32, exec_mode="sequential"), microbatch=2)
+    joint = run_step(g2, p2, b2, EngineConfig(precision=FP32, exec_mode="joint"), microbatch=2)
     for k in seq.grads:
         assert np.array_equal(seq.grads[k], joint.grads[k]), f"joint != sequential on {k}"
     elapsed = time.perf_counter() - start
