@@ -223,8 +223,8 @@ def test_fp16_accumulator_width_effect_bounded(monkeypatch):
 
 @pytest.mark.parametrize("precision,width", [(FP16, 16), (FP16, 32), (FP32, 32)])
 def test_microbatched_packed_accumulation_matches_per_parameter(precision, width):
-    # run_microbatched packs the gradients into one buffer; its sums must
-    # equal a per-parameter weighting and accumulation over run_step
+    # microbatched steps sum the gradients as one flat buffer; its sums must
+    # equal a per-parameter weighting and accumulation over one-group steps
     g = build_desk_cnn([4, 6], 3, with_batchnorm=True, input_shape=(2, 8, 8))
     params = init_params(g, seed=4, precision=precision)
     rng = np.random.default_rng(4)
@@ -254,15 +254,50 @@ def test_fp16_outputs_on_grid():
         assert np.array_equal(v, half_round(v)), k
 
 
-def test_microbatch_requires_divisibility():
+def test_microbatch_requires_divisibility(monkeypatch):
+    from trainmem import engine
+
     g = build_desk_cnn([4, 4], 3)
     params = init_params(g, seed=9)
     rng = np.random.default_rng(9)
     batch = {"img": rng.normal(size=(10, 3, 8, 8)), "labels": rng.integers(0, 3, 10)}
-    from trainmem.errors import ConfigurationError
+    entries = (lambda mb: run_microbatched(g, params, batch, mb, EngineConfig()),
+               lambda mb: run_step(g, params, batch, EngineConfig(), microbatch=mb))
+    for mb, message in ((0, "microbatch must be >= 1, got 0"),
+                        (-2, "microbatch must be >= 1, got -2"),
+                        (3, "must divide the minibatch")):
+        for call in entries:
+            with pytest.raises(ConfigurationError, match=message):
+                call(mb)
+    # a size below 1 is rejected before any work
+    monkeypatch.setattr(engine, "require_executable", None)
+    for call in entries:
+        with pytest.raises(ConfigurationError, match="microbatch must be >= 1"):
+            call(0)
 
-    with pytest.raises(ConfigurationError):
-        run_microbatched(g, params, batch, 3, EngineConfig())
+
+@pytest.mark.parametrize("precision", [FP32, FP16])
+@pytest.mark.parametrize("microbatch", [None, 2])
+def test_step_gradients_are_views_of_one_flat_buffer(precision, microbatch):
+    # one group and four: every gradient is a view of `flat`, laid out as
+    # the parameters without running statistics, in the carrier dtype
+    g = build_desk_cnn([4, 6], 3, with_batchnorm=True, input_shape=(2, 8, 8))
+    params = init_params(g, seed=3, precision=precision)
+    rng = np.random.default_rng(3)
+    batch = {"img": rng.normal(size=(8, 2, 8, 8)), "labels": rng.integers(0, 3, 8)}
+    cfg = EngineConfig(precision=precision)
+    res = run_step(g, params, batch, cfg, microbatch=microbatch)
+    trained = [k for k in params if not k.endswith(("running_mean", "running_var"))]
+    assert len(trained) < len(params)
+    assert res.layout.names == trained == list(res.grads)
+    assert res.flat.dtype == cfg.ctx().dtype
+    assert res.flat.size == sum(params[k].size for k in trained)
+    for name, grad in res.grads.items():
+        assert np.shares_memory(grad, res.flat), name
+    # one dict of batchnorm statistics per group
+    norms = {node.node_id for node in g.nodes if node.op == "batchnorm"}
+    assert len(res.batch_stats) == (1 if microbatch is None else 8 // microbatch)
+    assert all(set(stats) == norms for stats in res.batch_stats)
 
 
 def test_observed_peak_matches_profiler_for_random_graphs():
@@ -316,11 +351,12 @@ def test_unread_input_may_be_left_out_of_the_batch():
 
 
 def test_microbatched_call_does_its_per_call_work_once(monkeypatch):
-    # the inputs are converted, and the plan sized and priced, once per call
-    # however many groups walk it; the totals are those of the groups' steps
+    # the inputs are converted, the gradient layout built, and the plan sized
+    # and priced, once per call however many groups walk it; the totals are
+    # those of the groups' steps
     from trainmem import engine, plan
 
-    counts = {"Sizing": 0, "evaluate": 0, "prepare_inputs": 0}
+    counts = {"Sizing": 0, "evaluate": 0, "prepare_inputs": 0, "FlatLayout": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -341,9 +377,10 @@ def test_microbatched_call_does_its_per_call_work_once(monkeypatch):
             m.setattr(engine, "Sizing", counting("Sizing", engine.Sizing))
             m.setattr(plan.Plan, "evaluate", counting("evaluate", plan.Plan.evaluate))
             m.setattr(engine, "prepare_inputs", counting("prepare_inputs", engine.prepare_inputs))
+            m.setattr(engine, "FlatLayout", counting("FlatLayout", engine.FlatLayout))
             counts.update(dict.fromkeys(counts, 0))
             res = run_microbatched(g, params, batch, 2, cfg, masks=masks)
-        assert counts == {"Sizing": 1, "evaluate": 1, "prepare_inputs": 1}
+        assert counts == {"Sizing": 1, "evaluate": 1, "prepare_inputs": 1, "FlatLayout": 1}
         combine = sum if mode == "joint" else max
         for field in ("peak_bytes", "peak_forward_bytes", "peak_backward_bytes"):
             assert getattr(res, field) == combine(getattr(s, field) for s in steps), field
