@@ -196,7 +196,7 @@ def train_desk(
         engine_cfg.loss_scale = scaler.scale if fp16 else 1.0
         res = run_step(graph, params, batch, engine_cfg, masks=masks,
                        microbatch=settings.microbatch)
-        if len(res.batch_stats) == 1:  # microbatched runs keep their initial statistics
+        if len(res.batch_stats) == 1:  # a known defect: microbatched runs keep the initial ones
             _update_running_stats(graph, params, res.batch_stats[0])
         if not fp16 and not np.isfinite(res.loss):
             raise TrainingDiverged(f"non-finite loss at step {step} in {settings.precision.name}")
