@@ -152,7 +152,9 @@ def train_desk(
     on_after_backward=None,
 ) -> TrainResult:
     """Train on the synthetic task, with as many classes as the graph's
-    softmax_xent loss; deterministic given the seed."""
+    softmax_xent loss; deterministic given the seed.  `on_after_backward(step,
+    grads)` may change `grads` in place: they are views of the step's flat
+    buffer, which the FP16 overflow check and unscaling read."""
     loss = check_trainable(graph)
     input_shape = graph.out_shape["img"]
     images, labels = make_synthetic_task(
