@@ -33,7 +33,7 @@ from .numerics import FlatLayout, NumericFormat
 from .numerics import half_round  # noqa: F401  (bench/tracer.py wraps this name)
 from .plan import (BACKPROP, CLEAR, DROP_HOLD, DROP_PAYLOAD, DROP_STATS, FORWARD, FORWARD_DONE,
                    HOLD, NONE, RECOMPUTE, STORE_PAYLOAD, STORE_STATS, CheckpointStrategy, Plan,
-                   Sizing, graph_tables, plan_for)
+                   Sizing, graph_tables, param_layout, plan_for)
 
 
 @dataclass
@@ -59,7 +59,7 @@ class EngineConfig:
 @dataclass
 class StepResult:
     loss: float
-    layout: FlatLayout  # `params` without the running statistics, in `params` order
+    layout: FlatLayout  # the graph's parameters, in `all_params()` order; one per graph
     flat: np.ndarray  # every parameter gradient, laid out by `layout`, in the carrier
     grads: dict[str, np.ndarray]  # views of `flat`
     peak_bytes: int
@@ -290,8 +290,9 @@ def run_step(
     microbatch: int | None = None,
 ) -> StepResult:
     """One forward/backward pass in groups of `microbatch` examples (default:
-    one group of all): gradients in one flat buffer, and the observed peak
-    stored bytes.  Parameters are untouched (the optimizer steps after this).
+    one group of all): gradients in one flat buffer, laid out by the graph's
+    `param_layout`, and the observed peak stored bytes.  Parameters are
+    untouched (the optimizer steps after this).
 
     The inputs are converted and the plan sized and priced once per call:
     equal-size groups have equal peaks, held one at a time or, in joint
@@ -310,8 +311,7 @@ def run_step(
     ctx = config.ctx()
     prepared = prepare_inputs(graph, batch, ctx)
     plan = plan_for(graph, config.strategy)
-    layout = FlatLayout({name: p for name, p in params.items()
-                         if not name.endswith(("running_mean", "running_var"))})
+    layout = param_layout(graph)
     flat = np.empty(layout.size, ctx.dtype)
     grads = layout.unpack(flat)
     acc, losses, batch_stats = None, [], []
@@ -348,23 +348,19 @@ def init_params(
     seed: int = 0,
     precision: NumericFormat = NumericFormat.FP32,
 ) -> dict[str, np.ndarray]:
-    """He-style initialization at the requested precision, in its carrier."""
+    """He-style initialization at the requested precision, in its carrier:
+    one array per `graph.all_params()` spec, in that order."""
     rng = np.random.default_rng(seed)
     ctx = QuantCtx(precision)
     params: dict[str, np.ndarray] = {}
-    for node in graph.nodes:
-        for spec in graph.params_of(node):
-            if spec.kind == "norm":
-                arr = np.ones(spec.shape) if spec.name.endswith(".gamma") else np.zeros(spec.shape)
-            elif spec.kind == "bias":
-                arr = np.zeros(spec.shape)
-            else:
-                fan_in = int(np.prod(spec.shape[1:])) or 1
-                arr = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=spec.shape)
-            params[spec.name] = ctx.asarray(arr)
-        if node.op == "batchnorm":
-            c = node.p("channels")
-            params[f"{node.node_id}.running_mean"] = np.zeros(c, dtype=ctx.dtype)
-            params[f"{node.node_id}.running_var"] = np.ones(c, dtype=ctx.dtype)
+    for spec in graph.all_params():
+        if spec.kind == "norm":
+            arr = np.ones(spec.shape) if spec.name.endswith(".gamma") else np.zeros(spec.shape)
+        elif spec.kind == "bias":
+            arr = np.zeros(spec.shape)
+        else:
+            fan_in = int(np.prod(spec.shape[1:])) or 1
+            arr = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=spec.shape)
+        params[spec.name] = ctx.asarray(arr)
     return params
 

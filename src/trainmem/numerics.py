@@ -22,6 +22,7 @@ large call.
 from __future__ import annotations
 
 import itertools
+import math
 from enum import Enum
 
 import numpy as np
@@ -98,16 +99,17 @@ class FlatLayout:
     """Names, shapes and offsets of a dict of arrays laid end to end in one
     flat buffer, so that elementwise math over all of them is one call.
 
-    `pack` copies arrays with those names and shapes into a new buffer (in
-    their common dtype, or `dtype`); `unpack` returns per-name views of a
-    buffer.  Elementwise results do not depend on the packing.
+    It is built from the dict's values' shapes (arrays, or the graph's
+    parameter specs).  `pack` copies arrays with those names and shapes
+    into a new buffer (in their common dtype, or `dtype`); `unpack` returns
+    per-name views of a buffer.  Elementwise results do not depend on the
+    packing.
     """
 
     def __init__(self, arrays: dict):
-        values = [np.asarray(a) for a in arrays.values()]
         self.names = list(arrays)
-        self.shapes = [a.shape for a in values]
-        bounds = list(itertools.accumulate([a.size for a in values], initial=0))
+        self.shapes = [tuple(a.shape) for a in arrays.values()]
+        bounds = list(itertools.accumulate(map(math.prod, self.shapes), initial=0))
         self.offsets = np.array(bounds, dtype=np.int64)
         self.size = bounds[-1]
         # (name, shape, start, stop) of each array, in Python ints

@@ -10,7 +10,7 @@ the binary16 grid.  Microbatch gradients are accumulated by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,8 +25,8 @@ TRANSFORMER_WEIGHT_DECAY = 1e-4
 def _check_shapes(params: dict, other: dict, what: str):
     for name, p in params.items():
         buf = other.get(name)
-        if buf is not None and buf.shape != p.shape:
-            raise ContractError(f"{what} shape mismatch for {name}")
+        if buf is None or buf.shape != p.shape:
+            raise ContractError(f"{what} missing or of another shape for {name}")
 
 
 @dataclass
@@ -78,9 +78,7 @@ def sgd_nesterov_step(params, grads, state: SGDState, lr: float,
     _check_shapes(params, grads, "gradient")
     _check_shapes(params, state.momentum, "momentum")
     for name, w in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         gp = g + state.weight_decay * w if state.weight_decay else g
         b = state.momentum[name]
         b *= state.mu
@@ -101,9 +99,7 @@ def adam_step(params, grads, state: AdamState, lr: float,
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
     for name, w in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         if weight_decay:
             g = g + weight_decay * w
         m = state.m[name]
@@ -180,17 +176,14 @@ def fp16_update_path(params, grads, state, lr: float, masks=None):
     `TRANSFORMER_WEIGHT_DECAY`.
 
     Parameters, gradients and each momentum buffer are packed into one flat
-    array apiece (parameters with a gradient first), so every step below is
-    one call over all tensors; `params` and the state's buffers come back as
-    views of those arrays.  Parameters without a gradient are not updated,
-    but they are still rounded and their momenta still rescaled and stored.
+    array apiece, in `params` order, so every step below is one call over
+    all tensors; `grads` holds one gradient per parameter.  `params` and the
+    state's buffers come back as views of those arrays.
     """
     is_sgd = isinstance(state, SGDState)
-    live = [k for k in params if k in grads]
-    layout = FlatLayout({k: params[k] for k in live + [k for k in params if k not in grads]})
-    n = int(layout.offsets[len(live)])
+    layout = FlatLayout(params)
     w = layout.pack(params, np.float32)
-    g = FlatLayout({k: params[k] for k in live}).pack(grads, np.float32)
+    g = layout.pack(grads, np.float32)
     dicts = [state.momentum] if is_sgd else [state.m, state.v]
     bufs = []
     for bi, d in enumerate(dicts):
@@ -201,12 +194,10 @@ def fp16_update_path(params, grads, state, lr: float, masks=None):
         bufs.append(buf.astype(np.float32, copy=False))
     # transient FP32 widening; no persistent wide copies survive the call
     if is_sgd:
-        sgd_nesterov_step({"": w[:n]}, {"": g},
-                          SGDState({"": bufs[0][:n]}, state.mu, state.weight_decay), lr)
+        sgd_nesterov_step({"": w}, {"": g}, replace(state, momentum={"": bufs[0]}), lr)
     else:
-        wstate = AdamState({"": bufs[0][:n]}, {"": bufs[1][:n]}, state.beta1,
-                           state.beta2, state.eps, state.t)
-        adam_step({"": w[:n]}, {"": g}, wstate, lr)
+        wstate = replace(state, m={"": bufs[0]}, v={"": bufs[1]})
+        adam_step({"": w}, {"": g}, wstate, lr)
         state.t = wstate.t
     w = half_round(w)
     # store momenta back, rescaled and rounded to the FP16 grid
@@ -217,11 +208,8 @@ def fp16_update_path(params, grads, state, lr: float, masks=None):
         bufs[bi] = half_round(buf / layout.spread(scales, buf.dtype))
     state.fp16_scales = new_scales
     if masks:
-        keep = np.ones(layout.size, dtype=w.dtype)
-        views = layout.unpack(keep)
-        for name, mask in masks.items():
-            if name in views:
-                views[name][...] = mask
+        ones = {k: np.ones(shape, bool) for k, shape in zip(layout.names, layout.shapes)}
+        keep = layout.pack({**ones, **masks}, w.dtype)
         for flat in [w, *bufs]:
             flat *= keep
     params.update(layout.unpack(w))

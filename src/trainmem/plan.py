@@ -63,7 +63,7 @@ from .graph import (
     ComputationGraph,
     Node,
 )
-from .numerics import NumericFormat
+from .numerics import FlatLayout, NumericFormat
 from .sparse import csr_bits
 
 PASS_THROUGH_OPS = ("add", "reshape", "transpose")
@@ -118,7 +118,8 @@ def checkpointed_exits(graph: ComputationGraph, strategy: CheckpointStrategy) ->
 class _GraphTables:
     """Strategy-independent tables derived from one graph (its structure,
     the byte basis, FLOP rates and parameter sizes), plus the graph's
-    `Plan`s keyed by strategy."""
+    `Plan`s keyed by strategy and, once the engine asks, its parameter
+    layout."""
 
     def __init__(self, g: ComputationGraph):
         self.plans: dict[CheckpointStrategy, Plan] = {}
@@ -259,6 +260,7 @@ class _GraphTables:
         self.sparse_numel = _vec(numel)
         self.csr_index_bits, self.csr_fixed_bits = _vec(bits).reshape(-1, 2).T
         self._payload: dict[bool, _PayloadTable] = {}
+        self.param_layout: FlatLayout | None = None  # built by `param_layout`
 
     def payload_table(self, trimmed: bool) -> _PayloadTable:
         """The payload sources under one trim variant, built on first use."""
@@ -303,6 +305,15 @@ def plan_for(graph: ComputationGraph, strategy: CheckpointStrategy) -> Plan:
     if plan is None:
         plan = plans[strategy] = Plan(graph, strategy)
     return plan
+
+
+def param_layout(graph: ComputationGraph) -> FlatLayout:
+    """The engine's gradient layout: the graph's parameters in `all_params()`
+    order, built on first engine use (never by the cost model) and kept."""
+    t = graph_tables(graph)
+    if t.param_layout is None:
+        t.param_layout = FlatLayout({spec.name: spec for spec in graph.all_params()})
+    return t.param_layout
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,10 @@ def make_synthetic_task(
     return images, labels
 
 
-def forward_eval(graph: ComputationGraph, params, batch, config: EngineConfig):
-    """Forward-only pass; returns (logit array, loss).  Norm nodes use the
-    running statistics kept in the parameter store."""
+def forward_eval(graph: ComputationGraph, params, running_stats, batch, config: EngineConfig):
+    """Forward-only pass; returns (logit array, loss).  A norm node with a
+    "<node>.running_mean" and "<node>.running_var" in `running_stats`
+    normalizes by them, any other by the batch's statistics."""
     ctx = config.ctx()
     values = prepare_inputs(graph, batch, ctx)
     logits_src = graph.node(graph.loss_id).inputs[0]
@@ -65,12 +66,10 @@ def forward_eval(graph: ComputationGraph, params, batch, config: EngineConfig):
         if node.op == "input":
             continue
         stats = None
-        if node.op in ("batchnorm", "layernorm"):
-            rm = params.get(f"{node.node_id}.running_mean")
-            rv = params.get(f"{node.node_id}.running_var")
-            if rm is not None and rv is not None:
-                stats = (np.asarray(rm, dtype=ctx.dtype),
-                         1.0 / np.sqrt(np.asarray(rv, dtype=ctx.dtype) + NORM_EPS))
+        rm = running_stats.get(f"{node.node_id}.running_mean")
+        if rm is not None:
+            rv = np.asarray(running_stats[f"{node.node_id}.running_var"], dtype=ctx.dtype)
+            stats = (np.asarray(rm, dtype=ctx.dtype), 1.0 / np.sqrt(rv + NORM_EPS))
         ins = [values[i] for i in node.inputs]
         out, _ = forward_op(node, ins, params, ctx, stats=stats)
         values[node.node_id] = out
@@ -123,14 +122,10 @@ class TrainResult:
     scale_trace: list[float]
     final_accuracy: float
     peak_activation_bytes: int
-    params: dict
+    params: dict  # one array per `graph.all_params()` spec, in that order
+    running_stats: dict  # batchnorm inference state, which no optimizer steps
     masks: dict
     steps_skipped: int = 0
-
-
-def _accuracy(graph, params, images, labels, config) -> float:
-    logits, _ = forward_eval(graph, params, {"img": images, "labels": labels}, config)
-    return float((logits.argmax(axis=1) == labels).mean())
 
 
 def check_trainable(graph: ComputationGraph):
@@ -154,7 +149,9 @@ def train_desk(
     """Train on the synthetic task, with as many classes as the graph's
     softmax_xent loss; deterministic given the seed.  `on_after_backward(step,
     grads)` may change `grads` in place: they are views of the step's flat
-    buffer, which the FP16 overflow check and unscaling read."""
+    buffer, which the FP16 overflow check and unscaling read.  The batchnorm
+    running statistics live apart, in `TrainResult.running_stats`; in FP16
+    they are rounded to binary16 on each step the optimizer applies."""
     loss = check_trainable(graph)
     input_shape = graph.out_shape["img"]
     images, labels = make_synthetic_task(
@@ -185,6 +182,10 @@ def train_desk(
         strategy=settings.strategy,
     )
     eval_cfg = EngineConfig(precision=settings.precision)
+    dtype = eval_cfg.ctx().dtype
+    running_stats = {f"{node.node_id}.running_{key}": np.full(node.p("channels"), value, dtype)
+                     for node in graph.nodes if node.op == "batchnorm"
+                     for key, value in (("mean", 0.0), ("var", 1.0))}
 
     metrics: list[dict] = []
     rewire_log: list[str] = []
@@ -199,7 +200,7 @@ def train_desk(
         res = run_step(graph, params, batch, engine_cfg, masks=masks,
                        microbatch=settings.microbatch)
         if len(res.batch_stats) == 1:  # a known defect: microbatched runs keep the initial ones
-            _update_running_stats(graph, params, res.batch_stats[0])
+            _update_running_stats(graph, running_stats, res.batch_stats[0])
         if not fp16 and not np.isfinite(res.loss):
             raise TrainingDiverged(f"non-finite loss at step {step} in {settings.precision.name}")
         peak_bytes = max(peak_bytes, res.peak_bytes)
@@ -221,6 +222,8 @@ def train_desk(
         else:
             if fp16:
                 fp16_update_path(params, grads, state, settings.lr, masks=masks)
+                for name, v in running_stats.items():  # onto the grid with the parameters
+                    running_stats[name] = half_round(v.astype(np.float32))
             elif settings.optimizer == "sgd_nesterov":
                 sgd_nesterov_step(params, grads, state, settings.lr, masks=masks)
             else:
@@ -240,7 +243,9 @@ def train_desk(
                 masks = dsr_state.masks
 
         if step % settings.log_every == 0 or step == settings.steps:
-            acc = _accuracy(graph, params, images, labels, eval_cfg)
+            logits, _ = forward_eval(graph, params, running_stats,
+                                     {"img": images, "labels": labels}, eval_cfg)
+            acc = float((logits.argmax(axis=1) == labels).mean())
             metrics.append({
                 "step": step,
                 "loss": round(float(res.loss), 10),
@@ -256,20 +261,18 @@ def train_desk(
         final_accuracy=acc,  # logged at the last step
         peak_activation_bytes=peak_bytes,
         params=params,
+        running_stats=running_stats,
         masks=masks or {},
         steps_skipped=skipped,
     )
 
 
-def _update_running_stats(graph, params, batch_stats: dict, momentum: float = 0.1):
+def _update_running_stats(graph, running_stats, batch_stats: dict, momentum: float = 0.1):
     for nid, (mean, inv) in batch_stats.items():
-        if graph.node(nid).op != "batchnorm":
-            continue
-        var = 1.0 / np.square(inv) - NORM_EPS
-        rm = params[f"{nid}.running_mean"]
-        rv = params[f"{nid}.running_var"]
-        params[f"{nid}.running_mean"] = (1 - momentum) * rm + momentum * mean
-        params[f"{nid}.running_var"] = (1 - momentum) * rv + momentum * var
+        if graph.node(nid).op == "batchnorm":
+            for name, batch in ((f"{nid}.running_mean", mean),
+                                (f"{nid}.running_var", 1.0 / np.square(inv) - NORM_EPS)):
+                running_stats[name] = (1 - momentum) * running_stats[name] + momentum * batch
 
 
 def metrics_to_jsonl(result: TrainResult) -> str:

@@ -355,8 +355,6 @@ def check_09_numerics() -> str:
     h = 1e-5
     worst = 0.0
     for name, p0 in params.items():
-        if name.endswith(("running_mean", "running_var")):
-            continue
         flat = p0.reshape(-1)
         for i in rng.choice(flat.size, size=min(5, flat.size), replace=False):
             pp = {k: v.copy() for k, v in params.items()}

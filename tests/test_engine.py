@@ -280,24 +280,47 @@ def test_microbatch_requires_divisibility(monkeypatch):
 @pytest.mark.parametrize("microbatch", [None, 2])
 def test_step_gradients_are_views_of_one_flat_buffer(precision, microbatch):
     # one group and four: every gradient is a view of `flat`, laid out as
-    # the parameters without running statistics, in the carrier dtype
+    # the graph's parameters, in the carrier dtype
     g = build_desk_cnn([4, 6], 3, with_batchnorm=True, input_shape=(2, 8, 8))
     params = init_params(g, seed=3, precision=precision)
     rng = np.random.default_rng(3)
     batch = {"img": rng.normal(size=(8, 2, 8, 8)), "labels": rng.integers(0, 3, 8)}
     cfg = EngineConfig(precision=precision)
     res = run_step(g, params, batch, cfg, microbatch=microbatch)
-    trained = [k for k in params if not k.endswith(("running_mean", "running_var"))]
-    assert len(trained) < len(params)
-    assert res.layout.names == trained == list(res.grads)
+    assert res.layout.names == list(params) == [s.name for s in g.all_params()]
+    assert list(res.grads) == list(params)
     assert res.flat.dtype == cfg.ctx().dtype
-    assert res.flat.size == sum(params[k].size for k in trained)
+    assert res.flat.size == sum(p.size for p in params.values())
     for name, grad in res.grads.items():
         assert np.shares_memory(grad, res.flat), name
     # one dict of batchnorm statistics per group
     norms = {node.node_id for node in g.nodes if node.op == "batchnorm"}
     assert len(res.batch_stats) == (1 if microbatch is None else 8 // microbatch)
     assert all(set(stats) == norms for stats in res.batch_stats)
+
+
+def test_init_params_holds_exactly_the_graph_parameters():
+    # the batchnorm running statistics are training state, not parameters
+    g = load_arch("desk-cnn")
+    for precision in (FP32, FP16):
+        params = init_params(g, seed=0, precision=precision)
+        assert list(params) == [s.name for s in g.all_params()]
+        assert [p.shape for p in params.values()] == [s.shape for s in g.all_params()]
+
+
+def test_gradient_layout_is_built_once_per_graph_and_never_by_the_cost_model():
+    from trainmem.plan import param_layout
+    from trainmem.profiler import TrainingConfig, total_report
+
+    g = build_desk_cnn([4, 6], 3, with_batchnorm=True, input_shape=(2, 8, 8))
+    total_report(g, TrainingConfig(minibatch=8, microbatch=2, strategy=S("every:2")))
+    assert graph_tables(g).param_layout is None
+    params = init_params(g, seed=1)
+    rng = np.random.default_rng(1)
+    batch = {"img": rng.normal(size=(8, 2, 8, 8)), "labels": rng.integers(0, 3, 8)}
+    first = run_step(g, params, batch, EngineConfig())
+    second = run_step(g, params, batch, EngineConfig(strategy=S("every:2")), microbatch=2)
+    assert first.layout is second.layout is param_layout(g)
 
 
 def test_observed_peak_matches_profiler_for_random_graphs():
@@ -339,21 +362,21 @@ def test_unread_input_may_be_left_out_of_the_batch():
             assert with_unused.grads.keys() == without.grads.keys()
             for k, v in with_unused.grads.items():
                 assert np.array_equal(v, without.grads[k]), k
-        (logits_a, loss_a), (logits_b, loss_b) = (forward_eval(g, params, batch, cfg)
+        (logits_a, loss_a), (logits_b, loss_b) = (forward_eval(g, params, {}, batch, cfg)
                                                   for batch in (full, bare))
         assert loss_a == loss_b and np.array_equal(logits_a, logits_b)
     missing = {"y": full["y"]}
     for call in (lambda: run_step(g, params, missing, EngineConfig()),
                  lambda: run_microbatched(g, params, missing, 2, EngineConfig()),
-                 lambda: forward_eval(g, params, missing, EngineConfig())):
+                 lambda: forward_eval(g, params, {}, missing, EngineConfig())):
         with pytest.raises(ConfigurationError, match="batch is missing input 'x'"):
             call()
 
 
 def test_microbatched_call_does_its_per_call_work_once(monkeypatch):
-    # the inputs are converted, the gradient layout built, and the plan sized
-    # and priced, once per call however many groups walk it; the totals are
-    # those of the groups' steps
+    # the inputs are converted, and the plan sized and priced, once per call
+    # however many groups walk it, and the graph's gradient layout (built by
+    # the calls before) not at all; the totals are those of the groups' steps
     from trainmem import engine, plan
 
     counts = {"Sizing": 0, "evaluate": 0, "prepare_inputs": 0, "FlatLayout": 0}
@@ -377,10 +400,10 @@ def test_microbatched_call_does_its_per_call_work_once(monkeypatch):
             m.setattr(engine, "Sizing", counting("Sizing", engine.Sizing))
             m.setattr(plan.Plan, "evaluate", counting("evaluate", plan.Plan.evaluate))
             m.setattr(engine, "prepare_inputs", counting("prepare_inputs", engine.prepare_inputs))
-            m.setattr(engine, "FlatLayout", counting("FlatLayout", engine.FlatLayout))
+            m.setattr(plan, "FlatLayout", counting("FlatLayout", plan.FlatLayout))
             counts.update(dict.fromkeys(counts, 0))
             res = run_microbatched(g, params, batch, 2, cfg, masks=masks)
-        assert counts == {"Sizing": 1, "evaluate": 1, "prepare_inputs": 1, "FlatLayout": 1}
+        assert counts == {"Sizing": 1, "evaluate": 1, "prepare_inputs": 1, "FlatLayout": 0}
         combine = sum if mode == "joint" else max
         for field in ("peak_bytes", "peak_forward_bytes", "peak_backward_bytes"):
             assert getattr(res, field) == combine(getattr(s, field) for s in steps), field

@@ -167,9 +167,9 @@ def test_fp16_path_stays_finite():
 def test_fp16_update_path_packed_equals_per_tensor(adam):
     # One call over a dict of tensors must equal one call per tensor, each
     # with its own state: no scale, mask or update leaks across the tensors'
-    # boundaries in the packed buffers.  "bn.running_mean" has no gradient.
+    # boundaries in the packed buffers.
     rng = np.random.default_rng(21)
-    shapes = {"conv": (3, 2, 3, 3), "bias": (5,), "bn.running_mean": (4,), "fc": (4, 6)}
+    shapes = {"conv": (3, 2, 3, 3), "bias": (5,), "fc": (4, 6)}
     masks = {"conv": rng.random(shapes["conv"]) < 0.5}
 
     def init():
@@ -189,10 +189,10 @@ def test_fp16_update_path_packed_equals_per_tensor(adam):
         # magnitudes two binades apart, so the per-tensor scales differ
         grads = {k: half_round((rng.choice([-1, 1], size=s) * rng.uniform(0.5, 1, size=s)
                                 * 4.0**-i).astype(np.float32))
-                 for i, (k, s) in enumerate(shapes.items()) if k != "bn.running_mean"}
+                 for i, (k, s) in enumerate(shapes.items())}
         fp16_update_path(params, grads, state, 0.05, masks=masks)
         for k, (p, st) in singles.items():
-            fp16_update_path(p, {k: grads[k]} if k in grads else {}, st, 0.05,
+            fp16_update_path(p, {k: grads[k]}, st, 0.05,
                              masks={k: masks[k]} if k in masks else None)
         bufs = [state.m, state.v] if adam else [state.momentum]
         scales = {}

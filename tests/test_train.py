@@ -13,7 +13,7 @@ from trainmem.archfile import load_arch
 from trainmem.builders import build_desk_cnn, random_desk_graph
 from trainmem.engine import EngineConfig, init_params, run_microbatched
 from trainmem.errors import ConfigurationError
-from trainmem.numerics import NumericFormat
+from trainmem.numerics import NumericFormat, half_round
 from trainmem.plan import CheckpointStrategy
 from trainmem.train import (TrainingDiverged, TrainSettings, make_synthetic_task, metrics_to_jsonl,
                             train_desk)
@@ -115,6 +115,43 @@ def test_microbatched_training_runs():
     assert res.metrics[-1]["loss"] < 3.0
 
 
+@pytest.mark.parametrize("optimizer", ["sgd_nesterov", "adam"])
+@pytest.mark.parametrize("precision", [NumericFormat.FP32, NumericFormat.FP16])
+def test_running_statistics_are_kept_apart_from_parameters(monkeypatch, optimizer, precision):
+    # params, the optimizer state and the running statistics: the first two
+    # hold exactly the graph's parameters, the last one mean and one
+    # variance per batchnorm, moved by training and, in FP16, on the grid
+    from trainmem import train
+
+    states = []
+
+    def recording(fn):
+        def wrapped(params, grads, state, *args, **kwargs):
+            states.append(state)
+            return fn(params, grads, state, *args, **kwargs)
+        return wrapped
+
+    for name in ("sgd_nesterov_step", "adam_step", "fp16_update_path"):
+        monkeypatch.setattr(train, name, recording(getattr(train, name)))
+    g = build_desk_cnn([4, 4], 4)
+    res = train_desk(g, TrainSettings(steps=3, minibatch=8, optimizer=optimizer,
+                                      precision=precision, log_every=3))
+    names = [s.name for s in g.all_params()]
+    assert list(res.params) == names
+    assert states
+    for state in states:
+        buffers = [state.m, state.v] if optimizer == "adam" else [state.momentum]
+        assert all(list(buf) == names for buf in buffers)
+    norms = [node.node_id for node in g.nodes if node.op == "batchnorm"]
+    assert list(res.running_stats) == [f"{nid}.running_{key}" for nid in norms
+                                       for key in ("mean", "var")]
+    for name, v in res.running_stats.items():
+        start = 0.0 if name.endswith("mean") else 1.0
+        assert np.any(v != start), name
+        if precision is NumericFormat.FP16:
+            assert np.array_equal(half_round(v), v), name
+
+
 @pytest.mark.xfail(strict=True, reason="train_desk updates batchnorm running statistics "
                    "only when microbatch == minibatch")
 def test_microbatched_training_updates_running_stats():
@@ -122,7 +159,7 @@ def test_microbatched_training_updates_running_stats():
     # move off its initial zero mean during training, microbatched or not.
     g = load_arch("desk-cnn")
     res = train_desk(g, TrainSettings(steps=5, minibatch=32, microbatch=8, log_every=5))
-    means = {k: v for k, v in res.params.items() if k.endswith(".running_mean")}
+    means = {k: v for k, v in res.running_stats.items() if k.endswith(".running_mean")}
     assert means
     for name, mean in means.items():
         assert np.any(mean != 0.0), name
@@ -180,7 +217,8 @@ def train_digests() -> dict[str, str]:
     """One digest per case: the benchmark's six train settings x two seeds
     and FP16 with one group per step x two seeds (final parameters, logged
     metrics, scale trace, rewire log and peak), and `run_microbatched` on random desk graphs (gradients, loss, peaks and
-    recompute totals)."""
+    recompute totals).  A training case hashes its final parameters and
+    running statistics as one dict."""
     digests = {}
     settings, make = _bench_train_settings()
     g = load_arch("desk-cnn")
@@ -193,14 +231,14 @@ def train_digests() -> dict[str, str]:
                                         rewire_every=min(s.rewire_every, 5))
                 r = train_desk(g, s)
                 digests[f"train {workload} {name} seed {seed}"] = _digest(
-                    r.params, r.metrics, r.scale_trace, r.rewire_log,
+                    {**r.params, **r.running_stats}, r.metrics, r.scale_trace, r.rewire_log,
                     r.peak_activation_bytes, r.steps_skipped)
     for seed in DIGEST_SEEDS:  # FP16 without microbatching, which no bench setting runs
         s = make("train-fp16", "mb8-none", seed, steps=DIGEST_STEPS)
         s = dataclasses.replace(s, microbatch=s.minibatch, log_every=4)
         r = train_desk(g, s)
         digests[f"train fp16 mb{s.minibatch} seed {seed}"] = _digest(
-            r.params, r.metrics, r.scale_trace, r.rewire_log,
+            {**r.params, **r.running_stats}, r.metrics, r.scale_trace, r.rewire_log,
             r.peak_activation_bytes, r.steps_skipped)
     for seed in range(6):
         g = random_desk_graph(seed)
