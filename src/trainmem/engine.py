@@ -3,11 +3,14 @@
 `run_step` is the one step entry.  It takes the `Plan` the cost model
 prices for the graph and checkpoint strategy and walks its events in one
 loop per microbatch group, branching on the opcode: forward, store
-statistics or payload, hold, recompute, backprop, drop.  It keeps its own
-value reference counts, so a schedule that frees a value still needed
-raises `ContractError`.  Its peak byte counts and recompute totals are
-`Plan.evaluate` on that same plan, so they equal the profiler's
-predictions for the same configuration.
+statistics or payload, hold, recompute, backprop, drop.  Each node runs
+through the kernels' two entries, `forward_op` and `backward_op`.  It
+keeps its own value reference counts, so a schedule that frees a value
+still needed raises `ContractError`.  Its peak byte counts and recompute
+totals are `Plan.evaluate` on that same plan, so they equal the
+profiler's predictions for the same configuration.  What no group's
+examples change is done once per call: the instruction list, the inputs'
+conversion, the precision context with its conv caches, and the pricing.
 
 A step's gradients are views of one flat buffer.  Sequential
 microbatching splits the minibatch into k groups, walks the schedule once
@@ -52,8 +55,8 @@ class EngineConfig:
         if self.exec_mode == "joint":
             self.accumulator_width = 32
 
-    def ctx(self) -> QuantCtx:
-        return QuantCtx(self.precision, self.accumulator_width)
+    def ctx(self, grids: dict | None = None) -> QuantCtx:
+        return QuantCtx(self.precision, self.accumulator_width, grids)
 
 
 @dataclass
@@ -71,73 +74,77 @@ class StepResult:
 
 
 class _Step:
-    """One forward/backward walk: walks a compiled schedule's events and does
-    the real tensor math.  Its own reference counts decide when a value is
-    freed, so a schedule that drops a value it still needs fails here with a
-    `ContractError` instead of computing with stale data.  It assigns each
-    parameter gradient to its entry of `param_grads`, views of a zeroed
-    buffer."""
+    """One step's forward/backward walks, one per microbatch group, over the
+    plan's events as they are when the step starts.  The walk's own
+    reference counts decide when a value is freed, so a schedule that drops
+    a value it still needs fails here with a `ContractError` instead of
+    computing with stale data.  Each walk assigns every parameter gradient
+    to its entry of `param_grads`, views of a zeroed buffer."""
 
-    def __init__(self, graph, params, masks, batch, config: EngineConfig, param_grads):
+    def __init__(self, graph, params, masks, plan: Plan, ctx: QuantCtx, loss_scale, param_grads):
         self.g = graph
         self.t = t = graph_tables(graph)
         self.params = params
         self.masks = masks or {}
-        self.batch = batch
-        self.config = config
-        self.ctx = config.ctx()
-        self.loss = None
+        self.payload = plan.payload
+        self.events = plan.events.tolist()
+        self.ctx = ctx
+        self.loss_scale = loss_scale
         self.param_grads: dict[str, np.ndarray] = param_grads
-        self.batch_stats: dict[str, tuple] = {}
-        self.values: dict[int, np.ndarray] = {}
-        self.retain = [0] * len(graph.nodes)  # payloads and holds keeping a value
-        self.fwd_pending = [len(c) for c in t.consumer_idx]  # forward reads still to come
-        self.payloads: dict[int, dict] = {}
-        self.stats: dict[int, tuple] = {}
-        self.grads: dict[int, np.ndarray] = {}
+        self.consumers = [len(c) for c in t.consumer_idx]
 
-    def run(self, plan: Plan):
-        """Walk the events in order, branching on the opcode."""
-        t, values, retain = self.t, self.values, self.retain
+    def walk(self, batch: dict):
+        """One group's walk: the events in order, branching on the opcode."""
+        t, in_idx, maybe_drop = self.t, self.t.in_idx, self._maybe_drop
+        self.batch, self.loss, self.batch_stats = batch, None, {}
+        self.values = values = {}
+        self.retain = retain = [0] * len(self.g.nodes)  # payloads and holds keeping a value
+        self.fwd_pending = pending = list(self.consumers)  # forward reads still to come
+        # by node: payloads (kept inputs, ReLU mask or None), statistics, gradients
+        self.payloads, self.stats, self.grads = {}, {}, {}
         transients: list[int] = []
         fresh = None  # (node, statistics) the last forward produced, if new
-        for op, i in plan.events.tolist():
+        for op, i in self.events:
             if op == FORWARD:
                 values[i], fresh = self._compute(i)
                 if i == t.loss_idx:
                     self.loss = float(values[i])
             elif op == FORWARD_DONE:
-                for j in t.in_idx[i]:
-                    self.fwd_pending[j] -= 1
-                    self._maybe_drop(j)
-                self._maybe_drop(i)
+                for j in in_idx[i]:
+                    pending[j] -= 1
+                    maybe_drop(j)
+                maybe_drop(i)
+            elif op == BACKPROP:
+                self._backprop(i)
+            elif op == CLEAR:
+                for j in transients:
+                    maybe_drop(j)
+                transients.clear()
+            elif op == STORE_PAYLOAD:
+                sources = self.payload.sources[i]
+                for j in sources:
+                    retain[j] += 1
+                mask = self._get(in_idx[i][0]) > 0 if self.payload.mask[i] else None
+                self.payloads[i] = sources, mask
+            elif op == DROP_PAYLOAD:
+                for j in self.payloads.pop(i, ((),))[0]:
+                    retain[j] -= 1
+                    maybe_drop(j)
             elif op == STORE_STATS:
                 if fresh is None or fresh[0] != i:
                     raise ContractError("no statistics produced for stats entry")
                 self.stats[i] = self.batch_stats[self.g.nodes[i].node_id] = fresh[1]
-            elif op == STORE_PAYLOAD:
-                self._store_payload(plan, i)
+            elif op == DROP_STATS:
+                self.stats.pop(i, None)
             elif op == HOLD:
                 self._get(i)  # must exist now
                 retain[i] += 1
             elif op == RECOMPUTE:
                 values[i], fresh = self._compute(i)
                 transients.append(i)
-            elif op == CLEAR:
-                for j in transients:
-                    self._maybe_drop(j)
-                transients.clear()
-            elif op == BACKPROP:
-                self._backprop(i)
-            elif op == DROP_PAYLOAD:
-                for j in self.payloads.pop(i, {}).get("inputs", ()):
-                    retain[j] -= 1
-                    self._maybe_drop(j)
-            elif op == DROP_STATS:
-                self.stats.pop(i, None)
             elif op == DROP_HOLD:
                 retain[i] -= 1
-                self._maybe_drop(i)
+                maybe_drop(i)
             else:
                 raise ContractError(f"unknown schedule opcode {op}")
 
@@ -160,40 +167,23 @@ class _Step:
         if node.op == "input":
             return self.batch.get(node.node_id), None  # None: absent and never read
         ins = [self._get(j) for j in self.t.in_idx[i]]
-        out, stats = forward_op(node, ins, self.params, self.ctx,
-                                stats=self.stats.get(i))
+        out, stats = forward_op(node, ins, self.params, self.ctx, stats=self.stats.get(i))
         fresh = (i, stats) if stats is not None and i not in self.stats else None
         return out, fresh
-
-    def _store_payload(self, plan: Plan, i: int):
-        """Keep what the plan's payload table lists for node i."""
-        sources = plan.payload.sources[i]
-        for j in sources:
-            self.retain[j] += 1
-        self.payloads[i] = {"inputs": sources}
-        if plan.payload.mask[i]:
-            self.payloads[i]["mask"] = self._get(self.t.in_idx[i][0]) > 0
 
     # -- backward -----------------------------------------------------------
     def _backprop(self, i: int):
         t = self.t
         node = self.g.nodes[i]
-        loss_idx = t.loss_idx
         upstream = self.grads.pop(i, None)
-        if i == loss_idx:
-            upstream = None
+        if i == t.loss_idx:
+            upstream, scale = None, self.loss_scale
         elif upstream is None:
             raise ContractError(f"no upstream gradient for '{node.node_id}'")
-
-        if not t.storing[i]:  # storage class NOTHING: no forward values needed
-            contributions = self._pass_like_backward(i, node, upstream)
-            param_grads = {}
         else:
-            values = self._gather_values(i, node)
-            scale = self.config.loss_scale if i == loss_idx else 1.0
-            contributions, param_grads = backward_op(
-                node, upstream, values, self.params, self.ctx, loss_scale=scale
-            )
+            scale = 1.0
+        contributions, param_grads = backward_op(node, upstream, self._gather_values(i, node),
+                                                 self.params, self.ctx, loss_scale=scale)
         for name, pg in param_grads.items():  # one node per parameter, one backprop per walk
             mask = self.masks.get(name)
             self.param_grads[name][...] = pg if mask is None else pg * mask
@@ -212,36 +202,21 @@ class _Step:
             else:
                 self.grads[j] = contrib.copy() if contrib is upstream else contrib
 
-    def _pass_like_backward(self, i, node, upstream):
-        t = self.t
-        if node.op == "add":
-            return [upstream, upstream]
-        if node.op == "reshape":
-            j = t.in_idx[i][0]
-            shape = (upstream.shape[0],) + self.g.out_shape[self.g.nodes[j].node_id]
-            return [upstream.reshape(shape)]
-        if node.op == "transpose":
-            perm = (0,) + tuple(p + 1 for p in node.p("perm"))
-            return [upstream.transpose(np.argsort(perm))]
-        grads, _ = backward_op(node, upstream, {}, self.params, self.ctx)
-        return grads
-
     def _gather_values(self, i, node) -> dict:
+        """What node i's backward reads: its ReLU mask, its inputs and a
+        norm's statistics, or for a node storing nothing, no value."""
         t = self.t
-        payload = self.payloads.get(i)
-        values: dict = {}
+        if not t.storing[i]:
+            if node.op == "reshape":
+                return {"in_shape": self.g.out_shape[self.g.nodes[t.in_idx[i][0]].node_id]}
+            return {}
         if node.op == "relu":
-            if payload is not None and "mask" in payload:
-                values["mask"] = payload["mask"]
-            else:
-                values["mask"] = self._get(t.in_idx[i][0]) > 0
-            return values
+            mask = self.payloads.get(i, (None, None))[1]
+            return {"mask": self._get(t.in_idx[i][0]) > 0 if mask is None else mask}
+        values = {"x": self._get(t.in_idx[i][0])}
         if node.op == "softmax_xent":
-            values["x"] = self._get(t.in_idx[i][0])
             values["targets"] = self._get(t.in_idx[i][1])
-            return values
-        values["x"] = self._get(t.in_idx[i][0])
-        if node.op in ("batchnorm", "layernorm"):
+        elif node.op in ("batchnorm", "layernorm"):
             if i not in self.stats:
                 raise ContractError(f"missing cached statistics for '{node.node_id}'")
             values["stats"] = self.stats[i]
@@ -308,18 +283,18 @@ def run_step(
         raise ConfigurationError("microbatch size must divide the minibatch size")
     groups = n // mb
     nnz = {name: int(m.sum()) for name, m in masks.items()} if masks else None
-    ctx = config.ctx()
+    ctx = config.ctx(graph_tables(graph).conv_grids)
     prepared = prepare_inputs(graph, batch, ctx)
     plan = plan_for(graph, config.strategy)
     layout = param_layout(graph)
     flat = np.empty(layout.size, ctx.dtype)
     grads = layout.unpack(flat)
+    step = _Step(graph, params, masks, plan, ctx, config.loss_scale, grads)
     acc, losses, batch_stats = None, [], []
     for gi in range(groups):
         flat.fill(0)  # a parameter the walk reaches no gradient for stays zero
         sl = slice(gi * mb, (gi + 1) * mb)
-        step = _Step(graph, params, masks, {k: v[sl] for k, v in prepared.items()}, config, grads)
-        step.run(plan)
+        step.walk({k: v[sl] for k, v in prepared.items()})
         losses.append(step.loss)
         batch_stats.append(step.batch_stats)
         if groups > 1:

@@ -48,6 +48,12 @@ Forward and dx sum their per-tap products with `_stack_sum`: one stacked
 `np.matmul` and one `np.add.reduce` in (a, d) order per column chunk.  The
 workspace is the padded input, the gradient grid and its dilated copy,
 and one capped chunk of stacked products; no value outlives the call.
+A context with caches (the engine's) builds the geometry once per (node,
+input shape) and the tap weights once per step.
+
+`forward_op` and `backward_op` are the two entries to one kernel table,
+`_KERNELS = {kind: (forward, backward)}`; add, reshape and transpose are
+entries like the rest.
 """
 
 from __future__ import annotations
@@ -69,21 +75,25 @@ class QuantCtx:
     """Precision context: the carrier dtype (float64 for FP64, float32 for
     FP32 and FP16) and the rounding and accumulation rules."""
 
-    def __init__(self, precision: NumericFormat, accumulator_width: int = 32):
+    def __init__(self, precision: NumericFormat, accumulator_width: int = 32,
+                 grids: dict | None = None):
         self.precision = precision
         self.accumulator_width = accumulator_width
         self.dtype = np.float64 if precision is NumericFormat.FP64 else np.float32
         self.fp16 = precision is NumericFormat.FP16
         # FP16 with a 16-bit accumulator: every addition of a reduction rounds
         self.narrow = self.fp16 and accumulator_width == 16
+        self.q = half_round if self.fp16 else (lambda x: x)  # q(x): x on the format's grid
+        # conv geometry by (node id, input shape), in a cache the caller keeps,
+        # and tap weights by node id, for this context's life (one step, whose
+        # parameters do not change); without `grids` each call computes both
+        self.grids = grids
+        self.taps = None if grids is None else {}
 
     def asarray(self, x) -> np.ndarray:
         if self.fp16:  # at x's own precision: through float32, float64 x would round twice
             x = half_round(x)
         return np.asarray(x, dtype=self.dtype)
-
-    def q(self, x: np.ndarray) -> np.ndarray:
-        return half_round(x) if self.fp16 else x
 
     def matmul(self, a: np.ndarray, b: np.ndarray, sum_stacks: bool = False) -> np.ndarray:
         """a @ b under the accumulation rule: the reduction runs over a's last
@@ -206,216 +216,251 @@ def _tap_weights(weight, ctx: QuantCtx):
     return np.ascontiguousarray(weight.transpose(2, 3, 0, 1), ctx.dtype)  # (k1, k2, c_out, c)
 
 
-def _conv2d_forward(node: Node, x, weight, ctx: QuantCtx):
-    grid = _ConvGrid(node, x.shape)
-    w, taps = _tap_weights(weight, ctx), grid.taps(grid.pad(x, ctx.dtype))
+def _conv_setup(node: Node, x_shape, weight, ctx: QuantCtx):
+    """The call's `_ConvGrid` and tap weights, from the context's caches if
+    it keeps them."""
+    if ctx.grids is None:
+        return _ConvGrid(node, x_shape), _tap_weights(weight, ctx)
+    grid = ctx.grids.get((node.node_id, x_shape))
+    if grid is None:
+        grid = ctx.grids[node.node_id, x_shape] = _ConvGrid(node, x_shape)
+    w = ctx.taps.get(node.node_id)
+    if w is None:
+        w = ctx.taps[node.node_id] = _tap_weights(weight, ctx)
+    return grid, w
+
+
+def _conv2d_forward(node: Node, inputs, params, ctx: QuantCtx, stats):
+    x = inputs[0]
+    grid, w = _conv_setup(node, x.shape, params[f"{node.node_id}.weight"], ctx)
+    taps = grid.taps(grid.pad(x, ctx.dtype))
     if ctx.narrow:
         out = ctx.matmul(w, taps, sum_stacks=True)
     else:
         out = _stack_sum(w, taps, np.matmul)  # 32-bit: rounded once, after the junk columns go
     del taps  # free the padded input before the window copy
     out = _window(out, grid.b, grid.rows, grid.wp, 0, grid.h2, grid.w2)
-    return out if ctx.narrow else ctx.q(out)
+    return (out if ctx.narrow else ctx.q(out)), None
 
 
-def _conv2d_backward(node: Node, g_out, x, weight, ctx: QuantCtx):
-    grid = _ConvGrid(node, x.shape)
+def _conv2d_backward(node: Node, g_out, values, params, ctx: QuantCtx, loss_scale):
+    x = _need(node, values, "x")
+    grid, w = _conv_setup(node, x.shape, params[f"{node.node_id}.weight"], ctx)
     xbuf = grid.pad(x, ctx.dtype)
     g = _place(g_out, grid.rows, grid.wp, 0, 0, ctx.dtype)  # zero in the junk columns
     dw = ctx.matmul(g, grid.taps(xbuf).swapaxes(2, 3)).transpose(2, 3, 0, 1).copy()
     gm = grid.gather(g)
     del xbuf, g  # dx holds only the gathered gradient, its own grid and one chunk
     product = ctx.matmul if ctx.narrow else np.matmul  # 32-bit: the raw sum is rounded once
-    dx = _stack_sum(_tap_weights(weight, ctx).swapaxes(2, 3), gm, product)
-    return ctx.q(_window(dx, grid.b, grid.hp, grid.wp, grid.p, grid.h, grid.w)), dw
+    dx = _stack_sum(w.swapaxes(2, 3), gm, product)
+    dx = ctx.q(_window(dx, grid.b, grid.hp, grid.wp, grid.p, grid.h, grid.w))
+    return [dx], {f"{node.node_id}.weight": dw}
 
 
 # ---------------------------------------------------------------------------
-# forward
+# the other kinds
+
+
+def _need(node: Node, values: dict, key: str):
+    if key not in values:
+        raise ContractError(f"backward of '{node.node_id}' ({node.op}) is missing payload '{key}'")
+    return values[key]
+
+
+def _linear_forward(node, inputs, params, ctx, stats):
+    out = ctx.matmul(inputs[0], params[f"{node.node_id}.weight"].T)
+    if node.p("bias", 1):
+        out = ctx.q(out + params[f"{node.node_id}.bias"])
+    return out, None
+
+
+def _linear_backward(node, g_out, values, params, ctx, loss_scale):
+    nid = node.node_id
+    x = _need(node, values, "x")
+    grads = {f"{nid}.weight": ctx.matmul(g_out.T, x)}
+    dx = ctx.matmul(g_out, params[f"{nid}.weight"])
+    if node.p("bias", 1):
+        grads[f"{nid}.bias"] = ctx.q(g_out.sum(axis=0))
+    return [dx], grads
+
+
+# statistics per channel (batchnorm) or per row (layernorm): the axes they
+# reduce over, and the indices broadcasting them and gamma and beta back
+_NORM_AXES = {"batchnorm": ((0, 2, 3), (slice(None), None, None), (slice(None), None, None)),
+              "layernorm": ((-1,), (..., None), ...)}
+
+
+def _norm_forward(node, inputs, params, ctx, stats):
+    """`stats` supplies cached (mean, inv) for norm re-evaluation, so that a
+    recomputed value has the bits of the original forward pass."""
+    x = inputs[0]
+    axes, put, per_channel = _NORM_AXES[node.op]
+    if stats is None:  # as x.mean and x.var compute them, without their wrappers
+        cnt = math.prod(x.shape[ax] for ax in axes)
+        mean = np.add.reduce(x, axes, keepdims=True) / cnt
+        xc = x - mean
+        inv = np.add.reduce(xc * xc, axes, keepdims=True) / cnt
+        inv += np.asarray(NORM_EPS, dtype=x.dtype)
+        np.divide(1.0, np.sqrt(inv, out=inv), out=inv)
+        stats = mean.squeeze(axes), inv.squeeze(axes)
+    else:
+        inv = stats[1][put]
+        xc = x - stats[0][put]
+    out = xc * inv  # gamma * (xc * inv) + beta
+    out *= params[f"{node.node_id}.gamma"][per_channel]
+    out += params[f"{node.node_id}.beta"][per_channel]
+    return ctx.q(out), stats
+
+
+def _norm_backward(node, g_out, values, params, ctx, loss_scale):
+    """dx = inv * (dxhat - sum(dxhat) / cnt - xhat * sum(dxhat * xhat) / cnt),
+    dxhat = g_out * gamma, evaluated left to right in place; the sums run
+    over the statistics' axes."""
+    x = _need(node, values, "x")
+    axes, put, per_channel = _NORM_AXES[node.op]
+    mean, inv = _need(node, values, "stats")
+    cnt = x.size // mean.size
+    mean, inv = mean[put], inv[put]
+    xhat = x - mean
+    xhat *= inv
+    dx = g_out * params[f"{node.node_id}.gamma"][per_channel]  # dxhat, then dx
+    red = axes if node.op == "batchnorm" else tuple(range(x.ndim - 1))  # all but gamma's axis
+    t = g_out * xhat
+    dgamma = np.add.reduce(t, red)
+    s2 = np.add.reduce(dx * xhat, axes, keepdims=True)
+    dx -= np.add.reduce(dx, axes, keepdims=True) / cnt
+    np.multiply(xhat, s2, out=t)
+    t /= cnt
+    dx -= t
+    dx *= inv
+    dbeta = np.add.reduce(g_out, red)
+    nid = node.node_id
+    return [ctx.q(dx)], {f"{nid}.gamma": ctx.q(dgamma), f"{nid}.beta": ctx.q(dbeta)}
+
+
+def _glu_forward(node, inputs, params, ctx, stats):
+    x = inputs[0]
+    d = x.shape[-1] // 2
+    sig = 1.0 / (1.0 + np.exp(-x[..., d:]))
+    return ctx.q(x[..., :d] * sig), None
+
+
+def _glu_backward(node, g_out, values, params, ctx, loss_scale):
+    x = _need(node, values, "x")
+    d = x.shape[-1] // 2
+    a, b = x[..., :d], x[..., d:]
+    sig = 1.0 / (1.0 + np.exp(-b))
+    da = g_out * sig
+    db = g_out * a * sig * (1.0 - sig)
+    return [ctx.q(np.concatenate([da, db], axis=-1))], {}
+
+
+def _batch_perm(node):
+    """A transpose's permutation of the batch-first array."""
+    return (0,) + tuple(p + 1 for p in node.p("perm"))
+
+
+def _avgpool_forward(node, inputs, params, ctx, stats):
+    x, wdw = inputs[0], node.p("window")
+    b, c, h, w = x.shape
+    r = x.reshape(b, c, h // wdw, wdw, w // wdw, wdw)
+    return ctx.q(r.sum(axis=(3, 5)) * np.asarray(1.0 / (wdw * wdw), dtype=x.dtype)), None
+
+
+def _avgpool_backward(node, g_out, values, params, ctx, loss_scale):
+    wdw = node.p("window")
+    b, c, h2, w2 = g_out.shape
+    # rounded before it is spread: rounding commutes with the copy
+    g = ctx.q(g_out * np.asarray(1.0 / (wdw * wdw), dtype=g_out.dtype))
+    up = np.broadcast_to(g[:, :, :, None, :, None], (b, c, h2, wdw, w2, wdw))
+    return [up.reshape(b, c, h2 * wdw, w2 * wdw)], {}
+
+
+def _embedding_backward(node, g_out, values, params, ctx, loss_scale):
+    idx = _need(node, values, "x").astype(np.int64)
+    dw = np.zeros_like(params[f"{node.node_id}.weight"])
+    np.add.at(dw, idx, g_out)
+    return [None], {f"{node.node_id}.weight": ctx.q(dw)}
+
+
+def _softmax_xent_forward(node, inputs, params, ctx, stats):
+    if node.p("d_in"):
+        raise UnsupportedOperationError("fused-projection softmax head is cost-model-only")
+    z = inputs[0]
+    t = inputs[1].astype(np.int64)
+    zmax = z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
+    picked = z[np.arange(z.shape[0]), t]
+    return np.asarray((lse - picked).mean(), dtype=z.dtype), None
+
+
+def _softmax_xent_backward(node, g_out, values, params, ctx, loss_scale):
+    z = _need(node, values, "x")
+    t = _need(node, values, "targets").astype(np.int64)
+    zmax = z.max(axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    p = e / e.sum(axis=1, keepdims=True)
+    p[np.arange(z.shape[0]), t] -= 1.0
+    scale = np.asarray(loss_scale / z.shape[0], dtype=z.dtype)
+    return [ctx.q(p * scale)], {}
+
+
+# ---------------------------------------------------------------------------
+# the kernel table and its two entries
+
+# kind: (forward(node, inputs, params, ctx, stats) -> (output, statistics or None),
+#        backward(node, g_out, values, params, ctx, loss_scale) -> (input gradients,
+#                 parameter gradients))
+_KERNELS = {
+    "conv2d": (_conv2d_forward, _conv2d_backward),
+    "linear": (_linear_forward, _linear_backward),
+    "batchnorm": (_norm_forward, _norm_backward),
+    "layernorm": (_norm_forward, _norm_backward),
+    # masking keeps or zeroes each value, so a ReLU gradient is on the
+    # binary16 grid whenever g_out is: it is not rounded again
+    "relu": (lambda node, xs, *_: (np.maximum(xs[0], 0), None),
+             lambda node, g, values, *_: ([g * _need(node, values, "mask")], {})),
+    "glu": (_glu_forward, _glu_backward),
+    # both inputs get the one upstream buffer; the engine copies it where
+    # an alias would be written
+    "add": (lambda node, xs, params, ctx, stats: (ctx.q(xs[0] + xs[1]), None),
+            lambda node, g, *_: ([g, g], {})),
+    # a reshape's backward reads its input's shape per example
+    "reshape": (lambda node, xs, *_: (xs[0].reshape(xs[0].shape[:1] + tuple(node.p("shape"))),
+                                      None),
+                lambda node, g, values, *_: (
+                    [g.reshape(g.shape[:1] + _need(node, values, "in_shape"))], {})),
+    "transpose": (lambda node, xs, *_: (xs[0].transpose(_batch_perm(node)), None),
+                  lambda node, g, *_: ([g.transpose(np.argsort(_batch_perm(node)))], {})),
+    "avgpool": (_avgpool_forward, _avgpool_backward),
+    "pad_channels": (
+        lambda node, xs, *_: (np.pad(xs[0], ((0, 0), (0, node.p("extra")), (0, 0), (0, 0))), None),
+        lambda node, g, *_: ([g[:, : g.shape[1] - node.p("extra")]], {})),
+    "embedding": (lambda node, xs, params, *_: (
+        params[f"{node.node_id}.weight"][xs[0].astype(np.int64)], None), _embedding_backward),
+    "softmax_xent": (_softmax_xent_forward, _softmax_xent_backward),
+}
 
 
 def forward_op(node: Node, inputs: list[np.ndarray], params: dict, ctx: QuantCtx, stats=None):
-    """Returns (output, norm_stats_or_None).
-
-    `stats` supplies cached (mean, inv) for norm re-evaluation so recomputed
-    values are bit-identical to the original forward pass.
-    """
-    op = node.op
-    if op == "conv2d":
-        return _conv2d_forward(node, inputs[0], params[f"{node.node_id}.weight"], ctx), None
-    if op == "linear":
-        x = inputs[0]
-        w = params[f"{node.node_id}.weight"]
-        out = ctx.matmul(x, w.T)
-        if node.p("bias", 1):
-            out = ctx.q(out + params[f"{node.node_id}.bias"])
-        return out, None
-    if op in ("batchnorm", "layernorm"):
-        x = inputs[0]
-        # statistics per channel (batchnorm) or per row (layernorm), reduced
-        # over `axes` and broadcast back by indexing with `put`
-        if op == "batchnorm":
-            axes, put = (0, 2, 3), (slice(None), None, None)
-        else:
-            axes, put = (-1,), (..., None)
-        if stats is None:  # as x.mean and x.var compute them, without their wrappers
-            cnt = math.prod(x.shape[ax] for ax in axes)
-            mean = np.add.reduce(x, axes, keepdims=True) / cnt
-            xc = x - mean
-            inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axes, keepdims=True) / cnt
-                                + np.asarray(NORM_EPS, dtype=x.dtype))
-            stats = mean.squeeze(axes), inv.squeeze(axes)
-        else:
-            inv = stats[1][put]
-            xc = x - stats[0][put]
-        gamma = params[f"{node.node_id}.gamma"]
-        beta = params[f"{node.node_id}.beta"]
-        if op == "batchnorm":
-            gamma, beta = gamma[put], beta[put]
-        return ctx.q(gamma * (xc * inv) + beta), stats
-    if op == "relu":
-        return np.maximum(inputs[0], 0), None
-    if op == "glu":
-        x = inputs[0]
-        d = x.shape[-1] // 2
-        a, b = x[..., :d], x[..., d:]
-        sig = 1.0 / (1.0 + np.exp(-b))
-        return ctx.q(a * sig), None
-    if op == "add":
-        return ctx.q(inputs[0] + inputs[1]), None
-    if op == "reshape":
-        b = inputs[0].shape[0]
-        return inputs[0].reshape((b,) + tuple(node.p("shape"))), None
-    if op == "transpose":
-        perm = (0,) + tuple(p + 1 for p in node.p("perm"))
-        return inputs[0].transpose(perm), None
-    if op == "avgpool":
-        x = inputs[0]
-        wdw = node.p("window")
-        b, c, h, w = x.shape
-        r = x.reshape(b, c, h // wdw, wdw, w // wdw, wdw)
-        out = r.sum(axis=(3, 5)) * np.asarray(1.0 / (wdw * wdw), dtype=x.dtype)
-        return ctx.q(out), None
-    if op == "pad_channels":
-        x = inputs[0]
-        extra = node.p("extra")
-        return np.pad(x, ((0, 0), (0, extra), (0, 0), (0, 0))), None
-    if op == "embedding":
-        idx = inputs[0].astype(np.int64)
-        table = params[f"{node.node_id}.weight"]
-        return table[idx], None
-    if op == "softmax_xent":
-        if node.p("d_in"):
-            raise UnsupportedOperationError(
-                "fused-projection softmax head is cost-model-only"
-            )
-        z = inputs[0]
-        t = inputs[1].astype(np.int64)
-        zmax = z.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
-        picked = z[np.arange(z.shape[0]), t]
-        return np.asarray((lse - picked).mean(), dtype=z.dtype), None
-    raise UnsupportedOperationError(f"kind '{op}' has no executable semantics")
+    """Returns (output, norm_stats_or_None): node's kernel on its inputs.
+    `stats` supplies a norm's cached (mean, inv)."""
+    kernels = _KERNELS.get(node.op)
+    if kernels is None:
+        raise UnsupportedOperationError(f"kind '{node.op}' has no executable semantics")
+    return kernels[0](node, inputs, params, ctx, stats)
 
 
-# ---------------------------------------------------------------------------
-# backward
-
-
-def backward_op(
-    node: Node,
-    g_out,
-    values: dict,
-    params: dict,
-    ctx: QuantCtx,
-    loss_scale: float = 1.0,
-):
+def backward_op(node: Node, g_out, values: dict, params: dict, ctx: QuantCtx,
+                loss_scale: float = 1.0):
     """Returns (input_gradients, param_gradients).
 
     `values` carries what the node's storage class promises: 'x' for full
-    inputs, 'mask' for ReLU, plus cached ('mean', 'inv') for norms.  A
-    missing entry is a contract violation, never silently recomputed here.
+    inputs, 'mask' for ReLU, plus cached 'stats' (mean, inv) for norms, and
+    a reshape's 'in_shape'.  A missing entry is a contract violation, never
+    silently recomputed here.
     """
-    op = node.op
-    nid = node.node_id
-
-    def need(key):
-        if key not in values:
-            raise ContractError(f"backward of '{nid}' ({op}) is missing payload '{key}'")
-        return values[key]
-
-    if op == "conv2d":
-        dx, dw = _conv2d_backward(node, g_out, need("x"), params[f"{nid}.weight"], ctx)
-        return [dx], {f"{nid}.weight": dw}
-    if op == "linear":
-        x = need("x")
-        w = params[f"{nid}.weight"]
-        dw = ctx.matmul(g_out.T, x)
-        dx = ctx.matmul(g_out, w)
-        grads = {f"{nid}.weight": dw}
-        if node.p("bias", 1):
-            grads[f"{nid}.bias"] = ctx.q(g_out.sum(axis=0))
-        return [dx], grads
-    if op in ("batchnorm", "layernorm"):
-        x = need("x")
-        # statistics per channel (batchnorm) or per row (layernorm), reduced
-        # over `axes` and broadcast back by indexing with `put`
-        if op == "batchnorm":
-            axes, put = (0, 2, 3), (slice(None), None, None)
-        else:
-            axes, put = (-1,), (..., None)
-        mean, inv = need("stats")
-        cnt = x.size // mean.size
-        mean, inv = mean[put], inv[put]
-        gamma = params[f"{nid}.gamma"]
-        if op == "batchnorm":
-            gamma = gamma[put]
-        xhat = (x - mean) * inv
-        dxhat = g_out * gamma
-        dx = inv * (
-            dxhat
-            - dxhat.sum(axis=axes, keepdims=True) / cnt
-            - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True) / cnt
-        )
-        red = axes if op == "batchnorm" else tuple(range(x.ndim - 1))  # all but gamma's axis
-        dgamma = (g_out * xhat).sum(axis=red)
-        dbeta = g_out.sum(axis=red)
-        return [ctx.q(dx)], {f"{nid}.gamma": ctx.q(dgamma), f"{nid}.beta": ctx.q(dbeta)}
-    if op == "relu":
-        # masking keeps or zeroes each value, so the result is on the
-        # binary16 grid whenever g_out is: it is not rounded again
-        return [g_out * need("mask")], {}
-    if op == "glu":
-        x = need("x")
-        d = x.shape[-1] // 2
-        a, b = x[..., :d], x[..., d:]
-        sig = 1.0 / (1.0 + np.exp(-b))
-        da = g_out * sig
-        db = g_out * a * sig * (1.0 - sig)
-        return [ctx.q(np.concatenate([da, db], axis=-1))], {}
-    if op == "avgpool":
-        wdw = node.p("window")
-        b, c, h2, w2 = g_out.shape
-        # rounded before it is spread: rounding commutes with the copy
-        g = ctx.q(g_out * np.asarray(1.0 / (wdw * wdw), dtype=g_out.dtype))
-        up = np.broadcast_to(g[:, :, :, None, :, None], (b, c, h2, wdw, w2, wdw))
-        return [up.reshape(b, c, h2 * wdw, w2 * wdw)], {}
-    if op == "pad_channels":
-        extra = node.p("extra")
-        return [g_out[:, : g_out.shape[1] - extra]], {}
-    if op == "embedding":
-        idx = need("x").astype(np.int64)
-        table = params[f"{nid}.weight"]
-        dw = np.zeros_like(table)
-        np.add.at(dw, idx, g_out)
-        return [None], {f"{nid}.weight": ctx.q(dw)}
-    if op == "softmax_xent":
-        z = need("x")
-        t = need("targets").astype(np.int64)
-        zmax = z.max(axis=1, keepdims=True)
-        e = np.exp(z - zmax)
-        p = e / e.sum(axis=1, keepdims=True)
-        p[np.arange(z.shape[0]), t] -= 1.0
-        scale = np.asarray(loss_scale / z.shape[0], dtype=z.dtype)
-        return [ctx.q(p * scale)], {}
-    raise UnsupportedOperationError(f"kind '{op}' has no backward semantics")
+    kernels = _KERNELS.get(node.op)
+    if kernels is None:
+        raise UnsupportedOperationError(f"kind '{node.op}' has no backward semantics")
+    return kernels[1](node, g_out, values, params, ctx, loss_scale)

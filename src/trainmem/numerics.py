@@ -57,6 +57,7 @@ class NumericFormat(Enum):
 _VECTOR_MIN = 1024
 _EXPONENT_MASK = 0x7F800000
 _EXPONENT_2_15 = (127 + 15) << 23
+_FLOAT32 = np.dtype(np.float32)  # the native float32 dtype, which arrays share
 
 
 def half_round(x):
@@ -76,8 +77,9 @@ def half_round(x):
     subtraction is exact; copysign keeps -0.0 for negatives that round to
     zero.  Every other input is cast to float16 and back.
     """
-    a = np.asarray(x)
-    if a.dtype == np.float32 and a.size >= _VECTOR_MIN:
+    a = x if type(x) is np.ndarray else np.asarray(x)
+    f32 = a.dtype is _FLOAT32
+    if f32 and a.size >= _VECTOR_MIN:
         m = np.bitwise_and(a.view(np.int32), _EXPONENT_MASK)
         if m.max() < _EXPONENT_2_15:
             m = m.view(np.float32)  # 2^floor(log2|a|), 0 for float32 subnormals
@@ -86,13 +88,16 @@ def half_round(x):
             out = a + m
             np.subtract(out, m, out=out)
             return np.copysign(out, a, out=out)
-    if a.dtype != np.float32:
+    if not f32 and a.dtype != np.float32:
         a = a.astype(np.float64, copy=False)
-    with np.errstate(over="ignore"):
-        out = a.astype(np.float16).astype(a.dtype)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = _cast_round(a)
+    return float(out) if out.ndim == 0 else out
+
+
+@np.errstate(over="ignore")  # as a decorator it costs less per call than a `with`
+def _cast_round(a: np.ndarray) -> np.ndarray:
+    """half_round's cast path: overflow to infinity is its result, not an error."""
+    return a.astype(np.float16).astype(a.dtype)
 
 
 class FlatLayout:

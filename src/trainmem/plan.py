@@ -261,6 +261,7 @@ class _GraphTables:
         self.csr_index_bits, self.csr_fixed_bits = _vec(bits).reshape(-1, 2).T
         self._payload: dict[bool, _PayloadTable] = {}
         self.param_layout: FlatLayout | None = None  # built by `param_layout`
+        self.conv_grids: dict = {}  # the kernels' conv geometry, filled by engine steps
 
     def payload_table(self, trimmed: bool) -> _PayloadTable:
         """The payload sources under one trim variant, built on first use."""

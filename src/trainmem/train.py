@@ -17,7 +17,7 @@ from .engine import EngineConfig, init_params, prepare_inputs, require_executabl
 from .errors import ConfigurationError, TrainmemError, UnsupportedOperationError
 from .graph import ComputationGraph
 from .kernels import NORM_EPS, forward_op
-from .numerics import NumericFormat, half_round
+from .numerics import FlatLayout, NumericFormat, half_round
 from .optim import (
     LossScaler,
     SGDState,
@@ -183,9 +183,12 @@ def train_desk(
     )
     eval_cfg = EngineConfig(precision=settings.precision)
     dtype = eval_cfg.ctx().dtype
-    running_stats = {f"{node.node_id}.running_{key}": np.full(node.p("channels"), value, dtype)
-                     for node in graph.nodes if node.op == "batchnorm"
-                     for key, value in (("mean", 0.0), ("var", 1.0))}
+    initial = {f"{node.node_id}.running_{key}": np.full(node.p("channels"), value, dtype)
+               for node in graph.nodes if node.op == "batchnorm"
+               for key, value in (("mean", 0.0), ("var", 1.0))}
+    stats_layout = FlatLayout(initial)
+    stats_flat = stats_layout.pack(initial, dtype)  # every statistic, updated in place
+    running_stats = stats_layout.unpack(stats_flat)
 
     metrics: list[dict] = []
     rewire_log: list[str] = []
@@ -222,8 +225,7 @@ def train_desk(
         else:
             if fp16:
                 fp16_update_path(params, grads, state, settings.lr, masks=masks)
-                for name, v in running_stats.items():  # onto the grid with the parameters
-                    running_stats[name] = half_round(v.astype(np.float32))
+                stats_flat[...] = half_round(stats_flat)  # onto the grid with the parameters
             elif settings.optimizer == "sgd_nesterov":
                 sgd_nesterov_step(params, grads, state, settings.lr, masks=masks)
             else:
@@ -268,11 +270,14 @@ def train_desk(
 
 
 def _update_running_stats(graph, running_stats, batch_stats: dict, momentum: float = 0.1):
+    """(1 - momentum) * running + momentum * batch, into the running arrays."""
     for nid, (mean, inv) in batch_stats.items():
         if graph.node(nid).op == "batchnorm":
             for name, batch in ((f"{nid}.running_mean", mean),
                                 (f"{nid}.running_var", 1.0 / np.square(inv) - NORM_EPS)):
-                running_stats[name] = (1 - momentum) * running_stats[name] + momentum * batch
+                running = running_stats[name]
+                running *= 1 - momentum
+                running += momentum * batch
 
 
 def metrics_to_jsonl(result: TrainResult) -> str:

@@ -37,6 +37,24 @@ def test_profile_wrn_baseline(tmp_path, capsys):
     assert csv_text.startswith("arch,")
 
 
+def test_python_m_trainmem_runs_the_cli(capsys):
+    # `python -m trainmem` is the `trainmem` command: same exit code, same JSON
+    import subprocess
+    import sys
+
+    import trainmem
+
+    src = str(Path(trainmem.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "trainmem", "profile", "--arch", "wrn-28-2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    code, out, _ = run_cli(["profile", "--arch", "wrn-28-2"], capsys)
+    assert proc.returncode == code == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(out)
+    assert proc.stdout == out
+
+
 def test_profile_dct_baseline(tmp_path, capsys):
     cfg = tmp_path / "dct.cfg"
     cfg.write_text(

@@ -411,6 +411,46 @@ def test_microbatched_call_does_its_per_call_work_once(monkeypatch):
         assert res.recompute_flops == sum(s.recompute_flops for s in steps) > 0
 
 
+def test_microbatched_call_builds_conv_work_once(monkeypatch):
+    # A 4-group FP16 call under residual_star:1 runs each conv's forward,
+    # some twice (recomputed), and its backward in every group; it builds
+    # each conv's tap weights once, and its geometry at most once per
+    # (node, input shape) for the graph: not at all on a repeat call.
+    from trainmem import engine, kernels
+
+    counts = {"grid": 0, "taps": 0, "forward": 0, "backward": 0}
+    built: set = set()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            if name == "grid":
+                built.add((args[0].node_id, args[1]))
+            if name in ("grid", "taps") or args[0].op == "conv2d":
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "_ConvGrid", counting("grid", kernels._ConvGrid))
+    monkeypatch.setattr(kernels, "_tap_weights", counting("taps", kernels._tap_weights))
+    monkeypatch.setattr(engine, "forward_op", counting("forward", engine.forward_op))
+    monkeypatch.setattr(engine, "backward_op", counting("backward", engine.backward_op))
+    g = load_arch("desk-cnn")
+    convs = {nd.node_id for nd in g.nodes if nd.op == "conv2d"}
+    params = init_params(g, seed=3, precision=FP16)
+    rng = np.random.default_rng(3)
+    batch = {"img": rng.normal(size=(32, 3, 8, 8)), "labels": rng.integers(0, 4, 32)}
+    cfg = EngineConfig(precision=FP16, strategy=S("residual_star:1"), loss_scale=1024.0)
+    first = run_microbatched(g, params, batch, 8, cfg)
+    assert counts["backward"] == 4 * len(convs) < counts["forward"]  # recomputes included
+    assert counts["taps"] == len(convs)
+    assert counts["grid"] == len(built) <= len(convs)
+    assert {nid for nid, _ in built} == convs and all(shape[0] == 8 for _, shape in built)
+    counts.update(dict.fromkeys(counts, 0))
+    again = run_microbatched(g, params, batch, 8, cfg)
+    assert counts["grid"] == 0 and counts["taps"] == len(convs)
+    assert np.array_equal(again.flat, first.flat)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "_Step._backprop adds FP16 fan-out contributions without rounding the sum; "
     "rounding it moves bench/refs/train.json (6 of 72 train-fp16 final-accuracy "
