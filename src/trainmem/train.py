@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EngineConfig, init_params, prepare_inputs, require_executable, run_step
+from .engine import (EngineConfig, _infer_batch, init_params, prepare_inputs, require_executable,
+                     run_step)
 from .errors import ConfigurationError, TrainmemError, UnsupportedOperationError
 from .graph import ComputationGraph
 from .kernels import NORM_EPS, forward_op
@@ -28,7 +29,7 @@ from .optim import (
     loss_scale_update,
     sgd_nesterov_step,
 )
-from .plan import NONE, CheckpointStrategy
+from .plan import NONE, CheckpointStrategy, graph_tables
 from .profiler import OPTIMIZER_VALUE_ARRAYS
 from .rewire import DSRState, init_sparse_pattern, rewire, rewire_due
 
@@ -54,28 +55,46 @@ def make_synthetic_task(
     return images, labels
 
 
-def forward_eval(graph: ComputationGraph, params, running_stats, batch, config: EngineConfig):
+def forward_eval(graph: ComputationGraph, params, running_stats, batch, config: EngineConfig,
+                 microbatch: int | None = None):
     """Forward-only pass; returns (logit array, loss).  A norm node with a
     "<node>.running_mean" and "<node>.running_var" in `running_stats`
-    normalizes by them, any other by the batch's statistics."""
-    ctx = config.ctx()
-    values = prepare_inputs(graph, batch, ctx)
-    logits_src = graph.node(graph.loss_id).inputs[0]
-    logits = None
-    for node in graph.nodes:
-        if node.op == "input":
-            continue
-        stats = None
+    normalizes by them, any other by its own group's statistics.  The examples
+    walk in groups of `microbatch` (default: one group of all), each value
+    freed after its last reader.  No group holds one example unless the batch
+    does (numpy's one-row product rounds differently): a lone last example
+    joins the group before it.  The loss runs once, on the groups' inputs."""
+    if microbatch is not None and microbatch < 1:
+        raise ConfigurationError(f"microbatch must be >= 1, got {microbatch}")
+    t = graph_tables(graph)
+    ctx = config.ctx(t.conv_grids)
+    prepared = {graph.index[k]: v for k, v in prepare_inputs(graph, batch, ctx).items()}
+    n = _infer_batch(graph, batch)
+    size = min(n, max(2, microbatch or n))
+    cuts = list(range(size, n - (n % size == 1), size))  # the groups' starts after the first
+    stats = {}
+    for i, node in enumerate(graph.nodes):
         rm = running_stats.get(f"{node.node_id}.running_mean")
         if rm is not None:
             rv = np.asarray(running_stats[f"{node.node_id}.running_var"], dtype=ctx.dtype)
-            stats = (np.asarray(rm, dtype=ctx.dtype), 1.0 / np.sqrt(rv + NORM_EPS))
-        ins = [values[i] for i in node.inputs]
-        out, _ = forward_op(node, ins, params, ctx, stats=stats)
-        values[node.node_id] = out
-        if node.node_id == logits_src:
-            logits = out
-    return logits, float(values[graph.loss_id])
+            stats[i] = (np.asarray(rm, dtype=ctx.dtype), 1.0 / np.sqrt(rv + NORM_EPS))
+    parts = []
+    for sl in map(slice, [0] + cuts, cuts + [n]):
+        values = {i: v[sl] for i, v in prepared.items()}
+        pending = [len(c) for c in t.consumer_idx]  # the loss never reads here: its inputs stay
+        for i, node in enumerate(graph.nodes):
+            if t.is_input[i] or i == t.loss_idx:
+                continue
+            ins = [values[j] for j in t.in_idx[i]]
+            values[i], _ = forward_op(node, ins, params, ctx, stats=stats.get(i))
+            for j in t.in_idx[i]:
+                pending[j] -= 1
+                if pending[j] == 0:
+                    del values[j]
+        parts.append([values[j] for j in t.in_idx[t.loss_idx]])
+    loss_inputs = [np.concatenate(group) for group in zip(*parts)]
+    loss, _ = forward_op(graph.node(graph.loss_id), loss_inputs, params, ctx)
+    return loss_inputs[0], float(loss)
 
 
 @dataclass
@@ -151,7 +170,8 @@ def train_desk(
     grads)` may change `grads` in place: they are views of the step's flat
     buffer, which the FP16 overflow check and unscaling read.  The batchnorm
     running statistics live apart, in `TrainResult.running_stats`; in FP16
-    they are rounded to binary16 on each step the optimizer applies."""
+    they are rounded to binary16 on each step the optimizer applies.  Each
+    logged step evaluates the task in one `forward_eval`, in minibatch groups."""
     loss = check_trainable(graph)
     input_shape = graph.out_shape["img"]
     images, labels = make_synthetic_task(
@@ -246,7 +266,8 @@ def train_desk(
 
         if step % settings.log_every == 0 or step == settings.steps:
             logits, _ = forward_eval(graph, params, running_stats,
-                                     {"img": images, "labels": labels}, eval_cfg)
+                                     {"img": images, "labels": labels}, eval_cfg,
+                                     settings.minibatch)
             acc = float((logits.argmax(axis=1) == labels).mean())
             metrics.append({
                 "step": step,

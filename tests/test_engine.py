@@ -475,3 +475,32 @@ def test_fp16_upstream_gradients_are_on_grid(monkeypatch):
     batch = {"img": rng.normal(size=(8, 3, 8, 8)), "labels": rng.integers(0, 4, 8)}
     run_step(g, params, batch, EngineConfig(precision=FP16, loss_scale=1024.0))
     assert off_grid == {}
+
+
+def test_wrn_28_2_runs_every_strategy_at_batch_2():
+    # the paper's first model through the engine: each schedule behind the
+    # WRN golden totals walks without a ContractError, leaves the loss and
+    # every gradient bit as `none` has them, and peaks and recomputes as
+    # `total_report` prices it
+    from trainmem.builders import build_wrn
+    from trainmem.profiler import TrainingConfig, total_report
+    from trainmem.verification import ALL_STRATEGIES
+
+    g = build_wrn(28, 2, 10)
+    rng = np.random.default_rng(28)
+    batch = {"img": rng.normal(size=(2,) + g.out_shape["img"]), "labels": rng.integers(0, 10, 2)}
+    for precision, strategies in ((FP32, ALL_STRATEGIES), (FP16, ["none", "residual_star:2"])):
+        params = init_params(g, seed=28, precision=precision)
+        base = None
+        for st in strategies:
+            r = run_step(g, params, batch, EngineConfig(precision=precision, strategy=S(st)))
+            mem, fl = total_report(g, TrainingConfig(precision=precision, minibatch=2,
+                                                     strategy=S(st)))
+            assert (r.peak_forward_bytes, r.peak_backward_bytes) == (
+                mem.activation_forward_bytes, mem.activation_backward_bytes), st
+            assert (r.recompute_events, r.recompute_flops) == (
+                fl.recompute_events, fl.recompute_flops), st
+            base = base or r
+            assert r.loss == base.loss, (precision, st)
+            for name, grad in base.grads.items():
+                assert np.array_equal(r.grads[name], grad), (precision, st, name)
