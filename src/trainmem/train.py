@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (EngineConfig, _infer_batch, init_params, prepare_inputs, require_executable,
-                     run_step)
+from .engine import EngineConfig, init_params, prepare_inputs, require_executable, run_step
 from .errors import ConfigurationError, TrainmemError, UnsupportedOperationError
 from .graph import ComputationGraph
 from .kernels import NORM_EPS, forward_op
@@ -34,6 +33,7 @@ from .profiler import OPTIMIZER_VALUE_ARRAYS
 from .rewire import DSRState, init_sparse_pattern, rewire, rewire_due
 
 TASK_SIZE = 256  # examples in the synthetic task
+EVAL_GROUP = 32  # examples per group in `forward_eval`
 
 
 class TrainingDiverged(TrainmemError):
@@ -55,23 +55,20 @@ def make_synthetic_task(
     return images, labels
 
 
-def forward_eval(graph: ComputationGraph, params, running_stats, batch, config: EngineConfig,
-                 microbatch: int | None = None):
+def forward_eval(graph: ComputationGraph, params, running_stats, batch, config: EngineConfig):
     """Forward-only pass; returns (logit array, loss).  A norm node with a
     "<node>.running_mean" and "<node>.running_var" in `running_stats`
     normalizes by them, any other by its own group's statistics.  The examples
-    walk in groups of `microbatch` (default: one group of all), each value
-    freed after its last reader.  No group holds one example unless the batch
-    does (numpy's one-row product rounds differently): a lone last example
-    joins the group before it.  The loss runs once, on the groups' inputs."""
-    if microbatch is not None and microbatch < 1:
-        raise ConfigurationError(f"microbatch must be >= 1, got {microbatch}")
+    walk in groups of `EVAL_GROUP`, each value freed after its last reader.
+    No group holds one example unless the batch does (numpy's one-row product
+    rounds differently): a lone last example joins the group before it.  The
+    loss runs once, on the groups' inputs."""
     t = graph_tables(graph)
     ctx = config.ctx(t.conv_grids)
     prepared = {graph.index[k]: v for k, v in prepare_inputs(graph, batch, ctx).items()}
-    n = _infer_batch(graph, batch)
-    size = min(n, max(2, microbatch or n))
-    cuts = list(range(size, n - (n % size == 1), size))  # the groups' starts after the first
+    n = len(next(iter(prepared.values())))
+    # the groups' starts after the first
+    cuts = list(range(EVAL_GROUP, n - (n % EVAL_GROUP == 1), EVAL_GROUP))
     stats = {}
     for i, node in enumerate(graph.nodes):
         rm = running_stats.get(f"{node.node_id}.running_mean")
@@ -171,7 +168,7 @@ def train_desk(
     buffer, which the FP16 overflow check and unscaling read.  The batchnorm
     running statistics live apart, in `TrainResult.running_stats`; in FP16
     they are rounded to binary16 on each step the optimizer applies.  Each
-    logged step evaluates the task in one `forward_eval`, in minibatch groups."""
+    logged step evaluates the task in one `forward_eval`, in groups of `EVAL_GROUP`."""
     loss = check_trainable(graph)
     input_shape = graph.out_shape["img"]
     images, labels = make_synthetic_task(
@@ -266,8 +263,7 @@ def train_desk(
 
         if step % settings.log_every == 0 or step == settings.steps:
             logits, _ = forward_eval(graph, params, running_stats,
-                                     {"img": images, "labels": labels}, eval_cfg,
-                                     settings.minibatch)
+                                     {"img": images, "labels": labels}, eval_cfg)
             acc = float((logits.argmax(axis=1) == labels).mean())
             metrics.append({
                 "step": step,

@@ -83,9 +83,9 @@ def test_final_accuracy_reuses_last_logged_evaluation(monkeypatch):
     assert round(res.final_accuracy, 6) == res.metrics[-1]["accuracy"]
 
 
-def _eval_case(graph, precision, seed, with_stats=True):
+def _eval_case(graph, precision, seed, n=256, with_stats=True):
     """Parameters, running statistics off their initial values (or none) and
-    the 256-example task, for `forward_eval`."""
+    an `n`-example task, for `forward_eval`."""
     rng = np.random.default_rng(seed)
     ctx = EngineConfig(precision=precision).ctx()
     stats = {}
@@ -94,53 +94,59 @@ def _eval_case(graph, precision, seed, with_stats=True):
             ch = node.p("channels")
             stats[f"{node.node_id}.running_mean"] = ctx.asarray(rng.normal(0.0, 0.5, ch))
             stats[f"{node.node_id}.running_var"] = ctx.asarray(rng.uniform(0.5, 2.0, ch))
-    images, labels = make_synthetic_task(256, graph.node(graph.loss_id).p("classes"),
+    images, labels = make_synthetic_task(n, graph.node(graph.loss_id).p("classes"),
                                          graph.out_shape["img"], seed=seed)
     params = init_params(graph, seed=seed, precision=precision)
     return params, stats, {"img": images, "labels": labels}
 
 
+def _one_group(monkeypatch, *args):
+    """`forward_eval` with every example in one group."""
+    from trainmem import train
+
+    with monkeypatch.context() as m:
+        m.setattr(train, "EVAL_GROUP", 1 << 30)
+        return train.forward_eval(*args)
+
+
 @pytest.mark.parametrize("graph", ["desk-cnn"] + list(range(8)))
-def test_grouped_evaluation_matches_one_group_bit_for_bit(graph):
-    # no group holds one example, whose linear product numpy sends to gemv:
-    # a group size of 1 walks pairs, and 85 and 255 fold their lone last
-    # example into the group before it
+def test_grouped_evaluation_matches_one_group_bit_for_bit(monkeypatch, graph):
+    # in groups of 32, no group holds one example, whose linear product numpy
+    # sends to gemv: 33, 65 and 257 examples fold their lone last example into
+    # the group before it
+    from trainmem.train import EVAL_GROUP
+
+    assert EVAL_GROUP == 32  # the sizes below are chosen around it
     g = load_arch(graph) if graph == "desk-cnn" else random_desk_graph(graph)
     for precision in (NumericFormat.FP32, NumericFormat.FP16, NumericFormat.FP64):
         cfg = EngineConfig(precision=precision)
-        params, stats, batch = _eval_case(g, precision, seed=len(g.nodes))
-        logits, loss = forward_eval(g, params, stats, batch, cfg)
-        for microbatch in (1, 2, 7, 32, 85, 100, 255, 256):
-            got, got_loss = forward_eval(g, params, stats, batch, cfg, microbatch)
-            assert got.dtype == logits.dtype and got.tobytes() == logits.tobytes(), (
-                precision, microbatch)
-            assert got_loss == loss, (precision, microbatch)
+        params, stats, task = _eval_case(g, precision, seed=len(g.nodes), n=257)
+        for n in (1, 2, 7, 32, 33, 65, 100, 255, 256, 257):
+            batch = {k: v[:n] for k, v in task.items()}
+            logits, loss = _one_group(monkeypatch, g, params, stats, batch, cfg)
+            got, got_loss = forward_eval(g, params, stats, batch, cfg)
+            assert got.dtype == logits.dtype and got.tobytes() == logits.tobytes(), (precision, n)
+            assert got_loss == loss, (precision, n)
 
 
 @pytest.mark.parametrize("precision", [NumericFormat.FP32, NumericFormat.FP16])
-def test_norm_without_running_statistics_normalizes_by_its_group(precision):
+def test_norm_without_running_statistics_normalizes_by_its_group(monkeypatch, precision):
     # the engine's microbatching rule: grouped logits are each group's own
     # call, concatenated, and the loss is the loss of those logits
     g = load_arch("desk-cnn")
     cfg = EngineConfig(precision=precision)
-    params, _, batch = _eval_case(g, precision, seed=3, with_stats=False)
-    whole, _ = forward_eval(g, params, {}, batch, cfg)
-    for microbatch, starts in ((32, range(0, 257, 32)), (85, (0, 85, 170, 256))):
-        logits, loss = forward_eval(g, params, {}, batch, cfg, microbatch)
+    params, _, task = _eval_case(g, precision, seed=3, with_stats=False)
+    for starts in (range(0, 257, 32), (0, 32, 65)):
+        batch = {k: v[:starts[-1]] for k, v in task.items()}
+        logits, loss = forward_eval(g, params, {}, batch, cfg)
         alone = [forward_eval(g, params, {}, {k: v[a:b] for k, v in batch.items()}, cfg)[0]
                  for a, b in zip(starts, starts[1:])]
         assert np.concatenate(alone).tobytes() == logits.tobytes()
+        whole, _ = _one_group(monkeypatch, g, params, {}, batch, cfg)
         assert logits.tobytes() != whole.tobytes()  # the statistics are the group's
         labels = batch["labels"].astype(np.int64)
         want, _ = forward_op(g.node(g.loss_id), [logits, labels], params, cfg.ctx())
         assert loss == float(want)
-
-
-def test_evaluation_group_size_must_be_positive():
-    g = build_desk_cnn([4, 4], 4)
-    params, stats, batch = _eval_case(g, NumericFormat.FP32, seed=1)
-    with pytest.raises(ConfigurationError, match="microbatch must be >= 1, got 0"):
-        forward_eval(g, params, stats, batch, EngineConfig(), 0)
 
 
 @pytest.mark.parametrize("precision", [NumericFormat.FP32, NumericFormat.FP16])
@@ -152,13 +158,13 @@ def test_grouped_evaluation_frees_values_after_their_last_reader(monkeypatch, pr
     g = load_arch("desk-cnn")
     cfg = EngineConfig(precision=precision)
     params, stats, batch = _eval_case(g, precision, seed=0)
-    train.forward_eval(g, params, stats, batch, cfg, 32)  # conv geometry, cached per graph
+    train.forward_eval(g, params, stats, batch, cfg)  # conv geometry, cached per graph
 
     def peak():
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            train.forward_eval(g, params, stats, batch, cfg, 32)
+            train.forward_eval(g, params, stats, batch, cfg)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
