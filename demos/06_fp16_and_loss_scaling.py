@@ -9,7 +9,7 @@ small momenta from flushing to zero when they are rounded back to FP16.
 import numpy as np
 
 from trainmem.builders import build_desk_cnn
-from trainmem.numerics import NumericFormat, half_round
+from trainmem.numerics import FlatLayout, NumericFormat, half_round
 from trainmem.optim import SGDState, fp16_update_path
 from trainmem.train import TrainSettings, train_desk
 
@@ -34,10 +34,10 @@ if __name__ == "__main__":
     tiny = np.full(8, 2.0e-8)  # below half the smallest binary16 subnormal
     print(f"momentum entries of {tiny[0]:.1e}:")
     print(f"  plain round to FP16:      {float(half_round(tiny)[0])!r}")
-    params = {"w": half_round(np.ones(8))}
-    state = SGDState.init(params, mu=1.0, weight_decay=0.0)
-    state.momentum["w"] = tiny.copy()
-    fp16_update_path(params, {"w": np.zeros(8)}, state, lr=0.0)
-    s = state.fp16_scales[(0, "w")]
-    print(f"  stored rescaled by {s:.3e}: {float(state.momentum['w'][0])!r} "
-          f"(recovers {state.momentum['w'][0] * s:.3e})")
+    w = np.ones(8, np.float32)  # one tensor, in the FP16 path's float32 carrier
+    state = SGDState.init(w, mu=1.0, weight_decay=0.0)
+    state.momentum[...] = tiny
+    fp16_update_path(w, np.zeros_like(w), state, lr=0.0, layout=FlatLayout({"w": w}))
+    s = state.fp16_scales[0][0]  # the momentum's scale for its one tensor
+    print(f"  stored rescaled by {s:.3e}: {float(state.momentum[0])!r} "
+          f"(recovers {state.momentum[0] * s:.3e})")

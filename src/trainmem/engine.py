@@ -12,7 +12,9 @@ profiler's predictions for the same configuration.  What no group's
 examples change is done once per call: the instruction list, the inputs'
 conversion, the precision context with its conv caches, and the pricing.
 
-A step's gradients are views of one flat buffer.  Sequential
+A step's gradients are views of one flat buffer, `StepResult.flat`,
+laid out by the graph's `plan.param_layout`, as the optimizers' flat
+parameters and buffers are.  Sequential
 microbatching splits the minibatch into k groups, walks the schedule once
 per group and accumulates the weighted gradients at the configured
 accumulator width; one group (the default) is the k = 1 case, whose
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 from .graph import ComputationGraph
 from .kernels import QuantCtx, backward_op, forward_op
-from .numerics import FlatLayout, NumericFormat
+from .numerics import NumericFormat
 from .numerics import half_round  # noqa: F401  (bench/tracer.py wraps this name)
 from .plan import (BACKPROP, CLEAR, DROP_HOLD, DROP_PAYLOAD, DROP_STATS, FORWARD, FORWARD_DONE,
                    HOLD, NONE, RECOMPUTE, STORE_PAYLOAD, STORE_STATS, CheckpointStrategy, Plan,
@@ -62,8 +64,7 @@ class EngineConfig:
 @dataclass
 class StepResult:
     loss: float
-    layout: FlatLayout  # the graph's parameters, in `all_params()` order; one per graph
-    flat: np.ndarray  # every parameter gradient, laid out by `layout`, in the carrier
+    flat: np.ndarray  # every parameter gradient, laid out by `param_layout(graph)`, in the carrier
     grads: dict[str, np.ndarray]  # views of `flat`
     peak_bytes: int
     peak_forward_bytes: int
@@ -224,9 +225,9 @@ class _Step:
 
 
 def prepare_inputs(graph: ComputationGraph, batch: dict, ctx: QuantCtx) -> dict[str, np.ndarray]:
-    """The batch's graph inputs as int64 or carrier arrays.  An input that
-    some node reads must be in the batch; an absent one no node reads gets
-    no value."""
+    """The batch's graph inputs as int64 or carrier arrays, all of one
+    length.  An input that some node reads must be in the batch; an absent
+    one no node reads gets no value."""
     prepared = {}
     for node in graph.nodes:
         nid = node.node_id
@@ -236,14 +237,13 @@ def prepare_inputs(graph: ComputationGraph, batch: dict, ctx: QuantCtx) -> dict[
             prepared[nid] = arr.astype(np.int64) if is_int else ctx.asarray(arr)
         elif node.op == "input" and graph.consumers[nid]:
             raise ConfigurationError(f"batch is missing input '{nid}'")
+    if not prepared:
+        raise ConfigurationError("batch supplies no graph inputs")
+    lengths = {nid: len(v) for nid, v in prepared.items()}
+    if len(set(lengths.values())) > 1:
+        raise ConfigurationError("graph inputs differ in length: " + ", ".join(
+            f"'{nid}' {n}" for nid, n in lengths.items()))
     return prepared
-
-
-def _infer_batch(graph: ComputationGraph, batch: dict) -> int:
-    for node in graph.nodes:
-        if node.op == "input" and node.node_id in batch:
-            return int(np.asarray(batch[node.node_id]).shape[0])
-    raise ConfigurationError("batch supplies no graph inputs")
 
 
 def require_executable(graph: ComputationGraph):
@@ -277,14 +277,14 @@ def run_step(
     if microbatch is not None and microbatch < 1:
         raise ConfigurationError(f"microbatch must be >= 1, got {microbatch}")
     require_executable(graph)
-    n = _infer_batch(graph, batch)
+    ctx = config.ctx(graph_tables(graph).conv_grids)
+    prepared = prepare_inputs(graph, batch, ctx)
+    n = len(next(iter(prepared.values())))
     mb = n if microbatch is None else microbatch
     if n % mb:
         raise ConfigurationError("microbatch size must divide the minibatch size")
     groups = n // mb
     nnz = {name: int(m.sum()) for name, m in masks.items()} if masks else None
-    ctx = config.ctx(graph_tables(graph).conv_grids)
-    prepared = prepare_inputs(graph, batch, ctx)
     plan = plan_for(graph, config.strategy)
     layout = param_layout(graph)
     flat = np.empty(layout.size, ctx.dtype)
@@ -305,7 +305,7 @@ def run_step(
         loss, flat, grads = float(np.mean(losses)), acc, layout.unpack(acc)
     r = plan.evaluate(Sizing(graph, mb, config.precision, nnz))
     k = groups if config.exec_mode == "joint" else 1  # groups held at once
-    return StepResult(loss=loss, layout=layout, flat=flat, grads=grads,
+    return StepResult(loss=loss, flat=flat, grads=grads,
                       peak_bytes=k * r.peak_bytes, peak_forward_bytes=k * r.peak_forward_bytes,
                       peak_backward_bytes=k * r.peak_backward_bytes,
                       recompute_events=groups * r.recompute_events,

@@ -1,16 +1,19 @@
 """Optimizers, dynamic loss scaling, and the FP16 update path with
 per-tensor momentum rescaling.
 
-There is never a persistent FP32 master copy of FP16 weights; the FP16
-path updates transient FP32 copies and rounds the results straight back to
-the binary16 grid.  Microbatch gradients are accumulated by
+Training state is flat: the parameters, the gradients, each optimizer
+buffer and the sparsity mask `keep` are one array apiece, laid out by the
+graph's `plan.param_layout`, and every update below is one call over all
+tensors, in place.  There is never a persistent FP32 master copy of FP16
+weights; the FP16 path is the FP32 step on the binary16-grid arrays,
+rounded back to the grid.  Microbatch gradients are accumulated by
 `engine.run_step`, not here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,97 +25,91 @@ WRN_WEIGHT_DECAY = 5e-4
 TRANSFORMER_WEIGHT_DECAY = 1e-4
 
 
-def _check_shapes(params: dict, other: dict, what: str):
-    for name, p in params.items():
-        buf = other.get(name)
-        if buf is None or buf.shape != p.shape:
-            raise ContractError(f"{what} missing or of another shape for {name}")
+def _check_shapes(w: np.ndarray, g: np.ndarray, state):
+    for other in (g, *state.buffers()):
+        if other.shape != w.shape:
+            raise ContractError(f"buffer of shape {other.shape} does not match parameters {w.shape}")
+
+
+def _zero_outside(keep: np.ndarray | None, w: np.ndarray, state):
+    """Zero the parameters and the state's buffers where `keep` is False."""
+    if keep is not None:
+        for flat in (w, *state.buffers()):
+            flat *= keep
 
 
 @dataclass
 class SGDState:
-    momentum: dict[str, np.ndarray]
+    momentum: np.ndarray  # laid out as the parameters
     mu: float = WRN_MOMENTUM
     weight_decay: float = WRN_WEIGHT_DECAY
-    # (buffer index, name) -> power-of-two scale the FP16 path stored it under
-    fp16_scales: dict[tuple[int, str], float] = field(default_factory=dict)
+    # one array per buffer: each tensor's power-of-two FP16 storage scale;
+    # empty while every scale is 1
+    fp16_scales: list[np.ndarray] = field(default_factory=list)
 
     @staticmethod
-    def init(params: dict[str, np.ndarray], mu=WRN_MOMENTUM, weight_decay=WRN_WEIGHT_DECAY):
-        return SGDState({k: np.zeros_like(v) for k, v in params.items()}, mu, weight_decay)
+    def init(w: np.ndarray, mu=WRN_MOMENTUM, weight_decay=WRN_WEIGHT_DECAY):
+        return SGDState(np.zeros_like(w), mu, weight_decay)
+
+    def buffers(self) -> list[np.ndarray]:
+        return [self.momentum]
 
     def reset_momentum(self):
-        for buf in self.momentum.values():
+        for buf in self.buffers():
             buf[...] = 0.0
-        self.fp16_scales = {}
+        self.fp16_scales = []
 
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray  # laid out as the parameters
+    v: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.98
     eps: float = 1e-8
     t: int = 0
-    fp16_scales: dict[tuple[int, str], float] = field(default_factory=dict)  # as in SGDState
+    fp16_scales: list[np.ndarray] = field(default_factory=list)  # as in SGDState
 
     @staticmethod
-    def init(params, beta1=0.9, beta2=0.98, eps=1e-8):
-        return AdamState(
-            {k: np.zeros_like(p) for k, p in params.items()},
-            {k: np.zeros_like(p) for k, p in params.items()},
-            beta1, beta2, eps,
-        )
+    def init(w: np.ndarray, beta1=0.9, beta2=0.98, eps=1e-8):
+        return AdamState(np.zeros_like(w), np.zeros_like(w), beta1, beta2, eps)
 
-    def reset_momentum(self):
-        for d in (self.m, self.v):
-            for buf in d.values():
-                buf[...] = 0.0
-        self.fp16_scales = {}
+    def buffers(self) -> list[np.ndarray]:
+        return [self.m, self.v]
+
+    reset_momentum = SGDState.reset_momentum
 
 
-def sgd_nesterov_step(params, grads, state: SGDState, lr: float,
-                      masks: dict[str, np.ndarray] | None = None):
-    """In-place Nesterov update: b <- mu*b + g'; w <- w - lr*(g' + mu*b)."""
-    _check_shapes(params, grads, "gradient")
-    _check_shapes(params, state.momentum, "momentum")
-    for name, w in params.items():
-        g = grads[name]
-        gp = g + state.weight_decay * w if state.weight_decay else g
-        b = state.momentum[name]
-        b *= state.mu
-        b += gp
-        w -= lr * (gp + state.mu * b)
-        if masks and name in masks:
-            w *= masks[name]
-            b *= masks[name]
+def sgd_nesterov_step(w, g, state: SGDState, lr: float, keep: np.ndarray | None = None):
+    """In-place Nesterov update: b <- mu*b + g'; w <- w - lr*(g' + mu*b);
+    then w and b are zeroed where `keep` is False."""
+    _check_shapes(w, g, state)
+    gp = g + state.weight_decay * w if state.weight_decay else g
+    b = state.momentum
+    b *= state.mu
+    b += gp
+    w -= lr * (gp + state.mu * b)
+    _zero_outside(keep, w, state)
 
 
-def adam_step(params, grads, state: AdamState, lr: float,
-              weight_decay: float = TRANSFORMER_WEIGHT_DECAY,
-              masks: dict[str, np.ndarray] | None = None):
-    """Standard Adam with bias correction; weight decay is added to g."""
-    _check_shapes(params, grads, "gradient")
+def adam_step(w, g, state: AdamState, lr: float,
+              weight_decay: float = TRANSFORMER_WEIGHT_DECAY, keep: np.ndarray | None = None):
+    """Standard Adam with bias correction; weight decay is added to g.
+    w, m and v are zeroed where `keep` is False."""
+    _check_shapes(w, g, state)
     state.t += 1
     t = state.t
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for name, w in params.items():
-        g = grads[name]
-        if weight_decay:
-            g = g + weight_decay * w
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        w -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        if masks and name in masks:
-            w *= masks[name]
-            m *= masks[name]
-            v *= masks[name]
+    if weight_decay:
+        g = g + weight_decay * w
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * np.square(g)
+    w -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    _zero_outside(keep, w, state)
 
 
 # ---------------------------------------------------------------------------
@@ -165,53 +162,30 @@ def _rescale_factors(layout: FlatLayout, buf: np.ndarray) -> np.ndarray:
     return np.where((peak > 0) & np.isfinite(peak), np.ldexp(1.0, e - 11), 1.0)
 
 
-def fp16_update_path(params, grads, state, lr: float, masks=None):
-    """FP16 parameter update without a persistent FP32 master copy.
+def fp16_update_path(w, g, state, lr: float, layout: FlatLayout, keep=None):
+    """FP16 parameter update without a persistent FP32 master copy, in place.
 
-    Transient copies are updated in FP32 arithmetic and the results rounded
-    back to the binary16 grid.  Each momentum buffer is stored divided by a
-    per-tensor power-of-two scale chosen so its magnitude fits comfortably
-    in the FP16 range; the scale is undone on the way in and reapplied on
-    the way out.  SGD decays by the state's weight decay, Adam by
+    `w`, `g` and the state's buffers are float32 arrays laid out by `layout`
+    with every element on the binary16 grid.  Each buffer is stored divided
+    by a per-tensor power-of-two scale chosen so its magnitude fits
+    comfortably in the FP16 range: the scale is undone (exactly), the FP32
+    step runs, the results are rounded back to the grid, and the buffers are
+    rescaled by their new scales; then `keep` zeroes the pruned entries.
+    SGD decays by the state's weight decay, Adam by
     `TRANSFORMER_WEIGHT_DECAY`.
-
-    Parameters, gradients and each momentum buffer are packed into one flat
-    array apiece, in `params` order, so every step below is one call over
-    all tensors; `grads` holds one gradient per parameter.  `params` and the
-    state's buffers come back as views of those arrays.
     """
-    is_sgd = isinstance(state, SGDState)
-    layout = FlatLayout(params)
-    w = layout.pack(params, np.float32)
-    g = layout.pack(grads, np.float32)
-    dicts = [state.momentum] if is_sgd else [state.m, state.v]
-    bufs = []
-    for bi, d in enumerate(dicts):
-        # undo storage scaling to recover true momentum values (exact: powers of two)
-        buf = layout.pack(d)
-        buf *= layout.spread([state.fp16_scales.get((bi, k), 1.0) for k in layout.names],
-                             buf.dtype)
-        bufs.append(buf.astype(np.float32, copy=False))
-    # transient FP32 widening; no persistent wide copies survive the call
-    if is_sgd:
-        sgd_nesterov_step({"": w}, {"": g}, replace(state, momentum={"": bufs[0]}), lr)
+    _check_shapes(w, g, state)
+    bufs = state.buffers()
+    if any(a.dtype != np.float32 for a in (w, g, *bufs)):
+        raise ContractError("the FP16 update path runs on float32 carriers")
+    for buf, scales in zip(bufs, state.fp16_scales):
+        buf *= layout.spread(scales, buf.dtype)
+    if isinstance(state, SGDState):
+        sgd_nesterov_step(w, g, state, lr)
     else:
-        wstate = replace(state, m={"": bufs[0]}, v={"": bufs[1]})
-        adam_step({"": w}, {"": g}, wstate, lr)
-        state.t = wstate.t
-    w = half_round(w)
-    # store momenta back, rescaled and rounded to the FP16 grid
-    new_scales = {}
-    for bi, buf in enumerate(bufs):
-        scales = _rescale_factors(layout, buf)
-        new_scales.update({(bi, k): float(s) for k, s in zip(layout.names, scales)})
-        bufs[bi] = half_round(buf / layout.spread(scales, buf.dtype))
-    state.fp16_scales = new_scales
-    if masks:
-        ones = {k: np.ones(shape, bool) for k, shape in zip(layout.names, layout.shapes)}
-        keep = layout.pack({**ones, **masks}, w.dtype)
-        for flat in [w, *bufs]:
-            flat *= keep
-    params.update(layout.unpack(w))
-    for d, buf in zip(dicts, bufs):
-        d.update(layout.unpack(buf))
+        adam_step(w, g, state, lr)
+    w[...] = half_round(w)
+    state.fp16_scales = [_rescale_factors(layout, buf) for buf in bufs]
+    for buf, scales in zip(bufs, state.fp16_scales):
+        buf[...] = half_round(buf / layout.spread(scales, buf.dtype))
+    _zero_outside(keep, w, state)

@@ -39,6 +39,17 @@ class DSRState:
     def group_numel(self) -> int:
         return sum(m.size for m in self.masks.values())
 
+    def share(self, layout) -> np.ndarray:
+        """Move the masks into one bool buffer laid out by `layout` (a
+        `FlatLayout` of the parameters), True outside them; the masks become
+        its views, so rewiring edits the buffer in place."""
+        keep = np.ones(layout.size, dtype=bool)
+        views = layout.unpack(keep)
+        for name, mask in self.masks.items():
+            views[name][...] = mask
+            self.masks[name] = views[name]
+        return keep
+
 
 def init_sparse_pattern(graph: ComputationGraph, density: float, seed: int) -> DSRState:
     """Uniformly random fixed-budget pattern over the graph's first

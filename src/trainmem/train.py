@@ -28,7 +28,7 @@ from .optim import (
     loss_scale_update,
     sgd_nesterov_step,
 )
-from .plan import NONE, CheckpointStrategy, graph_tables
+from .plan import NONE, CheckpointStrategy, graph_tables, param_layout
 from .profiler import OPTIMIZER_VALUE_ARRAYS
 from .rewire import DSRState, init_sparse_pattern, rewire, rewire_due
 
@@ -138,9 +138,9 @@ class TrainResult:
     scale_trace: list[float]
     final_accuracy: float
     peak_activation_bytes: int
-    params: dict  # one array per `graph.all_params()` spec, in that order
+    params: dict  # one array per `graph.all_params()` spec, in that order: views of one buffer
     running_stats: dict  # batchnorm inference state, which no optimizer steps
-    masks: dict
+    masks: dict  # bool, views of one buffer laid out as the parameters
     steps_skipped: int = 0
 
 
@@ -165,10 +165,15 @@ def train_desk(
     """Train on the synthetic task, with as many classes as the graph's
     softmax_xent loss; deterministic given the seed.  `on_after_backward(step,
     grads)` may change `grads` in place: they are views of the step's flat
-    buffer, which the FP16 overflow check and unscaling read.  The batchnorm
-    running statistics live apart, in `TrainResult.running_stats`; in FP16
-    they are rounded to binary16 on each step the optimizer applies.  Each
-    logged step evaluates the task in one `forward_eval`, in groups of `EVAL_GROUP`."""
+    buffer, which the FP16 overflow check, unscaling and the optimizer read.
+
+    The parameters, each optimizer buffer and the sparsity mask are one flat
+    array apiece, laid out by the graph's `param_layout`; `params`, the DSR
+    masks and `TrainResult`'s dicts are views of them, so the optimizer and
+    rewiring update them in place.  The batchnorm running statistics live
+    apart, in `TrainResult.running_stats`; in FP16 they are rounded to
+    binary16 on each step the optimizer applies.  Each logged step evaluates
+    the task in one `forward_eval`, in groups of `EVAL_GROUP`."""
     loss = check_trainable(graph)
     input_shape = graph.out_shape["img"]
     images, labels = make_synthetic_task(
@@ -176,20 +181,19 @@ def train_desk(
     )
     rng = np.random.default_rng(settings.seed)
     fp16 = settings.precision is NumericFormat.FP16
-    params = init_params(graph, seed=settings.seed, precision=settings.precision)
+    layout = param_layout(graph)
+    w = layout.pack(init_params(graph, seed=settings.seed, precision=settings.precision))
+    params = layout.unpack(w)
 
-    masks = None
+    masks = keep = None
     dsr_state: DSRState | None = None
     if settings.density < 1.0:
         dsr_state = init_sparse_pattern(graph, settings.density, settings.seed)
+        keep = dsr_state.share(layout)
         masks = dsr_state.masks
-        for name, mask in masks.items():
-            params[name] = params[name] * mask
+        w *= keep
 
-    if settings.optimizer == "sgd_nesterov":
-        state = SGDState.init(params)
-    else:
-        state = AdamState.init(params)
+    state = (SGDState if settings.optimizer == "sgd_nesterov" else AdamState).init(w)
 
     scaler = LossScaler()
     engine_cfg = EngineConfig(
@@ -224,15 +228,15 @@ def train_desk(
         if not fp16 and not np.isfinite(res.loss):
             raise TrainingDiverged(f"non-finite loss at step {step} in {settings.precision.name}")
         peak_bytes = max(peak_bytes, res.peak_bytes)
-        grads = res.grads
         if on_after_backward is not None:
-            on_after_backward(step, grads)
+            on_after_backward(step, res.grads)
+        g = res.flat  # with the hook's in-place changes: `res.grads` are its views
         skip = False
-        if fp16:  # `res.flat` has the hook's in-place changes: `grads` are its views
-            scaler, skip = loss_scale_update(scaler, grads_nonfinite(res.flat))
+        if fp16:
+            scaler, skip = loss_scale_update(scaler, grads_nonfinite(g))
             scale_trace.append(scaler.scale)
             if not skip and engine_cfg.loss_scale != 1.0:
-                grads = res.layout.unpack(half_round(res.flat * (1.0 / engine_cfg.loss_scale)))
+                g = half_round(g * (1.0 / engine_cfg.loss_scale))
         if skip:
             skipped += 1
             if not np.isfinite(res.loss) and scaler.scale <= scaler.min_scale:
@@ -241,12 +245,12 @@ def train_desk(
                 )
         else:
             if fp16:
-                fp16_update_path(params, grads, state, settings.lr, masks=masks)
+                fp16_update_path(w, g, state, settings.lr, layout, keep)
                 stats_flat[...] = half_round(stats_flat)  # onto the grid with the parameters
             elif settings.optimizer == "sgd_nesterov":
-                sgd_nesterov_step(params, grads, state, settings.lr, masks=masks)
+                sgd_nesterov_step(w, g, state, settings.lr, keep)
             else:
-                adam_step(params, grads, state, settings.lr, masks=masks)
+                adam_step(w, g, state, settings.lr, keep=keep)
 
         # rewiring clock advances on skipped steps too
         if dsr_state is not None:
@@ -259,7 +263,6 @@ def train_desk(
                 event = rewire(params, state, dsr_state,
                                seed=settings.seed * 100003 + step, update_index=step)
                 rewire_log.append(event.to_json())
-                masks = dsr_state.masks
 
         if step % settings.log_every == 0 or step == settings.steps:
             logits, _ = forward_eval(graph, params, running_stats,

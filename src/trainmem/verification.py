@@ -18,7 +18,7 @@ from .engine import EngineConfig, init_params, run_step
 from .graph import GraphBuilder
 from .numerics import NumericFormat, half_round
 from .optim import LossScaler, SGDState, loss_scale_update, sgd_nesterov_step
-from .plan import CheckpointStrategy, Sizing, plan_for, replay
+from .plan import CheckpointStrategy, Sizing, param_layout, plan_for, replay
 from .profiler import TrainingConfig, activation_memory, flops, model_memory, \
     optimizer_memory, stored_forward_bytes, total_report
 from .rewire import DEFAULT_ADJUST_FACTOR, init_sparse_pattern, rewire
@@ -238,23 +238,22 @@ def check_08_dsr_invariants() -> str:
     from .train import make_synthetic_task
 
     images, labels = make_synthetic_task(128, 4, (3, 8, 8), seed=9)
-    params = init_params(g, seed=9)
+    layout = param_layout(g)
+    w = layout.pack(init_params(g, seed=9))
+    params = layout.unpack(w)
     dsr = init_sparse_pattern(g, 0.5, seed=9)
-    masks = dsr.masks
-    for name, m in masks.items():
-        params[name] = params[name] * m
-    state = SGDState.init(params)
+    keep = dsr.share(layout)  # the masks are its views
+    w *= keep
+    state = SGDState.init(w)
     cfg = EngineConfig()
     rng = np.random.default_rng(9)
     rewires = 0
     for step in range(1, 2001):
         idx = rng.choice(128, size=16, replace=False)
-        res = run_step(g, params, {"img": images[idx], "labels": labels[idx]}, cfg, masks=masks)
-        sgd_nesterov_step(params, res.grads, state, 0.05, masks=masks)
-        for name, m in masks.items():
-            assert not np.any(state.momentum[name][~m]), (
-                f"step {step}: momentum support exceeds mask on {name}"
-            )
+        res = run_step(g, params, {"img": images[idx], "labels": labels[idx]}, cfg,
+                       masks=dsr.masks)
+        sgd_nesterov_step(w, res.flat, state, 0.05, keep)
+        assert not np.any(state.momentum[~keep]), f"step {step}: momentum support exceeds mask"
         if step % 50 == 0:
             before = dsr.threshold
             event = rewire(params, state, dsr, seed=step, update_index=step)
@@ -264,9 +263,8 @@ def check_08_dsr_invariants() -> str:
             assert factor <= DEFAULT_ADJUST_FACTOR + 1e-12, (
                 f"step {step}: threshold moved by {factor:.2f} > factor 2"
             )
-            for name, m in masks.items():
-                assert not np.any(state.momentum[name][~m])
-                assert not np.any(params[name][~m]), "weights outside mask after rewire"
+            assert not np.any(state.momentum[~keep])
+            assert not np.any(w[~keep]), "weights outside mask after rewire"
     elapsed = time.perf_counter() - start
     assert elapsed < 120, f"DSR run took {elapsed:.1f}s (limit 120s)"
     return f"2000 steps, {rewires} rewires, budget exact, in {elapsed:.1f}s"

@@ -12,7 +12,7 @@ from trainmem.graph import GraphBuilder
 from trainmem.kernels import QuantCtx, backward_op, forward_op
 from trainmem.numerics import NumericFormat, half_round
 from trainmem.plan import (HOLD, STORE_PAYLOAD, STORE_STATS, CheckpointStrategy, graph_tables,
-                           plan_for)
+                           param_layout, plan_for)
 from trainmem.train import forward_eval
 
 S = CheckpointStrategy.parse
@@ -287,7 +287,7 @@ def test_step_gradients_are_views_of_one_flat_buffer(precision, microbatch):
     batch = {"img": rng.normal(size=(8, 2, 8, 8)), "labels": rng.integers(0, 3, 8)}
     cfg = EngineConfig(precision=precision)
     res = run_step(g, params, batch, cfg, microbatch=microbatch)
-    assert res.layout.names == list(params) == [s.name for s in g.all_params()]
+    assert param_layout(g).names == list(params) == [s.name for s in g.all_params()]
     assert list(res.grads) == list(params)
     assert res.flat.dtype == cfg.ctx().dtype
     assert res.flat.size == sum(p.size for p in params.values())
@@ -309,7 +309,6 @@ def test_init_params_holds_exactly_the_graph_parameters():
 
 
 def test_gradient_layout_is_built_once_per_graph_and_never_by_the_cost_model():
-    from trainmem.plan import param_layout
     from trainmem.profiler import TrainingConfig, total_report
 
     g = build_desk_cnn([4, 6], 3, with_batchnorm=True, input_shape=(2, 8, 8))
@@ -318,9 +317,11 @@ def test_gradient_layout_is_built_once_per_graph_and_never_by_the_cost_model():
     params = init_params(g, seed=1)
     rng = np.random.default_rng(1)
     batch = {"img": rng.normal(size=(8, 2, 8, 8)), "labels": rng.integers(0, 3, 8)}
-    first = run_step(g, params, batch, EngineConfig())
-    second = run_step(g, params, batch, EngineConfig(strategy=S("every:2")), microbatch=2)
-    assert first.layout is second.layout is param_layout(g)
+    run_step(g, params, batch, EngineConfig())
+    layout = graph_tables(g).param_layout
+    assert layout is not None
+    run_step(g, params, batch, EngineConfig(strategy=S("every:2")), microbatch=2)
+    assert graph_tables(g).param_layout is layout is param_layout(g)
 
 
 def test_observed_peak_matches_profiler_for_random_graphs():
@@ -366,11 +367,17 @@ def test_unread_input_may_be_left_out_of_the_batch():
                                                   for batch in (full, bare))
         assert loss_a == loss_b and np.array_equal(logits_a, logits_b)
     missing = {"y": full["y"]}
-    for call in (lambda: run_step(g, params, missing, EngineConfig()),
-                 lambda: run_microbatched(g, params, missing, 2, EngineConfig()),
-                 lambda: forward_eval(g, params, {}, missing, EngineConfig())):
-        with pytest.raises(ConfigurationError, match="batch is missing input 'x'"):
-            call()
+    # more labels than images, fewer, and an unread input of its own length
+    uneven = [({**bare, "y": rng.integers(0, 3, 8)}, "'x' 6, 'y' 8"),
+              ({**bare, "y": full["y"][:4]}, "'x' 6, 'y' 4"),
+              ({**full, "unused": full["unused"][:5]}, "'x' 6, 'unused' 5, 'y' 6")]
+    for batch, match in [(missing, "batch is missing input 'x'"),
+                         *[(b, f"graph inputs differ in length: {m}") for b, m in uneven]]:
+        for call in (lambda: run_step(g, params, batch, EngineConfig()),
+                     lambda: run_microbatched(g, params, batch, 2, EngineConfig()),
+                     lambda: forward_eval(g, params, {}, batch, EngineConfig())):
+            with pytest.raises(ConfigurationError, match=match):
+                call()
 
 
 def test_microbatched_call_does_its_per_call_work_once(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from trainmem.builders import build_desk_cnn, build_wrn
 from trainmem.errors import ConfigurationError
 from trainmem.optim import SGDState
+from trainmem.plan import param_layout
 from trainmem.rewire import (
     DEFAULT_ADJUST_FACTOR,
     adapt_threshold,
@@ -108,20 +109,28 @@ def test_regrow_overflow_redistributes():
 
 
 def test_rewire_composition():
+    # flat parameters, momentum and mask, as training keeps them: rewiring
+    # edits the masks, views of `keep`, and the parameters' views in place
     g = build_desk_cnn([4, 4], 3)
     rng = np.random.default_rng(0)
     state = init_sparse_pattern(g, 0.5, seed=0)
-    params = {k: rng.normal(size=m.shape) * m for k, m in state.masks.items()}
-    opt = SGDState.init(params)
-    for k in opt.momentum:
-        opt.momentum[k] = rng.normal(size=opt.momentum[k].shape)
+    layout = param_layout(g)
+    w = rng.normal(size=layout.size)
+    params = layout.unpack(w)
+    keep = state.share(layout)
+    w *= keep
+    opt = SGDState.init(w)
+    opt.momentum[...] = rng.normal(size=w.shape)
+    state.threshold = 0.3  # prunes about a quarter of the kept weights
     event = rewire(params, opt, state, seed=3, update_index=50)
     assert state.nnz() == state.budget
-    assert event.pruned == event.regrown
-    for buf in opt.momentum.values():
-        assert not np.any(buf)  # momentum reset to zero
+    assert event.pruned == event.regrown > 0
+    assert not np.any(opt.momentum)  # momentum reset to zero
     for name, m in state.masks.items():
+        assert np.shares_memory(m, keep)
         assert not np.any(params[name][~m])
+    assert np.count_nonzero(~keep) == state.group_numel() - state.budget
+    assert not np.any(w[~keep])
 
 
 def test_rewire_all_above_threshold_doubles_threshold():

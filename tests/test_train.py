@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ from trainmem.engine import EngineConfig, init_params, run_microbatched
 from trainmem.errors import ConfigurationError
 from trainmem.kernels import forward_op
 from trainmem.numerics import NumericFormat, half_round
-from trainmem.plan import CheckpointStrategy
+from trainmem.plan import CheckpointStrategy, param_layout
 from trainmem.train import (TrainingDiverged, TrainSettings, forward_eval, make_synthetic_task,
                             metrics_to_jsonl, train_desk)
 
@@ -218,16 +219,17 @@ def test_microbatched_training_runs():
 @pytest.mark.parametrize("precision", [NumericFormat.FP32, NumericFormat.FP16])
 def test_running_statistics_are_kept_apart_from_parameters(monkeypatch, optimizer, precision):
     # params, the optimizer state and the running statistics: the first two
-    # hold exactly the graph's parameters, the last one mean and one
-    # variance per batchnorm, moved by training and, in FP16, on the grid
+    # hold exactly the graph's parameters, laid end to end in one flat array
+    # apiece, the last one mean and one variance per batchnorm, moved by
+    # training and, in FP16, on the grid
     from trainmem import train
 
-    states = []
+    calls = []
 
     def recording(fn):
-        def wrapped(params, grads, state, *args, **kwargs):
-            states.append(state)
-            return fn(params, grads, state, *args, **kwargs)
+        def wrapped(w, g, state, *args, **kwargs):
+            calls.append((w, g, state))
+            return fn(w, g, state, *args, **kwargs)
         return wrapped
 
     for name in ("sgd_nesterov_step", "adam_step", "fp16_update_path"):
@@ -235,12 +237,15 @@ def test_running_statistics_are_kept_apart_from_parameters(monkeypatch, optimize
     g = build_desk_cnn([4, 4], 4)
     res = train_desk(g, TrainSettings(steps=3, minibatch=8, optimizer=optimizer,
                                       precision=precision, log_every=3))
-    names = [s.name for s in g.all_params()]
-    assert list(res.params) == names
-    assert states
-    for state in states:
-        buffers = [state.m, state.v] if optimizer == "adam" else [state.momentum]
-        assert all(list(buf) == names for buf in buffers)
+    assert list(res.params) == [s.name for s in g.all_params()]
+    assert [p.shape for p in res.params.values()] == [s.shape for s in g.all_params()]
+    size = sum(p.size for p in res.params.values())
+    assert len(calls) == 3
+    for w, grads, state in calls:
+        assert w.shape == grads.shape == (size,)
+        assert all(np.shares_memory(p, w) for p in res.params.values())
+        assert len(state.buffers()) == (2 if optimizer == "adam" else 1)
+        assert all(buf.shape == w.shape for buf in state.buffers())
     norms = [node.node_id for node in g.nodes if node.op == "batchnorm"]
     assert list(res.running_stats) == [f"{nid}.running_{key}" for nid in norms
                                        for key in ("mean", "var")]
@@ -249,6 +254,53 @@ def test_running_statistics_are_kept_apart_from_parameters(monkeypatch, optimize
         assert np.any(v != start), name
         if precision is NumericFormat.FP16:
             assert np.array_equal(half_round(v), v), name
+
+
+@pytest.mark.parametrize("optimizer", ["sgd_nesterov", "adam"])
+@pytest.mark.parametrize("precision", [NumericFormat.FP32, NumericFormat.FP16])
+def test_sparse_training_keeps_state_on_the_final_masks(monkeypatch, optimizer, precision):
+    # every masked tensor and each of its optimizer buffers is zero outside
+    # its final mask; the masks are views of the one bool buffer every
+    # update gets as `keep`; no layout is built once the first step is done
+    from trainmem import numerics, train
+
+    calls, builds, seen = [], [], [0]
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs).arguments
+            calls.append((bound["state"], bound["keep"]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def counting(init):
+        def wrapped(self, *args, **kwargs):
+            builds.append(seen[0])
+            init(self, *args, **kwargs)
+        return wrapped
+
+    def hook(step, grads):
+        seen[0] = step
+
+    for name in ("sgd_nesterov_step", "adam_step", "fp16_update_path"):
+        monkeypatch.setattr(train, name, recording(getattr(train, name)))
+    monkeypatch.setattr(numerics.FlatLayout, "__init__", counting(numerics.FlatLayout.__init__))
+    g = load_arch("desk-cnn")
+    res = train_desk(g, TrainSettings(steps=12, minibatch=16, lr=0.01, optimizer=optimizer,
+                                      precision=precision, density=0.5, rewire_every=5,
+                                      log_every=12), on_after_backward=hook)
+    assert len(res.rewire_log) == 2 and res.steps_skipped == 0
+    assert builds and set(builds) == {0}
+    state, keep = calls[-1]
+    assert len(calls) == 12 and all(st is state and k is keep for st, k in calls)
+    assert keep.dtype == bool and keep.shape == (sum(p.size for p in res.params.values()),)
+    assert res.masks and all(m.base is keep for m in res.masks.values())
+    bufs = [param_layout(g).unpack(buf) for buf in state.buffers()]
+    for name, mask in res.masks.items():
+        assert 0 < mask.sum() < mask.size
+        for tensor in [res.params[name], *(buf[name] for buf in bufs)]:
+            assert tensor.shape == mask.shape and not np.any(tensor[~mask]), name
+        assert np.any(res.params[name][mask]), name
 
 
 @pytest.mark.xfail(strict=True, reason="train_desk updates batchnorm running statistics "
@@ -280,6 +332,10 @@ DIGEST_ENGINES = {
     "fp64": dict(precision=NumericFormat.FP64),
 }
 DIGEST_STRATEGIES = ("none", "every:2", "residual_star:1")
+# benchmark train settings also run under Adam: (workload, setting)
+DIGEST_ADAM = (("train-fp32", "dense-none"), ("train-fp32", "d0.5-rewire50-every2"),
+               ("train-fp16", "mb8-none"), ("train-fp16", "mb8-d0.5-rewire50"))
+ADAM_LR = 0.005
 
 
 def _digest(*parts) -> str:
@@ -312,33 +368,40 @@ def _bench_train_settings():
     return workloads.TRAIN_SETTINGS, workloads.train_settings
 
 
+def _train_digest(r) -> str:
+    return _digest({**r.params, **r.running_stats}, r.metrics, r.scale_trace, r.rewire_log,
+                   r.peak_activation_bytes, r.steps_skipped)
+
+
 def train_digests() -> dict[str, str]:
-    """One digest per case: the benchmark's six train settings x two seeds
-    and FP16 with one group per step x two seeds (final parameters, logged
-    metrics, scale trace, rewire log and peak), and `run_microbatched` on random desk graphs (gradients, loss, peaks and
-    recompute totals).  A training case hashes its final parameters and
-    running statistics as one dict."""
+    """One digest per case: the benchmark's six train settings x two seeds,
+    FP16 with one group per step x two seeds and four of the settings under
+    Adam x two seeds (final parameters, logged metrics, scale trace, rewire
+    log and peak), and `run_microbatched` on random desk graphs (gradients,
+    loss, peaks and recompute totals).  A training case hashes its final
+    parameters and running statistics as one dict."""
     digests = {}
     settings, make = _bench_train_settings()
     g = load_arch("desk-cnn")
+
+    def short(workload, name, seed):
+        s = make(workload, name, seed, steps=DIGEST_STEPS)
+        # logged every 4 steps, and rewired every 5 where the setting rewires
+        return dataclasses.replace(s, log_every=4, rewire_every=min(s.rewire_every, 5))
+
     for workload, names in settings.items():
         for name in names:
             for seed in DIGEST_SEEDS:
-                s = make(workload, name, seed, steps=DIGEST_STEPS)
-                # logged every 4 steps, and rewired every 5 where the setting rewires
-                s = dataclasses.replace(s, log_every=4,
-                                        rewire_every=min(s.rewire_every, 5))
-                r = train_desk(g, s)
-                digests[f"train {workload} {name} seed {seed}"] = _digest(
-                    {**r.params, **r.running_stats}, r.metrics, r.scale_trace, r.rewire_log,
-                    r.peak_activation_bytes, r.steps_skipped)
+                r = train_desk(g, short(workload, name, seed))
+                digests[f"train {workload} {name} seed {seed}"] = _train_digest(r)
     for seed in DIGEST_SEEDS:  # FP16 without microbatching, which no bench setting runs
         s = make("train-fp16", "mb8-none", seed, steps=DIGEST_STEPS)
         s = dataclasses.replace(s, microbatch=s.minibatch, log_every=4)
-        r = train_desk(g, s)
-        digests[f"train fp16 mb{s.minibatch} seed {seed}"] = _digest(
-            {**r.params, **r.running_stats}, r.metrics, r.scale_trace, r.rewire_log,
-            r.peak_activation_bytes, r.steps_skipped)
+        digests[f"train fp16 mb{s.minibatch} seed {seed}"] = _train_digest(train_desk(g, s))
+    for workload, name in DIGEST_ADAM:
+        for seed in DIGEST_SEEDS:
+            s = dataclasses.replace(short(workload, name, seed), optimizer="adam", lr=ADAM_LR)
+            digests[f"train adam {workload} {name} seed {seed}"] = _train_digest(train_desk(g, s))
     for seed in range(6):
         g = random_desk_graph(seed)
         rng = np.random.default_rng(seed)
