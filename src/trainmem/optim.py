@@ -1,19 +1,24 @@
 """Optimizers, dynamic loss scaling, and the FP16 update path with
 per-tensor momentum rescaling.
 
-Training state is flat: the parameters, the gradients, each optimizer
-buffer and the sparsity mask `keep` are one array apiece, laid out by the
-graph's `plan.param_layout`, and every update below is one call over all
-tensors, in place.  There is never a persistent FP32 master copy of FP16
-weights; the FP16 path is the FP32 step on the binary16-grid arrays,
-rounded back to the grid.  Microbatch gradients are accumulated by
-`engine.run_step`, not here.
+Training state is flat: the parameters, the gradients and each optimizer
+buffer are one array apiece, laid out by the graph's `plan.param_layout`,
+and every update below is one call over all tensors, in place, with the
+signature `(w, g, state, lr)` (the FP16 path also takes the layout).
+There is never a persistent FP32 master copy of FP16 weights; the FP16
+path is the FP32 step on the binary16-grid arrays, rounded back to the
+grid.  Microbatch gradients are accumulated by `engine.run_step`, not here.
+
+Sparsity is enforced elsewhere: the engine zeroes masked gradient entries,
+and `rewire` zeroes pruned weights and resets the buffers.  Every update
+here leaves an entry whose parameter, gradient and buffers are zero at
+zero, so the model and its state stay on the one pattern with no mask.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,13 +34,6 @@ def _check_shapes(w: np.ndarray, g: np.ndarray, state):
     for other in (g, *state.buffers()):
         if other.shape != w.shape:
             raise ContractError(f"buffer of shape {other.shape} does not match parameters {w.shape}")
-
-
-def _zero_outside(keep: np.ndarray | None, w: np.ndarray, state):
-    """Zero the parameters and the state's buffers where `keep` is False."""
-    if keep is not None:
-        for flat in (w, *state.buffers()):
-            flat *= keep
 
 
 @dataclass
@@ -67,12 +65,14 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.98
     eps: float = 1e-8
+    weight_decay: float = TRANSFORMER_WEIGHT_DECAY
     t: int = 0
     fp16_scales: list[np.ndarray] = field(default_factory=list)  # as in SGDState
 
     @staticmethod
-    def init(w: np.ndarray, beta1=0.9, beta2=0.98, eps=1e-8):
-        return AdamState(np.zeros_like(w), np.zeros_like(w), beta1, beta2, eps)
+    def init(w: np.ndarray, beta1=0.9, beta2=0.98, eps=1e-8,
+             weight_decay=TRANSFORMER_WEIGHT_DECAY):
+        return AdamState(np.zeros_like(w), np.zeros_like(w), beta1, beta2, eps, weight_decay)
 
     def buffers(self) -> list[np.ndarray]:
         return [self.m, self.v]
@@ -80,36 +80,33 @@ class AdamState:
     reset_momentum = SGDState.reset_momentum
 
 
-def sgd_nesterov_step(w, g, state: SGDState, lr: float, keep: np.ndarray | None = None):
-    """In-place Nesterov update: b <- mu*b + g'; w <- w - lr*(g' + mu*b);
-    then w and b are zeroed where `keep` is False."""
+def sgd_nesterov_step(w, g, state: SGDState, lr: float):
+    """In-place Nesterov update: b <- mu*b + g'; w <- w - lr*(g' + mu*b),
+    where g' is g plus the state's weight decay times w."""
     _check_shapes(w, g, state)
     gp = g + state.weight_decay * w if state.weight_decay else g
     b = state.momentum
     b *= state.mu
     b += gp
     w -= lr * (gp + state.mu * b)
-    _zero_outside(keep, w, state)
 
 
-def adam_step(w, g, state: AdamState, lr: float,
-              weight_decay: float = TRANSFORMER_WEIGHT_DECAY, keep: np.ndarray | None = None):
-    """Standard Adam with bias correction; weight decay is added to g.
-    w, m and v are zeroed where `keep` is False."""
+def adam_step(w, g, state: AdamState, lr: float):
+    """Standard Adam with bias correction; the state's weight decay is added
+    to g."""
     _check_shapes(w, g, state)
     state.t += 1
     t = state.t
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    if weight_decay:
-        g = g + weight_decay * w
+    if state.weight_decay:
+        g = g + state.weight_decay * w
     m, v = state.m, state.v
     m *= state.beta1
     m += (1.0 - state.beta1) * g
     v *= state.beta2
     v += (1.0 - state.beta2) * np.square(g)
     w -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    _zero_outside(keep, w, state)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +129,7 @@ class LossScaler:
 
 def loss_scale_update(scaler: LossScaler, grads_have_nonfinite: bool) -> tuple[LossScaler, bool]:
     """Halve and skip on overflow; double after growth_interval clean steps."""
-    s = LossScaler(scaler.scale, scaler.growth_interval, scaler.min_scale,
-                   scaler.max_scale, scaler.clean_streak)
+    s = replace(scaler)
     if grads_have_nonfinite:
         s.scale = max(s.scale / 2.0, s.min_scale)
         s.clean_streak = 0
@@ -162,7 +158,7 @@ def _rescale_factors(layout: FlatLayout, buf: np.ndarray) -> np.ndarray:
     return np.where((peak > 0) & np.isfinite(peak), np.ldexp(1.0, e - 11), 1.0)
 
 
-def fp16_update_path(w, g, state, lr: float, layout: FlatLayout, keep=None):
+def fp16_update_path(w, g, state, lr: float, layout: FlatLayout):
     """FP16 parameter update without a persistent FP32 master copy, in place.
 
     `w`, `g` and the state's buffers are float32 arrays laid out by `layout`
@@ -170,9 +166,7 @@ def fp16_update_path(w, g, state, lr: float, layout: FlatLayout, keep=None):
     by a per-tensor power-of-two scale chosen so its magnitude fits
     comfortably in the FP16 range: the scale is undone (exactly), the FP32
     step runs, the results are rounded back to the grid, and the buffers are
-    rescaled by their new scales; then `keep` zeroes the pruned entries.
-    SGD decays by the state's weight decay, Adam by
-    `TRANSFORMER_WEIGHT_DECAY`.
+    rescaled by their new scales.
     """
     _check_shapes(w, g, state)
     bufs = state.buffers()
@@ -180,12 +174,8 @@ def fp16_update_path(w, g, state, lr: float, layout: FlatLayout, keep=None):
         raise ContractError("the FP16 update path runs on float32 carriers")
     for buf, scales in zip(bufs, state.fp16_scales):
         buf *= layout.spread(scales, buf.dtype)
-    if isinstance(state, SGDState):
-        sgd_nesterov_step(w, g, state, lr)
-    else:
-        adam_step(w, g, state, lr)
+    (sgd_nesterov_step if isinstance(state, SGDState) else adam_step)(w, g, state, lr)
     w[...] = half_round(w)
     state.fp16_scales = [_rescale_factors(layout, buf) for buf in bufs]
     for buf, scales in zip(bufs, state.fp16_scales):
         buf[...] = half_round(buf / layout.spread(scales, buf.dtype))
-    _zero_outside(keep, w, state)

@@ -10,7 +10,7 @@ the shared pattern holds exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,17 +38,6 @@ class DSRState:
 
     def group_numel(self) -> int:
         return sum(m.size for m in self.masks.values())
-
-    def share(self, layout) -> np.ndarray:
-        """Move the masks into one bool buffer laid out by `layout` (a
-        `FlatLayout` of the parameters), True outside them; the masks become
-        its views, so rewiring edits the buffer in place."""
-        keep = np.ones(layout.size, dtype=bool)
-        views = layout.unpack(keep)
-        for name, mask in self.masks.items():
-            views[name][...] = mask
-            self.masks[name] = views[name]
-        return keep
 
 
 def init_sparse_pattern(graph: ComputationGraph, density: float, seed: int) -> DSRState:
@@ -168,14 +157,7 @@ class RewireEvent:
     per_tensor_nnz: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "update": self.update,
-            "pruned": self.pruned,
-            "regrown": self.regrown,
-            "threshold_before": self.threshold_before,
-            "threshold_after": self.threshold_after,
-            "per_tensor_nnz": self.per_tensor_nnz,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def rewire(weights: dict[str, np.ndarray], optimizer_state, dsr_state: DSRState,

@@ -129,6 +129,8 @@ class TrainSettings:
             raise ConfigurationError("density must be in (0, 1]")
         if self.optimizer not in OPTIMIZER_VALUE_ARRAYS:
             raise ConfigurationError(f"unknown optimizer '{self.optimizer}'")
+        # exec_mode and accumulator_width, by the engine's own rule
+        EngineConfig(accumulator_width=self.accumulator_width, exec_mode=self.exec_mode)
 
 
 @dataclass
@@ -140,7 +142,7 @@ class TrainResult:
     peak_activation_bytes: int
     params: dict  # one array per `graph.all_params()` spec, in that order: views of one buffer
     running_stats: dict  # batchnorm inference state, which no optimizer steps
-    masks: dict  # bool, views of one buffer laid out as the parameters
+    masks: dict  # bool, one per sparse tensor: the DSR masks
     steps_skipped: int = 0
 
 
@@ -166,14 +168,17 @@ def train_desk(
     softmax_xent loss; deterministic given the seed.  `on_after_backward(step,
     grads)` may change `grads` in place: they are views of the step's flat
     buffer, which the FP16 overflow check, unscaling and the optimizer read.
+    It must not write into masked entries: the engine zeroes them, and
+    nothing zeroes them again.
 
-    The parameters, each optimizer buffer and the sparsity mask are one flat
-    array apiece, laid out by the graph's `param_layout`; `params`, the DSR
-    masks and `TrainResult`'s dicts are views of them, so the optimizer and
-    rewiring update them in place.  The batchnorm running statistics live
-    apart, in `TrainResult.running_stats`; in FP16 they are rounded to
-    binary16 on each step the optimizer applies.  Each logged step evaluates
-    the task in one `forward_eval`, in groups of `EVAL_GROUP`."""
+    The parameters and each optimizer buffer are one flat array apiece, laid
+    out by the graph's `param_layout`; `params` and `TrainResult.params` are
+    views, updated in place.  The DSR masks (`TrainResult.masks`) zero the
+    pruned initial weights once, then only the engine's gradients, the one
+    place sparsity is enforced (see `optim`).  The batchnorm running
+    statistics live apart, in `TrainResult.running_stats`; in FP16 they are
+    rounded to binary16 on each step the optimizer applies.  Each logged
+    step evaluates the task in one `forward_eval`, in groups of `EVAL_GROUP`."""
     loss = check_trainable(graph)
     input_shape = graph.out_shape["img"]
     images, labels = make_synthetic_task(
@@ -185,15 +190,17 @@ def train_desk(
     w = layout.pack(init_params(graph, seed=settings.seed, precision=settings.precision))
     params = layout.unpack(w)
 
-    masks = keep = None
+    masks = None
     dsr_state: DSRState | None = None
     if settings.density < 1.0:
         dsr_state = init_sparse_pattern(graph, settings.density, settings.seed)
-        keep = dsr_state.share(layout)
         masks = dsr_state.masks
-        w *= keep
+        for name, mask in masks.items():
+            params[name] *= mask
 
-    state = (SGDState if settings.optimizer == "sgd_nesterov" else AdamState).init(w)
+    sgd = settings.optimizer == "sgd_nesterov"
+    state = (SGDState if sgd else AdamState).init(w)
+    update = sgd_nesterov_step if sgd else adam_step  # fp16_update_path picks it by state
 
     scaler = LossScaler()
     engine_cfg = EngineConfig(
@@ -223,7 +230,7 @@ def train_desk(
         engine_cfg.loss_scale = scaler.scale if fp16 else 1.0
         res = run_step(graph, params, batch, engine_cfg, masks=masks,
                        microbatch=settings.microbatch)
-        if len(res.batch_stats) == 1:  # a known defect: microbatched runs keep the initial ones
+        if len(res.batch_stats) == 1:  # a known defect: microbatched runs hold the initial ones
             _update_running_stats(graph, running_stats, res.batch_stats[0])
         if not fp16 and not np.isfinite(res.loss):
             raise TrainingDiverged(f"non-finite loss at step {step} in {settings.precision.name}")
@@ -245,12 +252,10 @@ def train_desk(
                 )
         else:
             if fp16:
-                fp16_update_path(w, g, state, settings.lr, layout, keep)
+                fp16_update_path(w, g, state, settings.lr, layout)
                 stats_flat[...] = half_round(stats_flat)  # onto the grid with the parameters
-            elif settings.optimizer == "sgd_nesterov":
-                sgd_nesterov_step(w, g, state, settings.lr, keep)
             else:
-                adam_step(w, g, state, settings.lr, keep=keep)
+                update(w, g, state, settings.lr)
 
         # rewiring clock advances on skipped steps too
         if dsr_state is not None:

@@ -181,27 +181,32 @@ def check_05_chain_formula() -> str:
     return f"n+m exact for all 1024 (m, n) pairs in {elapsed * 1e3:.0f} ms"
 
 
+def _batch(g, rng, n: int) -> dict:
+    """n normal images and uniform labels for a graph's "img" input."""
+    return {"img": rng.normal(size=(n,) + g.out_shape["img"]),
+            "labels": rng.integers(0, g.node(g.loss_id).p("classes"), size=n)}
+
+
 def check_06_checkpoint_equivalence() -> str:
     start = time.perf_counter()
+    # (name, graph, parameter seed, batch seed, batch size)
+    cases = [(f"seed {seed}", random_desk_graph(seed), seed, 1000 + seed, 4) for seed in range(20)]
+    cases.append(("wrn-28-2", build_wrn(28, 2, 10), 0, 1020, 2))
     pairs = 0
-    for seed in range(20):
-        g = random_desk_graph(seed)
+    for name, g, seed, batch_seed, n in cases:
         params = init_params(g, seed=seed)
-        rng = np.random.default_rng(1000 + seed)
-        shape = g.out_shape["img"]
-        batch = {"img": rng.normal(size=(4,) + shape),
-                 "labels": rng.integers(0, g.node("loss").p("classes"), size=4)}
+        batch = _batch(g, np.random.default_rng(batch_seed), n)
         base = run_step(g, params, batch, EngineConfig(strategy=S("none")))
         for st in ALL_STRATEGIES[1:]:
             r = run_step(g, params, batch, EngineConfig(strategy=S(st)))
             for k in base.grads:
                 assert np.array_equal(base.grads[k], r.grads[k]), (
-                    f"seed {seed} strategy {st}: gradient {k} not bit-identical"
+                    f"{name} strategy {st}: gradient {k} not bit-identical"
                 )
             pairs += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"equivalence check took {elapsed:.1f}s (limit 60s)"
-    return f"{pairs} graph/strategy pairs bit-identical in {elapsed:.1f}s"
+    return f"{pairs} graph/strategy pairs (WRN-28-2 among them) bit-identical in {elapsed:.1f}s"
 
 
 def check_07_microbatch_equivalence() -> str:
@@ -221,15 +226,18 @@ def check_07_microbatch_equivalence() -> str:
             rel = np.max(np.abs(r.grads[k] - full.grads[k])) / denom
             assert rel <= 1e-10, f"microbatch {mb}: rel err {rel:.2e} > 1e-10 on {k}"
     g2 = build_desk_cnn([4, 6], 3, with_batchnorm=True, input_shape=(2, 8, 8))
-    p2 = init_params(g2, seed=5)
     b2 = {"img": rng.normal(size=(8, 2, 8, 8)), "labels": rng.integers(0, 3, size=8)}
-    seq = run_step(g2, p2, b2, EngineConfig(precision=FP32, exec_mode="sequential"), microbatch=2)
-    joint = run_step(g2, p2, b2, EngineConfig(precision=FP32, exec_mode="joint"), microbatch=2)
-    for k in seq.grads:
-        assert np.array_equal(seq.grads[k], joint.grads[k]), f"joint != sequential on {k}"
+    wrn = build_wrn(28, 2, 10)
+    for g, seed, b, mb in ((g2, 5, b2, 2), (wrn, 0, _batch(wrn, rng, 2), 1)):
+        p = init_params(g, seed=seed)
+        seq = run_step(g, p, b, EngineConfig(precision=FP32, exec_mode="sequential"), microbatch=mb)
+        joint = run_step(g, p, b, EngineConfig(precision=FP32, exec_mode="joint"), microbatch=mb)
+        for k in seq.grads:
+            assert np.array_equal(seq.grads[k], joint.grads[k]), (
+                f"{g.name}: joint != sequential on {k}")
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"microbatch check took {elapsed:.1f}s (limit 60s)"
-    return f"divisor equivalence <= 1e-10 and joint == sequential in {elapsed:.1f}s"
+    return f"divisor equivalence <= 1e-10 and joint == sequential (WRN-28-2 too) in {elapsed:.1f}s"
 
 
 def check_08_dsr_invariants() -> str:
@@ -242,9 +250,14 @@ def check_08_dsr_invariants() -> str:
     w = layout.pack(init_params(g, seed=9))
     params = layout.unpack(w)
     dsr = init_sparse_pattern(g, 0.5, seed=9)
-    keep = dsr.share(layout)  # the masks are its views
-    w *= keep
+    for name, mask in dsr.masks.items():
+        params[name] *= mask
     state = SGDState.init(w)
+    momentum = layout.unpack(state.momentum)  # views, like `params`, of arrays updated in place
+
+    def outside(views) -> bool:  # whether a masked tensor is nonzero outside its mask
+        return any(np.any(views[name][~mask]) for name, mask in dsr.masks.items())
+
     cfg = EngineConfig()
     rng = np.random.default_rng(9)
     rewires = 0
@@ -252,8 +265,9 @@ def check_08_dsr_invariants() -> str:
         idx = rng.choice(128, size=16, replace=False)
         res = run_step(g, params, {"img": images[idx], "labels": labels[idx]}, cfg,
                        masks=dsr.masks)
-        sgd_nesterov_step(w, res.flat, state, 0.05, keep)
-        assert not np.any(state.momentum[~keep]), f"step {step}: momentum support exceeds mask"
+        sgd_nesterov_step(w, res.flat, state, 0.05)
+        assert not outside(momentum), f"step {step}: momentum support exceeds mask"
+        assert not outside(params), f"step {step}: weights outside mask"
         if step % 50 == 0:
             before = dsr.threshold
             event = rewire(params, state, dsr, seed=step, update_index=step)
@@ -263,8 +277,8 @@ def check_08_dsr_invariants() -> str:
             assert factor <= DEFAULT_ADJUST_FACTOR + 1e-12, (
                 f"step {step}: threshold moved by {factor:.2f} > factor 2"
             )
-            assert not np.any(state.momentum[~keep])
-            assert not np.any(w[~keep]), "weights outside mask after rewire"
+            assert not outside(momentum)
+            assert not outside(params), "weights outside mask after rewire"
     elapsed = time.perf_counter() - start
     assert elapsed < 120, f"DSR run took {elapsed:.1f}s (limit 120s)"
     return f"2000 steps, {rewires} rewires, budget exact, in {elapsed:.1f}s"
@@ -325,6 +339,29 @@ def reference_half_round(x: float) -> float:
     return decode_binary16(encode_binary16(float(x)))
 
 
+def _fd_worst(graph, params, batch, names, rng, message: str) -> float:
+    """Worst relative gap of FP64 engine gradients to central differences at
+    min(5, size) random entries per named parameter; past 1e-6, `message`."""
+    cfg = EngineConfig(precision=FP64)
+    grads = run_step(graph, params, batch, cfg).grads
+    h = 1e-5
+    worst = 0.0
+    for name in names:
+        size = params[name].size
+        for i in rng.choice(size, size=min(5, size), replace=False):
+            pp = {k: v.copy() for k, v in params.items()}
+            pp[name].reshape(-1)[i] += h
+            lp = run_step(graph, pp, batch, cfg).loss
+            pp[name].reshape(-1)[i] -= 2 * h
+            lm = run_step(graph, pp, batch, cfg).loss
+            fd = (lp - lm) / (2 * h)
+            an = grads[name].reshape(-1)[i]
+            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
+            worst = max(worst, rel)
+            assert rel <= 1e-6, message.format(name=name, i=i, rel=rel)
+    return worst
+
+
 def check_09_numerics() -> str:
     # finite differences on a graph exercising every executable kind
     g = GraphBuilder()
@@ -348,23 +385,8 @@ def check_09_numerics() -> str:
     params = {k: v.astype(np.float64) for k, v in init_params(G, seed=2).items()}
     rng = np.random.default_rng(11)
     batch = {"x": rng.normal(size=(3, 2, 4, 4)), "y": rng.integers(0, 3, size=3)}
-    cfg = EngineConfig(precision=FP64)
-    res = run_step(G, params, batch, cfg)
-    h = 1e-5
-    worst = 0.0
-    for name, p0 in params.items():
-        flat = p0.reshape(-1)
-        for i in rng.choice(flat.size, size=min(5, flat.size), replace=False):
-            pp = {k: v.copy() for k, v in params.items()}
-            pp[name].reshape(-1)[i] += h
-            lp = run_step(G, pp, batch, cfg).loss
-            pp[name].reshape(-1)[i] -= 2 * h
-            lm = run_step(G, pp, batch, cfg).loss
-            fd = (lp - lm) / (2 * h)
-            an = res.grads[name].reshape(-1)[i]
-            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
-            worst = max(worst, rel)
-            assert rel <= 1e-6, f"finite-difference mismatch on {name}[{i}]: {rel:.2e}"
+    worst = _fd_worst(G, params, batch, list(params), rng,
+                      "finite-difference mismatch on {name}[{i}]: {rel:.2e}")
     # embedding gradient checked separately (integer inputs)
     ge = GraphBuilder()
     ge.add("ix", "input", shape=(), dtype="int")
@@ -376,18 +398,8 @@ def check_09_numerics() -> str:
     GE = ge.build()
     pe = {k: v.astype(np.float64) for k, v in init_params(GE, seed=4).items()}
     be = {"ix": rng.integers(0, 5, size=6), "y": rng.integers(0, 3, size=6)}
-    re = run_step(GE, pe, be, cfg)
-    for i in rng.choice(20, size=5, replace=False):
-        pp = {k: v.copy() for k, v in pe.items()}
-        pp["emb.weight"].reshape(-1)[i] += h
-        lp = run_step(GE, pp, be, cfg).loss
-        pp["emb.weight"].reshape(-1)[i] -= 2 * h
-        lm = run_step(GE, pp, be, cfg).loss
-        fd = (lp - lm) / (2 * h)
-        an = re.grads["emb.weight"].reshape(-1)[i]
-        rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
-        worst = max(worst, rel)
-        assert rel <= 1e-6, f"embedding finite-difference mismatch: {rel:.2e}"
+    worst = max(worst, _fd_worst(GE, pe, be, ["emb.weight"], rng,
+                                 "embedding finite-difference mismatch: {rel:.2e}"))
 
     # half_round vs the reference codec
     rng = np.random.default_rng(99)
@@ -458,10 +470,7 @@ def check_11_profiler_engine_agreement() -> str:
     for seed in (0, 1, 2, 3, 4, 5):
         g = random_desk_graph(seed)
         params = init_params(g, seed=seed)
-        rng = np.random.default_rng(50 + seed)
-        shape = g.out_shape["img"]
-        batch = {"img": rng.normal(size=(4,) + shape),
-                 "labels": rng.integers(0, g.node("loss").p("classes"), size=4)}
+        batch = _batch(g, np.random.default_rng(50 + seed), 4)
         for st in ALL_STRATEGIES:
             strat = S(st)
             r = run_step(g, params, batch, EngineConfig(strategy=strat))

@@ -183,6 +183,8 @@ def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
     ("train", "desk-cnn", "lr = -1\n", "lr must be finite and > 0, got -1"),
     ("train", "desk-cnn", "lr = 0\n", "lr must be finite and > 0, got 0"),
     ("train", "desk-cnn", "rewire_every = -3\n", "rewire_every must be >= 0"),
+    ("train", "desk-cnn", "exec_mode = bogus\n", "exec_mode must be 'sequential' or 'joint'"),
+    ("train", "desk-cnn", "accumulator_width = 8\n", "accumulator_width must be 16 or 32"),
     ("train --seed=-1", "desk-cnn", "steps = 1\n", "seed must be >= 0"),
     ("train", "dc-transformer-iwslt", "steps = 1\n", "cost-model-only"),
     ("profile", "wrn-28-2", "precision = fp8\n", "precision"),

@@ -8,6 +8,7 @@ import pytest
 from trainmem.errors import ContractError
 from trainmem.numerics import FlatLayout, half_round
 from trainmem.optim import (
+    TRANSFORMER_WEIGHT_DECAY,
     AdamState,
     LossScaler,
     SGDState,
@@ -48,8 +49,9 @@ def test_adam_hand_values():
     # scalar w=0, g=1, beta=(0.9, 0.98), lr=1e-3, t=1:
     # m=0.1, v=0.02, corrected to 1 and 1; update ~ -1e-3/(1 + eps)
     w = np.array([0.0])
-    state = AdamState.init(w)
-    adam_step(w, np.array([1.0]), state, lr=1e-3, weight_decay=0.0)
+    assert AdamState.init(w).weight_decay == TRANSFORMER_WEIGHT_DECAY  # the default
+    state = AdamState.init(w, weight_decay=0.0)
+    adam_step(w, np.array([1.0]), state, lr=1e-3)
     assert np.allclose(state.m, [0.1])
     assert np.allclose(state.v, [0.02])
     assert abs(w[0] + 1e-3 / (1.0 + 1e-8)) < 1e-12
@@ -60,9 +62,13 @@ def test_adam_hand_values():
 
 def test_adam_zero_grad_from_zero_state():
     w = np.array([0.7])
-    state = AdamState.init(w)
-    adam_step(w, np.zeros(1), state, lr=1e-3, weight_decay=0.0)
+    state = AdamState.init(w, weight_decay=0.0)
+    adam_step(w, np.zeros(1), state, lr=1e-3)
     assert w[0] == 0.7
+    # the state's weight decay is what the step applies: g' = 0 + 0.1 * 0.7
+    decayed = np.array([0.7])
+    adam_step(decayed, np.zeros(1), AdamState.init(decayed, weight_decay=0.1), lr=1e-3)
+    assert abs(decayed[0] - (0.7 - 1e-3 / (1.0 + 1e-8 / 0.07))) < 1e-12
 
 
 def test_adam_second_moment_nonnegative():
@@ -74,20 +80,40 @@ def test_adam_second_moment_nonnegative():
         assert np.all(state.v >= 0)
 
 
-@pytest.mark.parametrize("adam", [False, True])
-def test_keep_zeroes_parameters_and_buffers_outside_it(adam):
+@pytest.mark.parametrize("update", ["sgd", "adam", "fp16-sgd", "fp16-adam"])
+def test_zero_entries_stay_zero_bit_for_bit(update):
+    # No update takes a mask: sparsity holds because an entry whose
+    # parameter, gradient and buffers are all +-0 comes out +-0, with weight
+    # decay on (both states' defaults), so zeroing it again by a bool mask
+    # would change no bit, sign included.
     rng = np.random.default_rng(3)
-    w = rng.normal(size=12)
-    keep = rng.random(12) < 0.5
-    state = AdamState.init(w) if adam else SGDState.init(w)
-    for _ in range(3):
-        if adam:
-            adam_step(w, rng.normal(size=12), state, lr=0.1, keep=keep)
+    fp16 = update.startswith("fp16")
+    layout = FlatLayout({"a": np.zeros((4, 6)), "b": np.zeros(10)})
+    zero = rng.random(layout.size) < 0.4
+    keep = ~zero
+
+    def on_zeros(values):  # values with the zero entries' random signs, on the grid in FP16
+        values = np.where(zero, np.copysign(0.0, rng.normal(size=layout.size)), values)
+        return half_round(values.astype(np.float32)) if fp16 else values
+
+    w = on_zeros(rng.normal(size=layout.size))
+    state = (AdamState if update.endswith("adam") else SGDState).init(w)
+    assert state.weight_decay > 0
+    for buf in state.buffers():
+        buf[...] = on_zeros(np.abs(rng.normal(size=layout.size, scale=1e-3)))
+    for _ in range(4):
+        g = on_zeros(rng.normal(size=layout.size, scale=1e-2))
+        if fp16:
+            fp16_update_path(w, g, state, 0.1, layout)
+        elif update == "adam":
+            adam_step(w, g, state, 0.1)
         else:
-            sgd_nesterov_step(w, rng.normal(size=12), state, lr=0.1, keep=keep)
-        assert not np.any(w[~keep]) and np.all(w[keep])
-        for buf in state.buffers():
-            assert not np.any(buf[~keep]) and np.all(buf[keep])
+            sgd_nesterov_step(w, g, state, 0.1)
+        for flat in (w, *state.buffers()):
+            assert not np.any(flat[zero]) and np.all(np.isfinite(flat))
+            assert (flat * keep).tobytes() == flat.tobytes()
+    if fp16:
+        assert any(np.any(scales != 1.0) for scales in state.fp16_scales)  # rescaled
 
 
 def test_buffers_of_another_shape_are_rejected():
@@ -221,13 +247,17 @@ def test_fp16_path_stays_finite():
 @pytest.mark.parametrize("adam", [False, True])
 def test_fp16_update_path_packed_equals_per_tensor(adam):
     # One call over several tensors laid end to end must equal one call per
-    # tensor, each with its own state: no scale, mask or update leaks across
-    # the tensors' boundaries in the flat buffers.
+    # tensor, each with its own state: no scale or update leaks across the
+    # tensors' boundaries in the flat buffers.  The masked tensor starts
+    # zero outside its mask and gets masked gradients, as in training, and
+    # stays zero there with its buffers.
     rng = np.random.default_rng(21)
     shapes = {"conv": (3, 2, 3, 3), "bias": (5,), "fc": (4, 6)}
     masks = {"conv": rng.random(shapes["conv"]) < 0.5}
     tensors = {k: half_round(rng.normal(size=s, scale=0.3).astype(np.float32))
                for k, s in shapes.items()}
+    for k, mask in masks.items():
+        tensors[k] *= mask
 
     def make_state(w):
         if adam:
@@ -236,24 +266,27 @@ def test_fp16_update_path_packed_equals_per_tensor(adam):
 
     layout = FlatLayout(tensors)
     w = layout.pack(tensors)
-    keep = layout.pack({k: masks.get(k, np.ones(s, bool)) for k, s in shapes.items()})
     state = make_state(w)
-    singles = {}  # name -> (flat parameters, state, layout, keep) of that tensor alone
+    singles = {}  # name -> (flat parameters, state, layout) of that tensor alone
     for k, t in tensors.items():
         single = t.ravel().copy()
-        singles[k] = (single, make_state(single), FlatLayout({k: t}),
-                      masks[k].ravel() if k in masks else None)
+        singles[k] = (single, make_state(single), FlatLayout({k: t}))
     for it in range(4):
         # magnitudes two binades apart, so the per-tensor scales differ
         grads = {k: half_round((rng.choice([-1, 1], size=s) * rng.uniform(0.5, 1, size=s)
                                 * 4.0**-i).astype(np.float32))
                  for i, (k, s) in enumerate(shapes.items())}
-        fp16_update_path(w, layout.pack(grads), state, 0.05, layout, keep)
-        for k, (single, st, one, kp) in singles.items():
-            fp16_update_path(single, grads[k].ravel(), st, 0.05, one, kp)
+        for k, mask in masks.items():
+            grads[k] *= mask  # as the engine masks them
+        fp16_update_path(w, layout.pack(grads), state, 0.05, layout)
+        for k, (single, st, one) in singles.items():
+            fp16_update_path(single, grads[k].ravel(), st, 0.05, one)
         params = layout.unpack(w)
         bufs = [layout.unpack(b) for b in state.buffers()]
-        for i, (k, (single, st, _, _)) in enumerate(singles.items()):
+        for k, mask in masks.items():
+            for tensor in [params[k], *(b[k] for b in bufs)]:
+                assert not np.any(tensor[~mask]), (it, k)
+        for i, (k, (single, st, _)) in enumerate(singles.items()):
             assert single.dtype == w.dtype
             assert single.tobytes() == params[k].tobytes(), (it, k)
             for b, b1 in zip(bufs, st.buffers()):

@@ -109,16 +109,18 @@ def test_regrow_overflow_redistributes():
 
 
 def test_rewire_composition():
-    # flat parameters, momentum and mask, as training keeps them: rewiring
-    # edits the masks, views of `keep`, and the parameters' views in place
+    # flat parameters and momentum, as training keeps them: rewiring edits
+    # the masks (the arrays the engine reads) and the parameters' views of
+    # the flat buffer in place
     g = build_desk_cnn([4, 4], 3)
     rng = np.random.default_rng(0)
     state = init_sparse_pattern(g, 0.5, seed=0)
     layout = param_layout(g)
     w = rng.normal(size=layout.size)
     params = layout.unpack(w)
-    keep = state.share(layout)
-    w *= keep
+    for name, m in state.masks.items():
+        params[name] *= m
+    masks = dict(state.masks)
     opt = SGDState.init(w)
     opt.momentum[...] = rng.normal(size=w.shape)
     state.threshold = 0.3  # prunes about a quarter of the kept weights
@@ -126,11 +128,12 @@ def test_rewire_composition():
     assert state.nnz() == state.budget
     assert event.pruned == event.regrown > 0
     assert not np.any(opt.momentum)  # momentum reset to zero
+    assert all(state.masks[name] is m for name, m in masks.items())
+    outside = sum(int((~m).sum()) for m in state.masks.values())
+    assert outside == state.group_numel() - state.budget
     for name, m in state.masks.items():
-        assert np.shares_memory(m, keep)
+        assert np.shares_memory(params[name], w)
         assert not np.any(params[name][~m])
-    assert np.count_nonzero(~keep) == state.group_numel() - state.budget
-    assert not np.any(w[~keep])
 
 
 def test_rewire_all_above_threshold_doubles_threshold():

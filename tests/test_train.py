@@ -256,22 +256,23 @@ def test_running_statistics_are_kept_apart_from_parameters(monkeypatch, optimize
             assert np.array_equal(half_round(v), v), name
 
 
-@pytest.mark.parametrize("optimizer", ["sgd_nesterov", "adam"])
-@pytest.mark.parametrize("precision", [NumericFormat.FP32, NumericFormat.FP16])
-def test_sparse_training_keeps_state_on_the_final_masks(monkeypatch, optimizer, precision):
-    # every masked tensor and each of its optimizer buffers is zero outside
-    # its final mask; the masks are views of the one bool buffer every
-    # update gets as `keep`; no layout is built once the first step is done
+def _sparse_run(monkeypatch, optimizer, precision):
+    """A DSR run at density 0.5 with two rewires: its result, the one state
+    every update got and the masks every step got, and the steps at which a
+    `FlatLayout` was built (0: before the first step's hook)."""
     from trainmem import numerics, train
 
-    calls, builds, seen = [], [], [0]
+    states, step_masks, builds, seen = [], [], [], [0]
 
     def recording(fn):
         def wrapped(*args, **kwargs):
-            bound = inspect.signature(fn).bind(*args, **kwargs).arguments
-            calls.append((bound["state"], bound["keep"]))
+            states.append(inspect.signature(fn).bind(*args, **kwargs).arguments["state"])
             return fn(*args, **kwargs)
         return wrapped
+
+    def stepping(*args, masks=None, **kwargs):
+        step_masks.append(masks)
+        return run_step(*args, masks=masks, **kwargs)
 
     def counting(init):
         def wrapped(self, *args, **kwargs):
@@ -284,23 +285,63 @@ def test_sparse_training_keeps_state_on_the_final_masks(monkeypatch, optimizer, 
 
     for name in ("sgd_nesterov_step", "adam_step", "fp16_update_path"):
         monkeypatch.setattr(train, name, recording(getattr(train, name)))
+    run_step = train.run_step
+    monkeypatch.setattr(train, "run_step", stepping)
     monkeypatch.setattr(numerics.FlatLayout, "__init__", counting(numerics.FlatLayout.__init__))
-    g = load_arch("desk-cnn")
-    res = train_desk(g, TrainSettings(steps=12, minibatch=16, lr=0.01, optimizer=optimizer,
-                                      precision=precision, density=0.5, rewire_every=5,
-                                      log_every=12), on_after_backward=hook)
+    res = train_desk(load_arch("desk-cnn"),
+                     TrainSettings(steps=12, minibatch=16, lr=0.01, optimizer=optimizer,
+                                   precision=precision, density=0.5, rewire_every=5,
+                                   log_every=12), on_after_backward=hook)
     assert len(res.rewire_log) == 2 and res.steps_skipped == 0
-    assert builds and set(builds) == {0}
-    state, keep = calls[-1]
-    assert len(calls) == 12 and all(st is state and k is keep for st, k in calls)
-    assert keep.dtype == bool and keep.shape == (sum(p.size for p in res.params.values()),)
-    assert res.masks and all(m.base is keep for m in res.masks.values())
-    bufs = [param_layout(g).unpack(buf) for buf in state.buffers()]
+    assert len(states) == len(step_masks) == 12
+    assert all(st is states[-1] for st in states)
+    return res, states[-1], step_masks, builds
+
+
+def _assert_on_masks(graph, res, state):
+    """Every masked tensor and each of its optimizer buffers is zero outside
+    its final mask and the tensor nonzero somewhere inside it."""
+    bufs = [param_layout(graph).unpack(buf) for buf in state.buffers()]
     for name, mask in res.masks.items():
         assert 0 < mask.sum() < mask.size
         for tensor in [res.params[name], *(buf[name] for buf in bufs)]:
             assert tensor.shape == mask.shape and not np.any(tensor[~mask]), name
         assert np.any(res.params[name][mask]), name
+
+
+@pytest.mark.parametrize("optimizer", ["sgd_nesterov", "adam"])
+@pytest.mark.parametrize("precision", [NumericFormat.FP32, NumericFormat.FP16])
+def test_sparse_training_keeps_state_on_the_final_masks(monkeypatch, optimizer, precision):
+    # every masked tensor and each of its optimizer buffers is zero outside
+    # its final mask; the masks are the DSR masks that every step hands the
+    # engine, which rewiring edits in place; no layout is built once the
+    # first step is done
+    res, state, step_masks, builds = _sparse_run(monkeypatch, optimizer, precision)
+    assert builds and set(builds) == {0}
+    assert res.masks and all(m is res.masks for m in step_masks)
+    assert all(m.dtype == bool for m in res.masks.values())
+    _assert_on_masks(load_arch("desk-cnn"), res, state)
+
+
+@pytest.mark.parametrize("optimizer,precision", [("sgd_nesterov", NumericFormat.FP32),
+                                                 ("adam", NumericFormat.FP16)])
+def test_sparsity_checks_fail_when_the_engine_ignores_the_masks(monkeypatch, optimizer,
+                                                               precision):
+    # The engine's gradient mask is the one place sparsity is enforced, so
+    # with it gone both the zero-outside-the-mask check above and
+    # criterion 8 must fail: neither may hold by construction.
+    from trainmem import engine, train, verification
+
+    def unmasked(*args, masks=None, **kwargs):
+        return engine.run_step(*args, **kwargs)
+
+    monkeypatch.setattr(train, "run_step", unmasked)
+    res, state, _, _ = _sparse_run(monkeypatch, optimizer, precision)
+    with pytest.raises(AssertionError):
+        _assert_on_masks(load_arch("desk-cnn"), res, state)
+    monkeypatch.setattr(verification, "run_step", unmasked)
+    with pytest.raises(AssertionError, match="step 1: momentum support exceeds mask"):
+        verification.check_08_dsr_invariants()
 
 
 @pytest.mark.xfail(strict=True, reason="train_desk updates batchnorm running statistics "
