@@ -93,8 +93,7 @@ SWEEP_KEYS = {"arch": str, "densities": [float],
               "batch_unit": str}
 TRAIN_KEYS = {"steps": int, "minibatch": int, "microbatch": int, "lr": float, "density": float,
               "precision": _precision, "strategy": _strategy, "optimizer": str,
-              "exec_mode": str, "accumulator_width": int, "rewire_every": int,
-              "log_every": int}
+              "accumulator_width": int, "rewire_every": int, "log_every": int}
 
 
 def read_settings(path: str | None, kinds: dict) -> dict:

@@ -14,15 +14,10 @@ conversion, the precision context with its conv caches, and the pricing.
 
 A step's gradients are views of one flat buffer, `StepResult.flat`,
 laid out by the graph's `plan.param_layout`, as the optimizers' flat
-parameters and buffers are.  Sequential
-microbatching splits the minibatch into k groups, walks the schedule once
-per group and accumulates the weighted gradients at the configured
-accumulator width; one group (the default) is the k = 1 case, whose
-walk's buffer is the result.  Joint mode (simulated microbatching)
-normalizes each microbatch group independently; it is evaluated
-group-wise with the accumulator forced to 32 bits, which is numerically
-identical to running the groups jointly because examples only couple
-through the per-group normalization statistics.
+parameters and buffers are.  Microbatching splits the minibatch into k
+groups, walks the schedule once per group and accumulates the weighted
+gradients; one group (the default) is the k = 1 case, whose walk's buffer
+is the result.
 """
 
 from __future__ import annotations
@@ -44,18 +39,13 @@ from .plan import (BACKPROP, CLEAR, DROP_HOLD, DROP_PAYLOAD, DROP_STATS, FORWARD
 @dataclass
 class EngineConfig:
     precision: NumericFormat = NumericFormat.FP32
-    accumulator_width: int = 32  # cross-example reductions; 16 models true FP16 microbatching
-    exec_mode: str = "sequential"  # sequential | joint
+    accumulator_width: int = 32  # how GEMM and conv reductions round, not the cross-group sum
     strategy: CheckpointStrategy = NONE
     loss_scale: float = 1.0
 
     def __post_init__(self):
         if self.accumulator_width not in (16, 32):
             raise ConfigurationError("accumulator_width must be 16 or 32")
-        if self.exec_mode not in ("sequential", "joint"):
-            raise ConfigurationError("exec_mode must be 'sequential' or 'joint'")
-        if self.exec_mode == "joint":
-            self.accumulator_width = 32
 
     def ctx(self, grids: dict | None = None) -> QuantCtx:
         return QuantCtx(self.precision, self.accumulator_width, grids)
@@ -270,9 +260,9 @@ def run_step(
     untouched (the optimizer steps after this).
 
     The inputs are converted and the plan sized and priced once per call:
-    equal-size groups have equal peaks, held one at a time or, in joint
-    mode, all at once.  One group's gradients are its walk's buffer as it
-    is; more groups accumulate weighted gradients at the accumulator width.
+    equal-size groups have equal peaks, held one at a time.  One group's
+    gradients are its walk's buffer as it is; more groups sum the gradients
+    weighted by their share of the examples, rounding each sum once.
     """
     if microbatch is not None and microbatch < 1:
         raise ConfigurationError(f"microbatch must be >= 1, got {microbatch}")
@@ -304,10 +294,9 @@ def run_step(
     if groups > 1:
         loss, flat, grads = float(np.mean(losses)), acc, layout.unpack(acc)
     r = plan.evaluate(Sizing(graph, mb, config.precision, nnz))
-    k = groups if config.exec_mode == "joint" else 1  # groups held at once
-    return StepResult(loss=loss, flat=flat, grads=grads,
-                      peak_bytes=k * r.peak_bytes, peak_forward_bytes=k * r.peak_forward_bytes,
-                      peak_backward_bytes=k * r.peak_backward_bytes,
+    return StepResult(loss=loss, flat=flat, grads=grads, peak_bytes=r.peak_bytes,
+                      peak_forward_bytes=r.peak_forward_bytes,
+                      peak_backward_bytes=r.peak_backward_bytes,
                       recompute_events=groups * r.recompute_events,
                       recompute_flops=groups * r.recompute_flops, batch_stats=batch_stats)
 

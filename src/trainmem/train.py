@@ -104,7 +104,6 @@ class TrainSettings:
     precision: NumericFormat = NumericFormat.FP32
     strategy: CheckpointStrategy = NONE
     optimizer: str = "sgd_nesterov"
-    exec_mode: str = "sequential"
     accumulator_width: int = 32
     seed: int = 0
     rewire_every: int = 0  # 0 = use the DSR schedule; >0 = fixed period
@@ -129,8 +128,7 @@ class TrainSettings:
             raise ConfigurationError("density must be in (0, 1]")
         if self.optimizer not in OPTIMIZER_VALUE_ARRAYS:
             raise ConfigurationError(f"unknown optimizer '{self.optimizer}'")
-        # exec_mode and accumulator_width, by the engine's own rule
-        EngineConfig(accumulator_width=self.accumulator_width, exec_mode=self.exec_mode)
+        EngineConfig(accumulator_width=self.accumulator_width)  # by the engine's own rule
 
 
 @dataclass
@@ -206,7 +204,6 @@ def train_desk(
     engine_cfg = EngineConfig(
         precision=settings.precision,
         accumulator_width=settings.accumulator_width,
-        exec_mode=settings.exec_mode,
         strategy=settings.strategy,
     )
     eval_cfg = EngineConfig(precision=settings.precision)

@@ -211,33 +211,43 @@ def check_06_checkpoint_equivalence() -> str:
 
 def check_07_microbatch_equivalence() -> str:
     start = time.perf_counter()
+    cfg = EngineConfig(precision=FP64)
+
+    def assert_close(got: dict, want: dict, what: str):
+        for k in want:
+            denom = np.max(np.abs(want[k]))
+            if denom == 0:
+                continue
+            rel = np.max(np.abs(got[k] - want[k])) / denom
+            assert rel <= 1e-10, f"{what}: rel err {rel:.2e} > 1e-10 on {k}"
+
     g = build_desk_cnn([4, 4], 3, with_batchnorm=False, input_shape=(2, 8, 8))
     params = {k: v.astype(np.float64) for k, v in init_params(g, seed=3).items()}
     rng = np.random.default_rng(7)
     batch = {"img": rng.normal(size=(12, 2, 8, 8)), "labels": rng.integers(0, 3, size=12)}
-    cfg = EngineConfig(precision=FP64)
     full = run_step(g, params, batch, cfg)
     for mb in (1, 2, 3, 4, 6, 12):
         r = run_step(g, params, batch, cfg, microbatch=mb)
-        for k in full.grads:
-            denom = np.max(np.abs(full.grads[k]))
-            if denom == 0:
-                continue
-            rel = np.max(np.abs(r.grads[k] - full.grads[k])) / denom
-            assert rel <= 1e-10, f"microbatch {mb}: rel err {rel:.2e} > 1e-10 on {k}"
+        assert_close(r.grads, full.grads, f"microbatch {mb}")
+    # With batchnorm each group normalizes by its own statistics, so the
+    # oracle is k one-group steps on the slices, weighted by their share.
     g2 = build_desk_cnn([4, 6], 3, with_batchnorm=True, input_shape=(2, 8, 8))
     b2 = {"img": rng.normal(size=(8, 2, 8, 8)), "labels": rng.integers(0, 3, size=8)}
     wrn = build_wrn(28, 2, 10)
     for g, seed, b, mb in ((g2, 5, b2, 2), (wrn, 0, _batch(wrn, rng, 2), 1)):
-        p = init_params(g, seed=seed)
-        seq = run_step(g, p, b, EngineConfig(precision=FP32, exec_mode="sequential"), microbatch=mb)
-        joint = run_step(g, p, b, EngineConfig(precision=FP32, exec_mode="joint"), microbatch=mb)
-        for k in seq.grads:
-            assert np.array_equal(seq.grads[k], joint.grads[k]), (
-                f"{g.name}: joint != sequential on {k}")
+        p = init_params(g, seed=seed, precision=FP64)
+        n = len(b["labels"])
+        grouped = run_step(g, p, b, cfg, microbatch=mb)
+        parts = [run_step(g, p, {k: v[i:i + mb] for k, v in b.items()}, cfg)
+                 for i in range(0, n, mb)]
+        want = {k: sum(r.grads[k] * (mb / n) for r in parts) for k in grouped.grads}
+        assert_close(grouped.grads, want, f"{g.name} in groups of {mb}")
+        loss = float(np.mean([r.loss for r in parts]))
+        assert abs(grouped.loss - loss) <= 1e-10 * abs(loss), (
+            f"{g.name} in groups of {mb}: loss {grouped.loss!r} != mean {loss!r}")
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"microbatch check took {elapsed:.1f}s (limit 60s)"
-    return f"divisor equivalence <= 1e-10 and joint == sequential (WRN-28-2 too) in {elapsed:.1f}s"
+    return f"divisor equivalence and per-group sums <= 1e-10 (WRN-28-2 too) in {elapsed:.1f}s"
 
 
 def check_08_dsr_invariants() -> str:

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import re
 import weakref
 from pathlib import Path
 
@@ -183,7 +184,7 @@ def test_verify_fails_under_csr_formula_mutation(monkeypatch, capsys):
     ("train", "desk-cnn", "lr = -1\n", "lr must be finite and > 0, got -1"),
     ("train", "desk-cnn", "lr = 0\n", "lr must be finite and > 0, got 0"),
     ("train", "desk-cnn", "rewire_every = -3\n", "rewire_every must be >= 0"),
-    ("train", "desk-cnn", "exec_mode = bogus\n", "exec_mode must be 'sequential' or 'joint'"),
+    ("train", "desk-cnn", "exec_mode = sequential\n", "c.cfg:1: unknown key 'exec_mode'"),
     ("train", "desk-cnn", "accumulator_width = 8\n", "accumulator_width must be 16 or 32"),
     ("train --seed=-1", "desk-cnn", "steps = 1\n", "seed must be >= 0"),
     ("train", "dc-transformer-iwslt", "steps = 1\n", "cost-model-only"),
@@ -236,7 +237,7 @@ def test_bad_precision_and_config_line_are_configuration_errors(tmp_path):
                            "optimizers = sgd_nesterov, adam\nbatch_unit = examples\n"),
     ("train", "desk-cnn", "steps = 2\nminibatch = 8\nmicrobatch = 4\nlr = 0.05\n"
                           "density = 0.5\nprecision = fp16\nstrategy = every:2\n"
-                          "optimizer = adam\nexec_mode = joint\naccumulator_width = 16\n"
+                          "optimizer = adam\naccumulator_width = 16\n"
                           "rewire_every = 1\nlog_every = 1\n"),
 ])
 def test_every_documented_key_is_accepted(tmp_path, capsys, command, arch, config):
@@ -246,6 +247,17 @@ def test_every_documented_key_is_accepted(tmp_path, capsys, command, arch, confi
     code, _, err = run_cli([command, "--arch", arch, flag, str(cfg),
                             "--out", str(tmp_path / "o")], capsys)
     assert code == 0, err
+
+
+def test_readme_documents_exactly_the_config_keys():
+    # README's key table, one row per config file; a key added to or
+    # deleted from a command without a README edit fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for row, keys in (("profile --config", cli.PROFILE_KEYS), ("train --config", cli.TRAIN_KEYS),
+                      ("pareto --sweep", cli.SWEEP_KEYS)):
+        line = next(x for x in readme.splitlines() if x.startswith(f"| `{row}` |"))
+        documented = re.findall(r"`([^`]+)`", line.split("|")[2])
+        assert sorted(documented) == sorted(keys), row
 
 
 @pytest.mark.parametrize("classes", [3, 6])

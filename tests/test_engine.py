@@ -184,12 +184,12 @@ def test_microbatch_trivial_split_is_identical():
 
 def test_fp16_accumulator_width_effect_bounded(monkeypatch):
     # The accumulator width changes the rounding inside every conv and
-    # linear reduction as well as the cross-microbatch buffer additions, so
-    # the two modes' gradients differ by more than the additions explain.
-    # The additions have a simple bound, checked here on every one the
-    # engine makes: each rounds the exact sum of two binary16 values (exact
-    # in float64) once, so it loses at most 2^-11 of that sum (2^-25
-    # absolute among subnormals), although the carrier sums in float32.
+    # linear reduction, so the two widths' gradients differ.  It does not
+    # change the cross-microbatch buffer additions, which have a simple
+    # bound at either width, checked here on every one the engine makes:
+    # each rounds the exact sum of two binary16 values (exact in float64)
+    # once, so it loses at most 2^-11 of that sum (2^-25 absolute among
+    # subnormals), although the carrier sums in float32.
     additions = []
     accumulate = QuantCtx.accumulate
 
@@ -204,17 +204,16 @@ def test_fp16_accumulator_width_effect_bounded(monkeypatch):
         params = init_params(g, seed=seed, precision=FP16)
         rng = np.random.default_rng(seed)
         batch = {"img": rng.normal(size=(8, 2, 8, 8)), "labels": rng.integers(0, 3, 8)}
-        seq = run_microbatched(g, params, batch, 2,
-                               EngineConfig(precision=FP16, accumulator_width=16))
-        joint = run_microbatched(g, params, batch, 2,
-                                 EngineConfig(precision=FP16, exec_mode="joint"))
+        acc16 = run_microbatched(g, params, batch, 2,
+                                 EngineConfig(precision=FP16, accumulator_width=16))
+        acc32 = run_microbatched(g, params, batch, 2, EngineConfig(precision=FP16))
         # the width genuinely matters
-        assert any(not np.array_equal(seq.grads[k], joint.grads[k]) for k in seq.grads)
-    # one packed addition per group boundary: seeds x modes x (groups - 1),
+        assert any(not np.array_equal(acc16.grads[k], acc32.grads[k]) for k in acc16.grads)
+    # one packed addition per group boundary: seeds x widths x (groups - 1),
     # covering every gradient element
     assert len(additions) == 4 * 2 * 3
     assert sum(out.size for _, _, out in additions) == (
-        4 * 2 * 3 * sum(v.size for v in seq.grads.values()))
+        4 * 2 * 3 * sum(v.size for v in acc16.grads.values()))
     for buf, update, out in additions:
         exact = buf.astype(np.float64) + update
         assert np.array_equal(out, half_round(out))
@@ -399,23 +398,20 @@ def test_microbatched_call_does_its_per_call_work_once(monkeypatch):
     rng = np.random.default_rng(2)
     batch = {"img": rng.normal(size=(8, 2, 8, 8)), "labels": rng.integers(0, 3, 8)}
     masks = {"b1_conv1.weight": rng.random(params["b1_conv1.weight"].shape) < 0.5}
-    for mode in ("sequential", "joint"):
-        cfg = EngineConfig(strategy=S("residual_star:1"), exec_mode=mode)
-        steps = [run_step(g, params, {k: v[2 * i:2 * i + 2] for k, v in batch.items()},
-                          cfg, masks=masks) for i in range(4)]
-        with monkeypatch.context() as m:
-            m.setattr(engine, "Sizing", counting("Sizing", engine.Sizing))
-            m.setattr(plan.Plan, "evaluate", counting("evaluate", plan.Plan.evaluate))
-            m.setattr(engine, "prepare_inputs", counting("prepare_inputs", engine.prepare_inputs))
-            m.setattr(plan, "FlatLayout", counting("FlatLayout", plan.FlatLayout))
-            counts.update(dict.fromkeys(counts, 0))
-            res = run_microbatched(g, params, batch, 2, cfg, masks=masks)
-        assert counts == {"Sizing": 1, "evaluate": 1, "prepare_inputs": 1, "FlatLayout": 0}
-        combine = sum if mode == "joint" else max
-        for field in ("peak_bytes", "peak_forward_bytes", "peak_backward_bytes"):
-            assert getattr(res, field) == combine(getattr(s, field) for s in steps), field
-        assert res.recompute_events == sum(s.recompute_events for s in steps) > 0
-        assert res.recompute_flops == sum(s.recompute_flops for s in steps) > 0
+    cfg = EngineConfig(strategy=S("residual_star:1"))
+    steps = [run_step(g, params, {k: v[2 * i:2 * i + 2] for k, v in batch.items()},
+                      cfg, masks=masks) for i in range(4)]
+    with monkeypatch.context() as m:
+        m.setattr(engine, "Sizing", counting("Sizing", engine.Sizing))
+        m.setattr(plan.Plan, "evaluate", counting("evaluate", plan.Plan.evaluate))
+        m.setattr(engine, "prepare_inputs", counting("prepare_inputs", engine.prepare_inputs))
+        m.setattr(plan, "FlatLayout", counting("FlatLayout", plan.FlatLayout))
+        res = run_microbatched(g, params, batch, 2, cfg, masks=masks)
+    assert counts == {"Sizing": 1, "evaluate": 1, "prepare_inputs": 1, "FlatLayout": 0}
+    for field in ("peak_bytes", "peak_forward_bytes", "peak_backward_bytes"):
+        assert getattr(res, field) == max(getattr(s, field) for s in steps), field
+    assert res.recompute_events == sum(s.recompute_events for s in steps) > 0
+    assert res.recompute_flops == sum(s.recompute_flops for s in steps) > 0
 
 
 def test_microbatched_call_builds_conv_work_once(monkeypatch):

@@ -43,7 +43,6 @@ TRAIN_VALUES = {
     "precision": ["fp16", "fp32"],
     "strategy": ["none", "every:2", "residual_star:1"],
     "optimizer": ["sgd_nesterov", "adam"],
-    "exec_mode": ["sequential", "joint"],
     "rewire_every": ["1"],
 }
 
