@@ -46,8 +46,9 @@ gradient placed in the output grid with zeros in the junk columns:
 
 Forward and dx sum their per-tap products with `_stack_sum`: one stacked
 `np.matmul` and one `np.add.reduce` in (a, d) order per column chunk.  The
-workspace is the padded input, the gradient grid and its dilated copy,
-and one capped chunk of stacked products; no value outlives the call.
+workspace is the padded input, the gradient grid and its dilated copy
+(at stride 1 one buffer: the grid is the tail of its copy), and one
+capped chunk of stacked products; no value outlives the call.
 A context with caches (the engine's) builds the geometry once per (node,
 input shape) and the tap weights once per step.
 
@@ -153,12 +154,12 @@ def _stack_sum(a, b, product):
     return out
 
 
-def _place(x, rows, cols, p, tail, dtype):
+def _place(x, rows, cols, p, head, tail, dtype):
     """x (b, c, h, w) at (p, p) of each example's rows x cols block in a zero
-    (c, b*rows*cols + tail) buffer."""
+    (c, head + b*rows*cols + tail) buffer; the blocks start at column head."""
     b, c, h, w = x.shape
-    buf = np.zeros((c, b * rows * cols + tail), dtype)
-    buf[:, : b * rows * cols].reshape(c, b, rows, cols)[:, :, p : p + h, p : p + w] = (
+    buf = np.zeros((c, head + b * rows * cols + tail), dtype)
+    buf[:, head : buf.shape[1] - tail].reshape(c, b, rows, cols)[:, :, p : p + h, p : p + w] = (
         x.transpose(1, 0, 2, 3))
     return buf
 
@@ -190,19 +191,24 @@ class _ConvGrid:
     def pad(self, x, dtype):
         """The input buffer; its tail of M columns keeps the last taps' slices
         in bounds."""
-        return _place(x, self.hp, self.wp, self.p, self.margin, dtype)
+        return _place(x, self.hp, self.wp, self.p, 0, self.margin, dtype)
 
     def taps(self, buf):
         """(k1, k2, c, n) view of an input-shaped buffer: [a, d] is tap (a, d)."""
         return self._shifted(buf, 0, 1, self.s, self.n)
 
-    def gather(self, g):
-        """(k1, k2, c_out, b*hp*wp) view of the output-grid gradient g dilated
-        by s behind a margin of M zeros: [a, d, :, j] is what tap (a, d)
-        sends to input-buffer column j."""
-        gm = np.zeros((g.shape[0], self.margin + self.nx), g.dtype)
-        gm[:, self.margin :: self.s] = g
-        return self._shifted(gm, self.margin, -1, 1, self.nx)
+    def gather(self, g_out, dtype):
+        """The gradient g on the output grid (zero in the junk columns) and a
+        (k1, k2, c_out, b*hp*wp) view of g dilated by s behind M zeros, whose
+        [a, d, :, j] tap (a, d) sends to input column j; at stride 1, its tail is g."""
+        if self.s == 1:
+            gm = _place(g_out, self.rows, self.wp, 0, self.margin, 0, dtype)
+            g = gm[:, self.margin :]
+        else:
+            g = _place(g_out, self.rows, self.wp, 0, 0, 0, dtype)
+            gm = np.zeros((g.shape[0], self.margin + self.nx), dtype)
+            gm[:, self.margin :: self.s] = g
+        return g, self._shifted(gm, self.margin, -1, 1, self.nx)
 
     def _shifted(self, buf, start, sign, step, cols):
         """[a, d, :, j] = buf[:, start + sign*(a*wp + d) + step*j] of a
@@ -247,9 +253,8 @@ def _conv2d_backward(node: Node, g_out, values, params, ctx: QuantCtx, loss_scal
     x = _need(node, values, "x")
     grid, w = _conv_setup(node, x.shape, params[f"{node.node_id}.weight"], ctx)
     xbuf = grid.pad(x, ctx.dtype)
-    g = _place(g_out, grid.rows, grid.wp, 0, 0, ctx.dtype)  # zero in the junk columns
+    g, gm = grid.gather(g_out, ctx.dtype)
     dw = ctx.matmul(g, grid.taps(xbuf).swapaxes(2, 3)).transpose(2, 3, 0, 1).copy()
-    gm = grid.gather(g)
     del xbuf, g  # dx holds only the gathered gradient, its own grid and one chunk
     product = ctx.matmul if ctx.narrow else np.matmul  # 32-bit: the raw sum is rounded once
     dx = _stack_sum(w.swapaxes(2, 3), gm, product)

@@ -9,14 +9,13 @@ array.
 `half_round` has two paths with bit-identical results.  The cast path
 (through numpy's float16) handles every input and owns overflow to
 infinity, NaN and float64 results.  Large float32 arrays whose values all
-lie below 2^15 in magnitude take a vector path instead: adding and
-subtracting a per-element power-of-two constant makes float32's own
-round-to-nearest-even round at the binary16 spacing, which costs a few
-cheap vector passes instead of two slow casts.  Its fixed cost per call
-exceeds the cast's below about a thousand elements, so small arrays keep
-the cast; `FlatLayout` packs a dict of small per-parameter arrays into one
-flat buffer so that the optimizer and gradient paths round them in one
-large call.
+lie below 2^15 in magnitude take a vector path instead: each value's
+binary16 spacing q, a power of two, comes from its exponent bits, and
+rint(a / q) * q costs a few cheap vector passes instead of two slow
+casts.  Its fixed cost per call exceeds the cast's below about 700
+elements, so small arrays keep the cast; `FlatLayout` packs a dict of
+small per-parameter arrays into one flat buffer so that the optimizer
+and gradient paths round them in one large call.
 """
 
 from __future__ import annotations
@@ -50,14 +49,17 @@ class NumericFormat(Enum):
 
 
 # half_round's vector path runs on float32 arrays of at least _VECTOR_MIN
-# elements (below it, its fixed cost per call exceeds the cast's) whose
+# elements (the cast is faster below about 700; 1,024 keeps a margin) whose
 # exponent fields are all below that of 2^15 (from 2^15 on a value may round
 # past 65504, the largest binary16 value, to infinity; infinities and NaN
-# lie above it).
+# lie above it).  Its operands are 0-d arrays and its outs positional: on each
+# ufunc call, converting a Python scalar or parsing keywords costs about a pass.
 _VECTOR_MIN = 1024
-_EXPONENT_MASK = 0x7F800000
+_EXPONENT_MASK = np.array(0x7F800000, np.int32)
 _EXPONENT_2_15 = (127 + 15) << 23
-_FLOAT32 = np.dtype(np.float32)  # the native float32 dtype, which arrays share
+_EXPONENT_10 = np.array(10 << 23, np.int32)  # binary16 keeps 10 fraction bits
+_SPACING_MIN = np.array(2.0**-24, np.float32)  # the binary16 subnormal spacing
+_INT32, _FLOAT32 = np.dtype(np.int32), np.dtype(np.float32)  # native dtypes, which arrays share
 
 
 def half_round(x):
@@ -70,24 +72,23 @@ def half_round(x):
     carriers.
 
     A float32 array of at least `_VECTOR_MIN` elements, all below 2^15 in
-    magnitude (so no infinity or NaN either), is rounded by a magic add:
-    with m = 2^floor(log2|a|), float32 spacing at M = max(1.5 * 2^13 * m,
-    0.75) is the binary16 spacing at a (2^-24 throughout the binary16
-    subnormals), so (a + M) - M rounds a to binary16 ties-to-even and the
-    subtraction is exact; copysign keeps -0.0 for negatives that round to
-    zero.  Every other input is cast to float16 and back.
+    magnitude (so no infinity or NaN either), is rounded in float32: with
+    2^e = 2^floor(log2|a|) from a's exponent bits, the binary16 spacing at
+    a is q = max(2^(e-10), 2^-24); a / q is exact and below 2^11, rint
+    rounds it ties to even (keeping -0.0) and times q is exact again.
+    Every other input is cast to float16 and back.
     """
     a = x if type(x) is np.ndarray else np.asarray(x)
     f32 = a.dtype is _FLOAT32
     if f32 and a.size >= _VECTOR_MIN:
-        m = np.bitwise_and(a.view(np.int32), _EXPONENT_MASK)
-        if m.max() < _EXPONENT_2_15:
-            m = m.view(np.float32)  # 2^floor(log2|a|), 0 for float32 subnormals
-            np.multiply(m, 1.5 * 2.0**13, out=m)
-            np.maximum(m, 0.75, out=m)
-            out = a + m
-            np.subtract(out, m, out=out)
-            return np.copysign(out, a, out=out)
+        m = np.bitwise_and(a.view(_INT32), _EXPONENT_MASK)
+        if np.maximum.reduce(m, None) < _EXPONENT_2_15:  # axis None: any layout
+            m -= _EXPONENT_10  # 2^(e-10); for |a| < 2^-116, +0.0 or a negative float, never NaN
+            q = m.view(_FLOAT32)
+            np.maximum(q, _SPACING_MIN, out=q)
+            out = np.divide(a, q)
+            np.rint(out, out)
+            return np.multiply(out, q, out)
     if not f32 and a.dtype != np.float32:
         a = a.astype(np.float64, copy=False)
     out = _cast_round(a)

@@ -16,7 +16,7 @@ import numpy as np
 from .builders import build_dc_transformer_cost, build_desk_cnn, build_wrn, random_desk_graph
 from .engine import EngineConfig, init_params, run_step
 from .graph import GraphBuilder
-from .numerics import NumericFormat, half_round
+from .numerics import _VECTOR_MIN, NumericFormat, half_round
 from .optim import LossScaler, SGDState, loss_scale_update, sgd_nesterov_step
 from .plan import CheckpointStrategy, Sizing, param_layout, plan_for, replay
 from .profiler import TrainingConfig, activation_memory, flops, model_memory, \
@@ -411,7 +411,7 @@ def check_09_numerics() -> str:
     worst = max(worst, _fd_worst(GE, pe, be, ["emb.weight"], rng,
                                  "embedding finite-difference mismatch: {rel:.2e}"))
 
-    # half_round vs the reference codec
+    # half_round vs the reference codec: float64 on the cast path, float32 on the vector path
     rng = np.random.default_rng(99)
     samples = np.concatenate([
         rng.normal(0, 1, 40000),
@@ -426,14 +426,18 @@ def check_09_numerics() -> str:
         float("inf"), -float("inf"),
     ])
     values = np.concatenate([samples, boundary])
-    got = half_round(values)
-    for v, gv in zip(values, got):
-        ref = reference_half_round(v)
-        assert gv == ref or (math.isnan(gv) and math.isnan(ref)), (
-            f"half_round({v!r}) = {gv!r}, reference {ref!r}"
-        )
+    ties = np.array([(decode_binary16(b) + decode_binary16(b + 1)) / 2
+                     for b in range(0, 0x77FF, 5)], np.float32)
+    f32 = np.concatenate([ties, np.nextafter(ties, np.float32(np.inf)), np.nextafter(ties, -ties),
+                          np.arange(0, 1 << 23, 4099, dtype=np.uint32).view(np.float32)])
+    f32 = np.concatenate([f32, -f32])
+    assert f32.size >= _VECTOR_MIN and np.abs(f32).max() < 2.0 ** 15
+    for vals in (values, f32):
+        for v, gv in zip(vals, half_round(vals)):  # equal reprs: equal values, zero signs, NaN
+            ref = reference_half_round(v)
+            assert repr(float(gv)) == repr(ref), f"half_round({v!r}) = {gv!r}, reference {ref!r}"
     assert math.isnan(half_round(float("nan")))
-    return f"FD worst {worst:.1e}; half_round matches codec on {values.size} values"
+    return f"FD worst {worst:.1e}; half_round matches codec on {values.size + f32.size} values"
 
 
 def check_10_loss_scaler() -> str:

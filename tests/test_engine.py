@@ -1,6 +1,8 @@
 """Engine semantics: node kernels, gradients, checkpointed execution,
 microbatching, and FP16 emulation."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -452,6 +454,44 @@ def test_microbatched_call_builds_conv_work_once(monkeypatch):
     again = run_microbatched(g, params, batch, 8, cfg)
     assert counts["grid"] == 0 and counts["taps"] == len(convs)
     assert np.array_equal(again.flat, first.flat)
+
+
+def test_large_float32_arrays_never_take_the_cast(monkeypatch):
+    # The benchmark tracer's check on train-fp16 and train-fp32, in tier 1:
+    # an FP16 step on desk-cnn at microbatch 8 rounds every float32 array of
+    # `_VECTOR_MIN` or more elements on half_round's vector path; the one
+    # large cast is the float64 batch, rounded once at its own precision.
+    # An FP32 step never rounds.
+    from trainmem import numerics
+
+    g = load_arch("desk-cnn")
+    params16, params32 = init_params(g, seed=0, precision=FP16), init_params(g, seed=0)
+    rng = np.random.default_rng(0)
+    batch = {"img": rng.normal(size=(32, 3, 8, 8)), "labels": rng.integers(0, 4, 32)}
+    casts, rounds = [], []
+    cast, rounding = numerics._cast_round, numerics.half_round
+
+    def counting_cast(a):
+        casts.append((a.dtype, a.size))
+        return cast(a)
+
+    def counting_round(x):
+        rounds.append(np.size(x))
+        return rounding(x)
+
+    monkeypatch.setattr(numerics, "_cast_round", counting_cast)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("trainmem") and getattr(mod, "half_round", None) is rounding:
+            monkeypatch.setattr(mod, "half_round", counting_round)
+    for strategy in ("none", "residual_star:1"):
+        cfg = EngineConfig(precision=FP16, strategy=S(strategy), loss_scale=65536.0)
+        run_step(g, params16, batch, cfg, microbatch=8)
+    large = [(dtype, n) for dtype, n in casts if n >= numerics._VECTOR_MIN]
+    assert large == [(np.dtype(np.float64), batch["img"].size)] * 2
+    assert sum(n >= numerics._VECTOR_MIN for n in rounds) > 100  # the vector path ran
+    rounds.clear()
+    run_step(g, params32, batch, EngineConfig(), microbatch=8)
+    assert rounds == []
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -259,6 +259,43 @@ def test_conv_chunking_leaves_results_bitwise_unchanged(case, precision, width, 
                 assert same_bytes(val, ref), (cap, name)
 
 
+def general_gather(grid, g_out, dtype):
+    """`_ConvGrid.gather` by its strided layout at any stride: the gradient
+    on a fresh output grid, and a copy of it behind the margin."""
+    g = kernels._place(g_out, grid.rows, grid.wp, 0, 0, 0, dtype)
+    gm = np.zeros((g.shape[0], grid.margin + grid.nx), dtype)
+    gm[:, grid.margin :: grid.s] = g
+    return g, grid._shifted(gm, grid.margin, -1, 1, grid.nx)
+
+
+# the stride-1 cases, and a batch of one with one input channel (dx and
+# dw are one-row products) and with one output channel (dw is)
+STRIDE1_CASES = [case for case in CONV_CASES + CHUNKED_CASES if case[7] == 1] + [
+    (1, 1, 3, 6, 7, 3, 3, 1, 1), (1, 3, 1, 6, 6, 3, 2, 1, 1), (2, 1, 1, 5, 5, 2, 3, 1, 0)]
+
+
+@pytest.mark.parametrize("precision,width", CTXS)
+@pytest.mark.parametrize("case", STRIDE1_CASES)
+def test_stride1_conv_backward_shares_one_gradient_buffer_bitwise(case, precision, width,
+                                                                   monkeypatch):
+    # At stride 1 the output-grid gradient is the tail of the buffer dx
+    # gathers from; dx and dw keep every bit of the general layout's.
+    shared = []
+    gather = kernels._ConvGrid.gather
+
+    def spying(grid, g_out, dtype):
+        g, gm = gather(grid, g_out, dtype)
+        shared.append(np.may_share_memory(g, gm))
+        return g, gm
+
+    monkeypatch.setattr(kernels._ConvGrid, "gather", spying)
+    _, (_, dx, dw) = run_conv(case, precision, width)
+    assert shared == [True]
+    monkeypatch.setattr(kernels._ConvGrid, "gather", general_gather)
+    _, (_, dx_ref, dw_ref) = run_conv(case, precision, width)
+    assert same_bytes(dx, dx_ref) and same_bytes(dw, dw_ref)
+
+
 @pytest.mark.parametrize("cap,n", [(1, 64), (1, 65), (1, 130), (1, 300), (3 * 64 * 108, 1000),
                                    (1 << 20, 5000)])
 def test_stack_sum_chunks(cap, n, monkeypatch):

@@ -86,7 +86,10 @@ def _binade(lo_bits, sign=False):
 
 
 @pytest.mark.parametrize("lo,sign", [
-    (2.0**-15, False),  # the top binary16 subnormals (a slow cast: ~1.5 s)
+    # binary16 subnormals, where the spacing is clamped to 2^-24 (a slow
+    # cast: ~0.8 s)
+    (2.0**-20, False), (2.0**-20, True),
+    (2.0**-15, False),  # the top binary16 subnormals (also a slow cast)
     (2.0**-14, False), (2.0**-14, True),  # the smallest binary16 normals
     (2.0**14, False), (2.0**14, True),  # up to the vector path's 2^15 limit
 ])
@@ -99,6 +102,22 @@ def test_half_round_vector_path_matches_cast_on_whole_binades(lo, sign):
     out = half_round(xs)
     assert out.dtype == np.float32 and out.shape == xs.shape
     assert _bits_equal(out, _cast(xs))
+
+
+@pytest.mark.parametrize("lo,sign", [(0.0, False), (0.0, True),
+                                     (2.0**-25, False), (2.0**-25, True)])
+def test_half_round_vector_path_below_the_smallest_subnormal(lo, sign):
+    # The float32 subnormals (exponent field 0) and the binade [2^-25, 2^-24),
+    # whose spacing is clamped furthest: every value rounds to zero (2^-25, a
+    # tie, goes to the even zero) but those above 2^-25, which round to
+    # 2^-24.  The cast would take ~0.8 s a binade; the codec checks the edges.
+    xs = _binade(int(np.float32(lo).view(np.uint32)), sign)
+    assert xs.size >= numerics._VECTOR_MIN
+    up = np.abs(xs) > 2.0**-25
+    want = np.copysign(np.where(up, np.float32(2.0**-24), np.float32(0.0)), xs)
+    for i in (0, 1, np.argmax(up), xs.size - 1):  # each side of each edge
+        assert float(want[i]) == reference_half_round(float(xs[i]))
+    assert _bits_equal(half_round(xs), want)
 
 
 def test_half_round_vector_path_oracle_and_fallbacks():
