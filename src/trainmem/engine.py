@@ -267,14 +267,18 @@ def run_step(
     if microbatch is not None and microbatch < 1:
         raise ConfigurationError(f"microbatch must be >= 1, got {microbatch}")
     require_executable(graph)
-    ctx = config.ctx(graph_tables(graph).conv_grids)
+    t = graph_tables(graph)
+    ctx = config.ctx(t.conv_grids)
     prepared = prepare_inputs(graph, batch, ctx)
     n = len(next(iter(prepared.values())))
     mb = n if microbatch is None else microbatch
     if n % mb:
         raise ConfigurationError("microbatch size must divide the minibatch size")
     groups = n // mb
-    nnz = {name: int(m.sum()) for name, m in masks.items()} if masks else None
+    nnz = t.weight_numel.copy()  # each mask's count; a tensor outside the weight list is not priced
+    for name, m in (masks or {}).items():
+        if name in t.weight_index:
+            nnz[t.weight_index[name]] = m.sum()
     plan = plan_for(graph, config.strategy)
     layout = param_layout(graph)
     flat = np.empty(layout.size, ctx.dtype)

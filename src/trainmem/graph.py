@@ -111,15 +111,22 @@ class ComputationGraph:
             if n.op not in STORAGE_CLASS:
                 raise ArchSemanticError(f"unknown kind '{n.op}'", n.node_id)
             self.index[n.node_id] = i
-        for n in self.nodes:
+        for i, n in enumerate(self.nodes):
             for src in n.inputs:
                 if src not in self.index:
                     raise ArchSemanticError(f"unknown input '{src}'", n.node_id)
-                if self.index[src] >= self.index[n.node_id]:
+                if self.index[src] >= i:
                     raise ArchSemanticError(
                         f"back edge {src} -> {n.node_id} violates topological order",
                         n.node_id,
                     )
+            # a tied node owns no parameters: only a tie between embeddings is priced
+            tied = n.p("tied")
+            j = self.index.get(tied, i) if isinstance(tied, str) else i
+            if tied and not (j < i and n.op == self.nodes[j].op == "embedding" and all(
+                    n.p(k) == self.nodes[j].p(k) for k in ("vocab", "d"))):
+                raise ArchSemanticError(f"tied={tied!r}: only an embedding may tie, to an "
+                                        "earlier embedding of the same vocab and d", n.node_id)
         if self.loss_id not in self.index:
             raise ArchSemanticError(f"loss node '{self.loss_id}' not defined")
 
@@ -184,14 +191,10 @@ class ComputationGraph:
         cost times the nonzero count.
         """
         op = node.op
-        if op == "conv2d":
-            h, w = self.out_shape[node.node_id][1:]
-            per_weight = 2 * h * w
-            n = self._weight_nnz(node, nnz)
-            return per_weight * n
-        if op == "linear":
-            n = self._weight_nnz(node, nnz)
-            return 2 * n
+        if op in ("conv2d", "linear"):
+            spec = self.params_of(node)[0]
+            n = spec.numel if nnz is None else nnz.get(spec.name, spec.numel)
+            return 2 * n * (math.prod(self.out_shape[node.node_id][1:]) if op == "conv2d" else 1)
         if op in ("batchnorm", "layernorm"):
             return 5 * math.prod(self.out_shape[node.inputs[0]])
         if op in ("relu", "add", "avgpool"):
@@ -222,12 +225,6 @@ class ComputationGraph:
     def backward_factor(self, node: Node) -> int:
         """2 for parameterized nodes (input- plus weight-gradient), 1 otherwise."""
         return 2 if node.op in ("conv2d", "linear", "embedding") else 1
-
-    def _weight_nnz(self, node: Node, nnz: dict[str, int] | None) -> int:
-        spec = self.params_of(node)[0]
-        if nnz is not None and spec.name in nnz:
-            return nnz[spec.name]
-        return spec.numel
 
 
 def _build_params(node: Node) -> list[ParamSpec]:

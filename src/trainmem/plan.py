@@ -217,16 +217,26 @@ class _GraphTables:
                            + 8 * sum(aux_elems) + sum(aux_fixed)
                            + sum(stats_fixed) + sum(stats_per_example))
 
+        # The weight list: every conv or linear weight (its FLOPs are per
+        # nonzero) and every sparse-eligible tensor (its CSR bytes), in
+        # parameter order.  Nonzero counts are int64 vectors over it, the
+        # dense ones `weight_numel`; `weight_group` holds group positions.
+        weights = [(i, spec) for i, nd in enumerate(g.nodes) for spec in g.params_of(nd)
+                   if spec.kind == "weight" and (spec.sparse or nd.op in ("conv2d", "linear"))]
+        self.weight_index = {spec.name: k for k, (_, spec) in enumerate(weights)}
+        self.flop_node, self.weight_numel = _vec(([i for i, _ in weights],
+                                                  [spec.numel for _, spec in weights]))
+        self.weight_group = {grp: _vec([k for k, (_, spec) in enumerate(weights)
+                                        if spec.sparse and spec.group == grp])
+                             for grp in g.sparsifiable_groups()}
+        self.csr_index_bits, self.csr_fixed_bits = _vec(
+            [csr_bits(spec.shape) for _, spec in weights]).reshape(-1, 2).T
         # FLOPs per example as rates per run of a node, forward, backward
         # and recompute (a norm re-run from its cached statistics costs the
         # cheap rate).  Conv and linear weights cost exactly their FLOPs per
         # nonzero times their nonzero count, so their nodes' rates are kept
-        # per nonzero, by weight, and are zero in the dense rates.
-        weights = [(i, g.params_of(nd)[0]) for i, nd in enumerate(g.nodes)
-                   if nd.op in ("conv2d", "linear")]
-        self.flop_names = [spec.name for _, spec in weights]
-        self.flop_numel = [spec.numel for _, spec in weights]
-        self.flop_node, self.dense_nonzeros = _vec(([i for i, _ in weights], self.flop_numel))
+        # per nonzero, by weight, and are zero in the dense rates; the other
+        # weights' rows are zero.
         per_nnz = [g.forward_flops(g.nodes[i], {spec.name: 1}) for i, spec in weights]
         bwd_factor = [g.backward_factor(nd) for nd in g.nodes]
         fwd = [0 if nd.op in ("conv2d", "linear") else g.forward_flops(nd) for nd in g.nodes]
@@ -237,28 +247,10 @@ class _GraphTables:
                                   [p * bwd_factor[i] for p, (i, _) in zip(per_nnz, weights)],
                                   per_nnz))
         # parameter elements: batchnorm ones (FP16 keeps them at FP32) and
-        # all others; then each sparse-eligible tensor (never batchnorm):
-        # its name and elements, also by group, and its `sparse.csr_bits`
-        self.norm_param_numel = self.other_param_numel = 0
-        self.sparse_names: list[str] = []
-        groups: dict[str, tuple[list[str], list[int]]] = {}
-        numel, bits = [], []
-        for nd in g.nodes:
-            for spec in g.params_of(nd):
-                if nd.op == "batchnorm":
-                    self.norm_param_numel += spec.numel
-                else:
-                    self.other_param_numel += spec.numel
-                if spec.sparse:
-                    names, counts = groups.setdefault(spec.group, ([], []))
-                    names.append(spec.name)
-                    counts.append(spec.numel)
-                    self.sparse_names.append(spec.name)
-                    numel.append(spec.numel)
-                    bits.append(csr_bits(spec.shape))
-        self.sparse_group = {grp: (names, _vec(counts)) for grp, (names, counts) in groups.items()}
-        self.sparse_numel = _vec(numel)
-        self.csr_index_bits, self.csr_fixed_bits = _vec(bits).reshape(-1, 2).T
+        # all others
+        self.norm_param_numel = sum(spec.numel for nd in g.nodes if nd.op == "batchnorm"
+                                    for spec in g.params_of(nd))
+        self.other_param_numel = g.total_param_count() - self.norm_param_numel
         self._payload: dict[bool, _PayloadTable] = {}
         self.param_layout: FlatLayout | None = None  # built by `param_layout`
         self.conv_grids: dict = {}  # the kernels' conv geometry, filled by engine steps
@@ -366,11 +358,11 @@ class Sizing:
     """One (graph, config) pair as the byte basis and the FLOP model see it.
 
     `terms` holds the basis terms' values at this batch and activation
-    width (int64, in the order of the basis columns); `nonzeros` holds each
-    conv or linear weight's nonzero count, its element count where `nnz`
-    does not name it.  The constructor rejects a batch that could carry a
-    running byte sum past int64, so every byte total is exact; FLOP totals
-    are scaled by the batch in Python integers.
+    width (int64, in the order of the basis columns); `nonzeros` is `nnz`,
+    the count vector over the tables' weight list (dense: `weight_numel`).
+    The constructor rejects a batch that could carry a running byte sum
+    past int64, so every byte total is exact; FLOP totals are scaled by
+    the batch in Python integers.
     """
 
     def __init__(
@@ -378,7 +370,7 @@ class Sizing:
         graph: ComputationGraph,
         batch: int,
         act_format: NumericFormat,
-        nnz: dict[str, int] | None = None,
+        nnz: np.ndarray | None = None,
     ):
         if batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {batch}")
@@ -390,10 +382,7 @@ class Sizing:
         fixed = (eb * batch, batch, eb, 1)
         self.terms = _vec([fixed[k] for k in t.terms]
                           + [(m * batch + 7) // 8 for m in t.mask_sizes])
-        self.nonzeros = t.dense_nonzeros
-        if nnz:
-            self.nonzeros = np.fromiter(map(nnz.get, t.flop_names, t.flop_numel),
-                                        dtype=np.int64, count=len(t.flop_names))
+        self.nonzeros = t.weight_numel if nnz is None else nnz
 
 
 # ---------------------------------------------------------------------------

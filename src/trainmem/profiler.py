@@ -1,21 +1,20 @@
 """Static training-cost model: model/optimizer/activation memory and
 forward/backward/recompute FLOPs for a (graph, TrainingConfig) pair.
 
-Parameter bytes depend on neither the checkpoint strategy nor the batch.
-They come from per-graph totals in `plan.graph_tables`: the element count
-of batchnorm parameters (kept at FP32 under FP16) and of all other
-parameters, priced at the config's width, then corrected for each tensor
-the config sparsifies (its CSR bytes instead of its dense bytes in the
-model, its nonzero values in each optimizer array).  Activation bytes and
-FLOPs come from the graph's compiled schedule (`plan.replay`): each replay
-prices the plan's precomputed byte tables at one batch and element width,
-the microbatch for memory and batch 1 for the FLOPs per example.
+A config's nonzero counts are one int64 vector over the weight list of
+`plan.graph_tables` (`param_nnz`); parameter bytes and FLOPs both read it.
+Parameter bytes depend on neither the checkpoint strategy nor the batch:
+the graph's batchnorm elements (FP32 under FP16) and all others at the
+config's width, corrected for each weight the config sparsifies (CSR
+bytes in the model, nonzero values in each optimizer array).  Activation
+bytes and FLOPs come from the compiled schedule (`plan.replay`), priced
+at one batch and element width: the microbatch for memory and batch 1
+for the FLOPs per example.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -130,41 +129,43 @@ class FlopReport:
 # ---------------------------------------------------------------------------
 
 
-def param_nnz(graph: ComputationGraph, density: dict[str, float]) -> dict[str, int]:
-    """Nonzeros per sparsified tensor: round(density * numel), half-to-even."""
-    groups = graph_tables(graph).sparse_group
-    nnz = {}
+def param_nnz(graph: ComputationGraph, density: dict[str, float]) -> np.ndarray:
+    """The nonzero-count vector over the graph tables' weight list: each
+    weight of a group the density sparsifies keeps round(density * numel)
+    nonzeros, half-to-even, and every other weight all its elements."""
+    t = graph_tables(graph)
+    nnz = t.weight_numel.copy()
     for group, frac in density.items():
-        if frac < 1.0 and group in groups:
-            names, numel = groups[group]
-            nnz.update(zip(names, np.rint(frac * numel).astype(np.int64).tolist()))
+        if frac < 1.0 and group in t.weight_group:
+            k = t.weight_group[group]
+            nnz[k] = np.rint(frac * t.weight_numel[k])
     return nnz
 
 
 def _param_bytes(graph: ComputationGraph, config: TrainingConfig,
-                 nnz: dict[str, int]) -> tuple[int, int]:
+                 nnz: np.ndarray) -> tuple[int, int]:
     """(model bytes, optimizer bytes) from the graph's parameter totals.
 
     Every element is stored at the config's precision, except batchnorm
-    parameters under FP16 (FP32).  The tensors in `nnz` are then corrected
-    from their dense bytes to their CSR bytes in the model (packed column
-    indices, 32-bit row pointers, values) and to their nonzero values in
-    each optimizer array.
+    parameters under FP16 (FP32).  Each weight of a group with density
+    below 1, even one that keeps every element, is then corrected at its
+    count in `nnz` to its CSR bytes in the model (packed column indices,
+    32-bit row pointers, values) and its nonzero values in each optimizer
+    array.
     """
     t = graph_tables(graph)
     width = norm_width = config.precision.element_bytes
     if config.precision is NumericFormat.FP16:
         norm_width = NumericFormat.FP32.element_bytes
     model = values = t.other_param_numel * width + t.norm_param_numel * norm_width
-    if nnz:
-        # -1 marks a dense tensor; the dot products with `sparsified` drop it
-        counts = np.fromiter(map(nnz.get, t.sparse_names, repeat(-1)),
-                             dtype=np.int64, count=len(t.sparse_names))
-        sparsified = counts >= 0
-        index_and_ptr = (counts * t.csr_index_bits + t.csr_fixed_bits) // 8
-        dropped = int((t.sparse_numel - counts) @ sparsified) * width
-        model += int(index_and_ptr @ sparsified) - dropped
-        values -= dropped
+    for group, frac in config.density.items():
+        if frac < 1.0 and group in t.weight_group:
+            k = t.weight_group[group]
+            counts = nnz[k]
+            index_and_ptr = (counts * t.csr_index_bits[k] + t.csr_fixed_bits[k]) // 8
+            dropped = int((t.weight_numel[k] - counts).sum()) * width
+            model += int(index_and_ptr.sum()) - dropped
+            values -= dropped
     return model, OPTIMIZER_VALUE_ARRAYS[config.optimizer_kind] * values
 
 
@@ -183,7 +184,7 @@ def optimizer_memory(graph: ComputationGraph, config: TrainingConfig) -> int:
     return _param_bytes(graph, config, param_nnz(graph, config.density))[1]
 
 
-def _replay(graph, config: TrainingConfig, batch: int, nnz: dict[str, int]):
+def _replay(graph, config: TrainingConfig, batch: int, nnz: np.ndarray):
     return replay(graph, config.strategy, Sizing(graph, batch, config.precision, nnz))
 
 

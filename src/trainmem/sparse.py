@@ -4,8 +4,9 @@ A 4-D conv weight (c_o, c_i, k1, k2) is flattened to a c_o x (c_i*k1*k2)
 matrix, row i being output channel i in row-major order; a matrix weight
 is the case k1 = k2 = 1.  Its CSR form stores the nonzero values, one
 ceil(log2(cols))-bit column index per nonzero packed to whole bytes, and
-rows + 1 32-bit row pointers.  The cost model prices it from nonzero
-counts (`profiler._param_bytes`); no CSR array is ever built.
+rows + 1 32-bit row pointers.  The cost model prices it from the weight's
+entry in the nonzero-count vector (`profiler._param_bytes`) and its
+`csr_bits`, kept per weight in `plan.graph_tables`; no CSR array is built.
 """
 
 from __future__ import annotations

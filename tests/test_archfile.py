@@ -72,6 +72,53 @@ def test_semantic_error_names_node():
         parse_arch(text)
 
 
+def _tie_arch(node: str) -> str:
+    """A small valid graph with `node` added, unread, after its
+    embedding `e` and linear `a`."""
+    return (
+        "img = input(shape=3x4x4)\n"
+        "t = input(shape=2d, dtype=int)\n"
+        "y = input(shape=scalar, dtype=int)\n"
+        "e = embedding(vocab=5, d=4) <- t\n"
+        "c = conv2d(c_in=3, c_out=2, k1=1, k2=1) <- img\n"
+        "p = avgpool(window=4) <- c\n"
+        "f = reshape(shape=2d) <- p\n"
+        "a = linear(d_in=2, d_out=3) <- f\n"
+        f"{node}\n"
+        "l = softmax_xent(classes=3) <- a, y\n"
+        "loss l\n"
+    )
+
+
+@pytest.mark.parametrize("node", [
+    "b = linear(d_in=2, d_out=3, tied=a) <- f",  # a tied linear
+    "b = conv2d(c_in=3, c_out=2, k1=1, k2=1, tied=c) <- img",  # a tied conv
+    "b = embedding(vocab=5, d=4, tied=nope) <- t",  # a tie to an unknown node
+    "b = embedding(vocab=5, d=4, tied=c) <- t",  # a tie to a conv
+    "b = embedding(vocab=5, d=8, tied=e) <- t",  # another d
+    "b = embedding(vocab=6, d=4, tied=e) <- t",  # another vocab
+])
+def test_tie_outside_an_earlier_matching_embedding_is_rejected(node):
+    # a tied node owns no parameters, so only an embedding sharing an
+    # earlier embedding's table can be priced
+    with pytest.raises(ArchSemanticError, match="node 'b': tied="):
+        parse_arch(_tie_arch(node))
+
+
+def test_tie_to_a_later_embedding_is_rejected():
+    text = _tie_arch("b = embedding(vocab=5, d=4, tied=e2) <- t\ne2 = embedding(vocab=5, d=4) <- t")
+    with pytest.raises(ArchSemanticError, match="node 'b': tied="):
+        parse_arch(text)
+
+
+def test_tie_to_an_earlier_embedding_shares_its_table():
+    g = parse_arch(_tie_arch("b = embedding(vocab=5, d=4, tied=e) <- t"))
+    assert g.params_of(g.node("b")) == []
+    assert g.total_param_count() == 5 * 4 + 2 * 3 + 3 * 2 + 3
+    tgt = load_preset("dc-transformer-iwslt").node("tgt_embed")  # the one tie in a preset
+    assert tgt.p("tied") == "src_embed"
+
+
 def test_unknown_kind():
     with pytest.raises(ArchSemanticError, match="unknown kind"):
         parse_arch("x = frobnicate()\nloss x\n")

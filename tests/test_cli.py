@@ -93,6 +93,17 @@ def test_profile_bad_arch_nonzero_exit(tmp_path, capsys):
     assert "error" in err
 
 
+def test_profile_tied_linear_is_a_typed_error(tmp_path, capsys):
+    # a tied linear owns no weight to price: exit 2 naming the node
+    arch = tmp_path / "tied.arch"
+    arch.write_text("x = input(shape=4d)\ny = input(shape=scalar, dtype=int)\n"
+                    "a = linear(d_in=4, d_out=3) <- x\nb = linear(d_in=4, d_out=3, tied=a) <- x\n"
+                    "l = softmax_xent(classes=3) <- b, y\nloss l\n")
+    code, out, err = run_cli(["profile", "--arch", str(arch)], capsys)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "node 'b'" in err and "tied" in err, err
+
+
 def test_missing_preset_descriptive(capsys):
     code, _, err = run_cli(["profile", "--arch", "wrn-9999"], capsys)
     assert code == 2

@@ -341,6 +341,49 @@ def test_observed_peak_matches_profiler_for_random_graphs():
             assert activation_memory(g, cfg) == (r.peak_forward_bytes, r.peak_backward_bytes)
 
 
+def _desk_cnn_batch_of_8():
+    g = load_arch("desk-cnn")
+    rng = np.random.default_rng(7)
+    batch = {"img": rng.normal(size=(8,) + g.out_shape["img"]),
+             "labels": rng.integers(0, g.node("loss").p("classes"), 8)}
+    return g, init_params(g, seed=7), batch
+
+
+@pytest.mark.parametrize("st", ["none", "every:2", "residual_star:1"])
+def test_masked_step_prices_as_the_profiler_at_the_mask_density(st):
+    # the engine writes each mask's count into the nonzero-count vector;
+    # a 50% pattern must price as the profiler does at density 0.5
+    from trainmem.profiler import TrainingConfig, activation_memory, flops
+    from trainmem.rewire import init_sparse_pattern
+
+    g, params, batch = _desk_cnn_batch_of_8()
+    masks = init_sparse_pattern(g, 0.5, seed=7).masks
+    r = run_step(g, params, batch, EngineConfig(strategy=S(st)), masks=masks)
+    cfg = TrainingConfig(density={"conv": 0.5}, minibatch=8, strategy=S(st))
+    assert r.recompute_flops == flops(g, cfg).recompute_flops
+    assert (r.peak_forward_bytes, r.peak_backward_bytes) == activation_memory(g, cfg)
+    dense = run_step(g, params, batch, EngineConfig(strategy=S(st)))
+    if st != "none":  # the masks' counts reach the recompute FLOPs
+        assert r.recompute_flops < dense.recompute_flops
+    if st == "every:2":
+        assert r.recompute_flops == 1_229_312
+
+
+def test_mask_outside_the_weight_list_is_not_priced():
+    # a bias or a norm parameter has no nonzero-count entry: masking it
+    # leaves the step's priced peaks and FLOPs as they are unmasked
+    g, params, batch = _desk_cnn_batch_of_8()
+    masks = {"fc.bias": np.zeros(params["fc.bias"].shape, bool),
+             "final_bn.gamma": np.zeros(params["final_bn.gamma"].shape, bool)}
+    for st in ("none", "every:2"):
+        masked = run_step(g, params, batch, EngineConfig(strategy=S(st)), masks=masks)
+        plain = run_step(g, params, batch, EngineConfig(strategy=S(st)))
+        priced = ("peak_bytes", "peak_forward_bytes", "peak_backward_bytes",
+                  "recompute_events", "recompute_flops")
+        assert [getattr(masked, f) for f in priced] == [getattr(plain, f) for f in priced]
+        assert not masked.grads["fc.bias"].any()  # the mask still gates the gradient
+
+
 def test_unread_input_may_be_left_out_of_the_batch():
     b = GraphBuilder()
     b.add("x", "input", shape=(5,), dtype="float")

@@ -15,6 +15,7 @@ from trainmem.plan import (
     CheckpointStrategy,
     Sizing,
     checkpointed_exits,
+    graph_tables,
     plan_for,
     replay,
 )
@@ -151,9 +152,11 @@ def test_sparse_flop_scaling_halves_exactly():
     from trainmem.profiler import param_nnz
 
     g = build_wrn(16, 2, 10)
+    index = graph_tables(g).weight_index
 
     def conv_flops(density):
-        nnz = param_nnz(g, {"conv": density})
+        counts = param_nnz(g, {"conv": density})
+        nnz = {name: int(counts[k]) for name, k in index.items()}
         return [g.forward_flops(n, nnz) for n in g.nodes if n.op == "conv2d" and n.p("sparse")]
 
     at_half = conv_flops(0.5)

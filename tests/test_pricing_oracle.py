@@ -6,9 +6,10 @@ bytes of every slot the schedule's deltas index (each node's output, its
 stored payload and its norm statistics, then a zero slot) from the
 accounting conventions in README.md, in Python integers, and runs the
 deltas through a cumulative sum.  Its FLOPs are sums over the graph's nodes
-of `ComputationGraph.forward_flops` with the config's nonzero counts.  It
-shares no pricing table with `plan`, so a wrong coefficient in the linear
-forms shows up as a mismatch; the Python integers catch an int64 wrap.
+of `ComputationGraph.forward_flops` with the config's nonzero counts, read
+by weight name.  It shares no pricing table with `plan` (only the weight
+list's name → position map), so a wrong coefficient in the linear forms
+shows up as a mismatch; the Python integers catch an int64 wrap.
 """
 
 from __future__ import annotations
@@ -71,15 +72,19 @@ def slot_bytes(g, plan, batch: int, fmt: NumericFormat) -> tuple[list[int], int]
     return out + payload + stats + [0], pinned
 
 
-def oracle(g, plan, batch: int, fmt: NumericFormat, nnz: dict[str, int]) -> list[int]:
-    """The `ReplayResult` fields in order, priced the direct way."""
+def oracle(g, plan, batch: int, fmt: NumericFormat, nnz: np.ndarray | None) -> list[int]:
+    """The `ReplayResult` fields in order, priced the direct way; `nnz` is
+    a nonzero-count vector over the weight list (None: dense), which the
+    FLOPs read by weight name."""
+    named = {} if nnz is None else {name: int(nnz[k])
+                                    for name, k in graph_tables(g).weight_index.items()}
     slots, pinned = slot_bytes(g, plan, batch, fmt)
     sizes = np.array(slots, dtype=object)[plan.delta_idx]
     stored = np.cumsum(sizes * plan.stored_sign)
     grads = np.cumsum(sizes * plan.grad_sign)
     totals = [stored[k] + grads[k] for k in plan.samples]
     at = plan.samples[totals.index(max(totals))]  # the first maximum
-    fwd = [g.forward_flops(nd, nnz) for nd in g.nodes]
+    fwd = [g.forward_flops(nd, named) for nd in g.nodes]
     rec = [g.cached_recompute_flops(nd) if nd.op in ("batchnorm", "layernorm") else f
            for nd, f in zip(g.nodes, fwd)]
     return [
@@ -199,13 +204,13 @@ def test_largest_batch_is_exact():
     g = build_wrn(16, 1, 10)
     batch = (2**63 - 1) // graph_tables(g).byte_bound
     for st, plan in _plans(g):
-        want = oracle(g, plan, batch, NumericFormat.FP64, {})
+        want = oracle(g, plan, batch, NumericFormat.FP64, None)
         sizing = Sizing(g, batch, NumericFormat.FP64)
         assert evaluated(plan, sizing) == want, st
         assert want[0] > 2**53
         # stacked under a batch-1 row, so that each row keeps its own argmax
         small = Sizing(g, 1, NumericFormat.FP16)
         assert evaluated_many(plan, [small, sizing]) == [
-            oracle(g, plan, 1, NumericFormat.FP16, {}), want], st
+            oracle(g, plan, 1, NumericFormat.FP16, None), want], st
     with pytest.raises(ConfigurationError, match="64-bit"):
         Sizing(g, batch + 1, NumericFormat.FP64)

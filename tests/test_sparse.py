@@ -8,7 +8,7 @@ import pytest
 from trainmem.errors import ContractError
 from trainmem.graph import GraphBuilder
 from trainmem.numerics import NumericFormat
-from trainmem.profiler import TrainingConfig, _param_bytes
+from trainmem.profiler import TrainingConfig, _param_bytes, model_memory, param_nnz
 from trainmem.sparse import col_index_bits, csr_bits
 
 F32 = NumericFormat.FP32
@@ -38,10 +38,17 @@ def test_singleton():
     assert _csr_bytes(np.ones((1, 1, 1, 1), bool), F32) == 12
 
 
+def _param_bytes_at(rows: int, cols: int, nnz: int, fmt: NumericFormat) -> tuple[int, int]:
+    """The cost model's (model, optimizer) bytes for one rows x cols weight
+    that a density below 1 sparsifies, at an explicit nonzero count: the
+    one-entry count vector over the graph's weight list."""
+    cfg = TrainingConfig(density={"g": 0.5}, minibatch=1, precision=fmt)
+    return _param_bytes(_one_weight_graph(rows, cols), cfg, np.array([nnz], dtype=np.int64))
+
+
 def _model_bytes(rows: int, cols: int, nnz: int, fmt: NumericFormat) -> int:
     """The cost model's bytes for one sparsified rows x cols weight."""
-    cfg = TrainingConfig(minibatch=1, precision=fmt)
-    return _param_bytes(_one_weight_graph(rows, cols), cfg, {"fc.weight": nnz})[0]
+    return _param_bytes_at(rows, cols, nnz, fmt)[0]
 
 
 def test_storage_bytes_wrn_example():
@@ -78,13 +85,22 @@ def test_sharing_always_strictly_smaller():
         nnz = int(rng.integers(0, rows * cols + 1))
         fmt = (F16, F32)[int(rng.integers(2))]
         w = fmt.element_bytes
-        cfg = TrainingConfig(minibatch=1, precision=fmt)
-        model, optimizer = _param_bytes(_one_weight_graph(rows, cols), cfg, {"fc.weight": nnz})
+        model, optimizer = _param_bytes_at(rows, cols, nnz, fmt)
         mask = np.zeros(rows * cols, dtype=bool)
         mask[rng.choice(rows * cols, nnz, replace=False)] = True
         assert model == _csr_bytes(mask.reshape(rows, cols), fmt)
         assert optimizer == 2 * nnz * w
         assert nnz * w < model
+
+
+def test_density_below_one_is_csr_even_when_every_element_survives():
+    # round(0.99 * 12) keeps all 12 elements, yet the group is sparsified,
+    # so the weight is still stored in CSR form
+    g = _one_weight_graph(3, 4)
+    cfg = TrainingConfig(density={"g": 0.99}, minibatch=1)
+    assert param_nnz(g, cfg.density).tolist() == [12]
+    assert model_memory(g, cfg) == _csr_bytes(np.ones((3, 4), bool), F32)
+    assert model_memory(g, TrainingConfig(minibatch=1)) == 12 * 4
 
 
 def test_col_index_bits():
